@@ -10,7 +10,6 @@ prove and disprove, returning a witness trajectory in the latter case.
 from .config import DEFAULTS, Tolerances
 from .errors import (
     AssumptionViolated,
-    ConvergenceFailure,
     DegenerateRange,
     DimensionMismatch,
     DimensionTooLarge,

@@ -242,7 +242,7 @@ def _run_verify(task: VerificationTask, config: RunConfig, user_p) -> tuple[int,
 
 
 def _run_bound(task: VerificationTask, config: RunConfig, user_p) -> tuple[int, dict]:
-    stability_certificate(task.system.A, config.tol)
+    cert = stability_certificate(task.system.A, config.tol)
     hom = homogenize(task, config.tol)
     candidates = evaluate_candidates(
         hom,
@@ -251,6 +251,7 @@ def _run_bound(task: VerificationTask, config: RunConfig, user_p) -> tuple[int, 
         epsilon=config.epsilon,
         kstrict_cap=config.kstrict_cap,
         tol=config.tol,
+        certificate=cert,
     )
     best = min(candidates, key=lambda cb: cb.bound.K)
     return 0, {

@@ -15,9 +15,7 @@ class Tolerances:
     """
 
     symmetry_rel: float = 1e-12     # |M - M^T|_F vs max(1, |M|_F)
-    eig_offdiag_rel: float = 1e-12  # Jacobi stop: off-diagonal norm vs |M|_F
-    eig_max_sweeps: int = 100
-    pivot_rel: float = 1e-13        # elimination pivot vs max(1, max |entry|)
+    pivot_rel: float = 1e-13        # solve: |x| <= |rhs| / (rel * max(1, max |entry|))
     pd_rel: float = 1e-12           # lambda_min vs max(1, lambda_max)
     lyap_residual: float = 1e-8     # |P - A^T P A - C|_F vs 1 + |C|_F
     psd_slack_rel: float = 1e-8     # feasibility slack for t*P - Q vs |Q|_F

@@ -26,10 +26,6 @@ class NotPositiveDefinite(MatrixError):
     """A matrix required to be positive definite fails the eigenvalue test."""
 
 
-class ConvergenceFailure(MatrixError):
-    """An iterative kernel exhausted its sweep budget."""
-
-
 class ModelError(QuadinvError):
     """Base class for problems with the verification task data."""
 

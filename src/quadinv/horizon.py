@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +42,7 @@ from .errors import (
     Unstable,
 )
 from .matcore import (
+    SymEig,
     as_matrix,
     frobenius,
     generalized_lmax,
@@ -124,10 +126,20 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidateBound:
-    """An evaluated candidate, kept for reporting."""
+    """An evaluated candidate on a homogenized task, kept for reporting.
+
+    The ranking scores are computed on first access, so choosing the
+    smallest cutoff never pays for them.
+    """
 
     bound: HorizonBound
-    scores: tuple[float, float, float, float, float]
+    task: VerificationTask
+
+    @cached_property
+    def scores(self) -> tuple[float, float, float, float, float]:
+        return objective_scores(
+            self.bound.certificate.P, self.task.objective.Q, self.task.init
+        )
 
 
 class NuResult(NamedTuple):
@@ -175,7 +187,7 @@ def stability_certificate(a_matrix, tol: Tolerances = DEFAULTS) -> StabilityCert
 
 
 def _warn_if_indefinite(task: VerificationTask, tol: Tolerances) -> None:
-    if sym_eig(task.objective.Q, tol).lmin < -tol.psd_eig_floor:
+    if task.objective.eig.lmin < -tol.psd_eig_floor:
         warnings.warn(
             "objective matrix has a negative eigenvalue; per-step maxima over "
             "vertices may underestimate the true supremum on the polytope",
@@ -283,7 +295,7 @@ def _fast_path_zero(task: VerificationTask, tol: Tolerances) -> bool:
     obj = task.objective
     if not obj.Q.any():
         return False
-    eig = sym_eig(obj.Q, tol)
+    eig = obj.eig
     if eig.lmin < -tol.psd_eig_floor:
         return False
     box = task.init.box
@@ -439,6 +451,9 @@ def candidate_Ps(
     user_P=None,
     epsilon: float = DEFAULT_EPSILON,
     tol: Tolerances = DEFAULTS,
+    *,
+    certificate: StabilityCertificate | None = None,
+    q_eig: SymEig | None = None,
 ) -> list[Candidate]:
     """Produce feasible (t, P) pairs from the built-in strategies.
 
@@ -449,7 +464,9 @@ def candidate_Ps(
     - ``user``: a supplied P, validated against P - A^T P A >= epsilon*Id and
       P >= 0; paired with its minimal t and, when P - Q >= 0, also with t = 1.
 
-    ``auto`` runs every applicable strategy.
+    ``auto`` runs every applicable strategy.  ``certificate`` (from
+    :func:`stability_certificate`) supplies P0 and ``q_eig`` the spectrum of Q
+    when the caller already holds them.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -460,8 +477,8 @@ def candidate_Ps(
 
     p0 = p1 = None
     if strategy in ("auto", "identity", "blend"):
-        p0 = lyapunov_solve(a, np.eye(d), tol)
-    q_is_psd = sym_eig(q, tol).lmin >= -tol.psd_eig_floor
+        p0 = certificate.P if certificate else lyapunov_solve(a, np.eye(d), tol)
+    q_is_psd = (q_eig or sym_eig(q, tol)).lmin >= -tol.psd_eig_floor
     if strategy in ("auto", "q-augmented", "blend") and q_is_psd:
         p1 = lyapunov_solve(a, np.eye(d) + q, tol)
 
@@ -522,12 +539,14 @@ def evaluate_candidates(
     epsilon: float = DEFAULT_EPSILON,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
     tol: Tolerances = DEFAULTS,
+    *,
+    certificate: StabilityCertificate | None = None,
 ) -> list[CandidateBound]:
     """Evaluate the cutoff for every applicable candidate pair.
 
-    ``k_strict`` and ``S`` are computed from the task when not supplied.
-    Raises :class:`AssumptionViolated` when no strictly positive step value
-    exists within the scan cap.
+    ``k_strict``, ``S`` and the ``certificate`` of A are computed from the
+    task when not supplied.  Raises :class:`AssumptionViolated` when no
+    strictly positive step value exists within the scan cap.
     """
     _require_linear(task)
     _warn_if_indefinite(task, tol)
@@ -541,7 +560,8 @@ def evaluate_candidates(
         S = s_value(task, k_strict, tol)
     results: list[CandidateBound] = []
     for cand in candidate_Ps(
-        task.system.A, task.objective.Q, strategy, user_P, epsilon, tol
+        task.system.A, task.objective.Q, strategy, user_P, epsilon, tol,
+        certificate=certificate, q_eig=task.objective.eig,
     ):
         try:
             k_val, v_term, mu_val, cert = _k_formula(cand.t, cand.P, task, S, tol)
@@ -551,10 +571,7 @@ def evaluate_candidates(
             t=cand.t, S=S, V=v_term, mu=mu_val, k_strict=int(k_strict)
         )
         results.append(
-            CandidateBound(
-                bound=HorizonBound(k_val, scalars, cert, cand.strategy_id),
-                scores=objective_scores(cand.P, task.objective.Q, task.init),
-            )
+            CandidateBound(HorizonBound(k_val, scalars, cert, cand.strategy_id), task)
         )
     if not results:
         raise InfeasiblePair("no candidate pair produced a feasible cutoff")
@@ -570,9 +587,12 @@ def best_K(
     epsilon: float = DEFAULT_EPSILON,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
     tol: Tolerances = DEFAULTS,
+    *,
+    certificate: StabilityCertificate | None = None,
 ) -> HorizonBound:
     """Smallest cutoff over all candidate pairs, with full provenance."""
     evaluated = evaluate_candidates(
-        task, k_strict, S, strategy, user_P, epsilon, kstrict_cap, tol
+        task, k_strict, S, strategy, user_P, epsilon, kstrict_cap, tol,
+        certificate=certificate,
     )
     return min(evaluated, key=lambda cb: cb.bound.K).bound

@@ -1,10 +1,14 @@
 """Dense real symmetric linear algebra used by the verification pipeline.
 
-The kernels are deliberately simple and self-contained: a cyclic Jacobi
-eigensolver for symmetric matrices, Gaussian elimination with partial
-pivoting for linear solves, and the Kronecker formulation of the discrete
-Lyapunov equation.  numpy supplies storage and elementwise arithmetic only;
-no black-box factorizations sit on the certified path.
+The factorizations are LAPACK's, through ``numpy.linalg``: ``eigh`` for
+symmetric eigenproblems and an LU ``solve`` for linear systems, including the
+Kronecker formulation of the discrete Lyapunov equation.  The checks around
+them are this module's own: inputs must be symmetric within
+``tol.symmetry_rel``, a solve raises :class:`SingularSystem` when its solution
+grows past ``1 / tol.pivot_rel`` times its right-hand side, a Lyapunov
+solution must meet ``tol.lyap_residual``, and an inverse square root needs
+``lambda_min`` above ``tol.pd_rel``.  The certificate, margin and
+feasibility checks built on these kernels live in :mod:`quadinv.horizon`.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays,
 and results do not depend on call order, so values can be shared freely
@@ -19,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS, Tolerances
-from .errors import (
-    ConvergenceFailure,
-    NotPositiveDefinite,
-    NotSymmetric,
-    SingularSystem,
-)
+from .errors import NotPositiveDefinite, NotSymmetric, SingularSystem
 
 __all__ = [
     "SymEig",
@@ -100,103 +99,58 @@ class SymEig:
         return float(self.values[-1])
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    return math.sqrt(2.0 * float(np.sum(np.tril(a, -1) ** 2)))
-
-
 def sym_eig(matrix, tol: Tolerances = DEFAULTS) -> SymEig:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
-    Sweeps stop once the off-diagonal Frobenius norm drops below
-    ``tol.eig_offdiag_rel`` times the input's Frobenius norm, or raise
-    :class:`ConvergenceFailure` after ``tol.eig_max_sweeps`` sweeps.
+    Raises :class:`NotSymmetric` when the input fails ``tol.symmetry_rel``;
+    the symmetrized input is decomposed.
     """
     a = _check_symmetric(as_matrix(matrix, "matrix"), tol, "matrix")
-    n = a.shape[0]
-    v = np.eye(n)
-    if n > 1:
-        thresh = tol.eig_offdiag_rel * frobenius(a)
-        _jacobi_sweeps(a, v, thresh, tol.eig_max_sweeps)
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    return SymEig(values=values[order], vectors=v[:, order])
-
-
-def _jacobi_sweeps(a: np.ndarray, v: np.ndarray, thresh: float, max_sweeps: int) -> None:
-    """Run cyclic Jacobi rotations in place on ``a``, accumulating into ``v``."""
-    n = a.shape[0]
-    skip = thresh / (2.0 * n)
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= thresh:
-            return
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(tau) + math.hypot(tau, 1.0))
-                if tau < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if _offdiag_norm(a) > thresh:
-        raise ConvergenceFailure(
-            f"Jacobi iteration did not converge within {max_sweeps} sweeps"
-        )
+    values, vectors = np.linalg.eigh(a)
+    return SymEig(values=values, vectors=vectors)
 
 
 def solve_linear(matrix, rhs, tol: Tolerances = DEFAULTS) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` by Gaussian elimination with partial pivoting.
+    """Solve ``matrix @ x = rhs`` by LU factorization with partial pivoting.
 
     ``rhs`` may be a vector or a matrix of stacked right-hand sides.  Raises
-    :class:`SingularSystem` when a pivot falls below ``tol.pivot_rel`` times
-    the magnitude of the largest input entry.
+    :class:`SingularSystem` when some solution column exceeds its right-hand
+    side by more than a factor ``1 / pivot_floor``, where ``pivot_floor`` is
+    ``tol.pivot_rel`` times the magnitude of the largest input entry.  An
+    extra right-hand side of alternating signs is solved alongside, so a
+    near-singular matrix is caught even when the given right-hand side is
+    consistent with it.
     """
-    a = as_matrix(matrix, "matrix").copy()
+    a = as_matrix(matrix, "matrix")
     _require_square(a, "matrix")
     b = np.array(rhs, dtype=float)
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b[:, None]
     n = a.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"rhs has {b.shape[0]} rows, expected {n}")
-    pivot_floor = tol.pivot_rel * max(1.0, float(np.max(np.abs(a))) if n else 1.0)
-    for j in range(n):
-        p = j + int(np.argmax(np.abs(a[j:, j])))
-        if abs(a[p, j]) <= pivot_floor:
-            raise SingularSystem(f"pivot {a[p, j]:.3e} at column {j} below threshold")
-        if p != j:
-            a[[j, p]] = a[[p, j]]
-            b[[j, p]] = b[[p, j]]
-        factors = a[j + 1 :, j] / a[j, j]
-        a[j + 1 :, j:] -= factors[:, None] * a[j, j:]
-        b[j + 1 :] -= factors[:, None] * b[j]
-    x = np.empty_like(b)
-    for j in range(n - 1, -1, -1):
-        x[j] = (b[j] - a[j, j + 1 :] @ x[j + 1 :]) / a[j, j]
-    return x[:, 0] if vector_rhs else x
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"rhs has shape {b.shape}, expected ({n},) or ({n}, k)")
+    pivot_floor = tol.pivot_rel * max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    probe = np.where(np.arange(n) % 2, -1.0, 1.0)
+    stacked = np.column_stack([b, probe])
+    try:
+        x = np.linalg.solve(a, stacked)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"matrix is singular: {exc}") from exc
+    x_max = np.max(np.abs(x), axis=0, initial=0.0)
+    rhs_max = np.maximum(np.max(np.abs(stacked), axis=0, initial=0.0), pivot_floor)
+    if not np.all(x_max * pivot_floor <= rhs_max):
+        raise SingularSystem(
+            f"solution grows by {np.max(x_max / rhs_max):.3e} over its right-hand "
+            f"side, past the inverse of the pivot threshold {pivot_floor:.3e}"
+        )
+    return x[:, 0] if b.ndim == 1 else x[:, :-1]
 
 
 def lyapunov_solve(a_matrix, c_matrix, tol: Tolerances = DEFAULTS) -> np.ndarray:
     """Solve the discrete Lyapunov equation ``P - A^T P A = C`` for symmetric C.
 
     The equation is flattened to the d^2-dimensional linear system
-    ``(Id - kron(A^T, A^T)) vec(P) = vec(C)`` and eliminated with partial
-    pivoting.  The result is symmetrized and its residual checked against
-    ``tol.lyap_residual * (1 + |C|_F)``.
+    ``(Id - kron(A^T, A^T)) vec(P) = vec(C)`` and solved by
+    :func:`solve_linear`.  The result is symmetrized and its residual checked
+    against ``tol.lyap_residual * (1 + |C|_F)``.
     """
     a = as_matrix(a_matrix, "A")
     _require_square(a, "A")
@@ -236,16 +190,7 @@ def mat_pow(matrix, k: int) -> np.ndarray:
     _require_square(a, "matrix")
     if k < 0 or int(k) != k:
         raise ValueError(f"exponent must be a nonnegative integer, got {k}")
-    k = int(k)
-    result = np.eye(a.shape[0])
-    base = a.copy()
-    while k:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return result
+    return np.linalg.matrix_power(a, int(k))
 
 
 def weighted_opnorm(a_matrix, p_matrix, tol: Tolerances = DEFAULTS) -> float:

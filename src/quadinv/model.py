@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,14 @@ from .errors import (
     SingularShift,
     SingularSystem,
 )
-from .matcore import _check_symmetric, as_matrix, as_vector, solve_linear
+from .matcore import (
+    SymEig,
+    _check_symmetric,
+    as_matrix,
+    as_vector,
+    solve_linear,
+    sym_eig,
+)
 
 __all__ = [
     "AffineSystem",
@@ -187,6 +195,11 @@ class QuadraticObjective:
     @property
     def dim(self) -> int:
         return self.Q.shape[0]
+
+    @cached_property
+    def eig(self) -> SymEig:
+        """Spectral decomposition of Q (stored symmetrized), computed once."""
+        return sym_eig(self.Q)
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)

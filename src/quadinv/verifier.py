@@ -24,6 +24,7 @@ from .horizon import (
     DEFAULT_EPSILON,
     DEFAULT_KSTRICT_CAP,
     HorizonBound,
+    StabilityCertificate,
     _warn_if_indefinite,
     best_K,
     mu,
@@ -127,8 +128,22 @@ def optimize(
     The maximizer is reported in original coordinates.  Propagates
     :class:`Unstable` and :class:`AssumptionViolated` from the pipeline.
     """
-    stability_certificate(task.system.A, tol)
+    cert = stability_certificate(task.system.A, tol)
     hom = homogenize(task, tol)
+    return _optimize(task, hom, cert, kstrict_cap, strategy, user_P, epsilon, tol)
+
+
+def _optimize(
+    task: VerificationTask,
+    hom: VerificationTask,
+    cert: StabilityCertificate,
+    kstrict_cap: int,
+    strategy: str,
+    user_P,
+    epsilon: float,
+    tol: Tolerances,
+) -> Optimum:
+    """:func:`optimize` on a task already homogenized and certified stable."""
     bound = best_K(
         hom,
         strategy=strategy,
@@ -136,6 +151,7 @@ def optimize(
         epsilon=epsilon,
         kstrict_cap=kstrict_cap,
         tol=tol,
+        certificate=cert,
     )
     values, argmax = nu_sequence(hom, bound.K)
     arg_k = int(values.argmax())
@@ -168,10 +184,14 @@ def verify(
     if alpha is None:
         raise ValueError("verify requires a level alpha on the objective or as argument")
     alpha = float(alpha)
+    cert = stability_certificate(task.system.A, tol)
+    hom = homogenize(task, tol)
     try:
-        optimum = optimize(task, kstrict_cap, strategy, user_P, epsilon, tol)
+        optimum = _optimize(
+            task, hom, cert, kstrict_cap, strategy, user_P, epsilon, tol
+        )
     except AssumptionViolated:
-        return _tail_verdict(task, alpha, tail_cap, tol)
+        return _tail_verdict(task, hom, cert, alpha, tail_cap, tol)
     slack = tol.alpha_slack
     if optimum.value <= alpha:
         return Verdict(
@@ -204,7 +224,12 @@ def verify(
 
 
 def _tail_verdict(
-    task: VerificationTask, alpha: float, cap: int, tol: Tolerances
+    task: VerificationTask,
+    hom: VerificationTask,
+    cert: StabilityCertificate,
+    alpha: float,
+    cap: int,
+    tol: Tolerances,
 ) -> Verdict:
     """Fallback when no strictly positive step value was found.
 
@@ -212,8 +237,6 @@ def _tail_verdict(
     any feasible pair, so once U drops below alpha minus the objective's
     constant, no later step can violate the level.
     """
-    hom = homogenize(task, tol)
-    cert = stability_certificate(task.system.A, tol)
     obj = hom.objective
     # any scaling >= lmax(P^-1/2 Q P^-1/2) is feasible, and the envelope
     # improves as t shrinks; the floor keeps V = |q|/(2 sqrt(t lmin)) finite

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quadinv
 from quadinv.cli import main, parse_input, render_text
 from quadinv.errors import DimensionMismatch, ParseError
 from quadinv.model import linear_range_property
@@ -249,8 +254,28 @@ class TestReports:
         assert main(["verify", path, "--tol", "no_such_field=1"]) == 3
         assert main(["verify", path, "--tol", "alpha_slack=abc"]) == 3
 
+    def test_removed_tolerance_is_a_parse_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "t.json", harmonic_doc(np.eye(2), alpha=2.0))
+        code = main(["verify", path, "--tol", "eig_max_sweeps=5", "--report", "json"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
+
     def test_usage_error_exit_three(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify"])  # missing input path
         assert exc.value.code == 3
         capsys.readouterr()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(quadinv.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    check = "import quadinv.cli, sys; assert 'scipy' not in sys.modules"
+    done = subprocess.run(
+        [sys.executable, "-c", check],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

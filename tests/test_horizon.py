@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quadinv import horizon
 from quadinv.errors import (
     AssumptionViolated,
     InfeasiblePair,
@@ -427,6 +428,26 @@ class TestBestK:
             "user-min-scale",
         }
         assert min(cb.bound.K for cb in evaluated) == 1
+
+    def test_scores_computed_only_on_request(self, monkeypatch):
+        calls = []
+
+        def counting_scores(*args):
+            calls.append(args)
+            return objective_scores(*args)
+
+        monkeypatch.setattr(horizon, "objective_scores", counting_scores)
+        task = harmonic_task(np.diag([1.0, 0.0]))
+        best_K(task)
+        assert calls == []
+        evaluated = evaluate_candidates(task)
+        assert calls == []
+        first = [cb.scores for cb in evaluated]
+        assert [cb.scores for cb in evaluated] == first
+        assert len(calls) == len(evaluated)
+        for cb, scores in zip(evaluated, first):
+            P = cb.bound.certificate.P
+            assert scores == objective_scores(P, task.objective.Q, task.init)
 
     def test_indefinite_objective_warns(self):
         task = VerificationTask(

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from quadinv.errors import NotPositiveDefinite, NotSymmetric, SingularSystem
+from quadinv.errors import NotPositiveDefinite, NotSymmetric, SingularSystem, Unstable
+from quadinv.horizon import stability_certificate
 from quadinv.matcore import (
     frobenius,
     generalized_lmax,
@@ -88,6 +89,23 @@ class TestSolveLinear:
         with pytest.raises(SingularSystem):
             solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
 
+    def test_near_singular_raises(self):
+        with pytest.raises(SingularSystem):
+            solve_linear([[1.0, 2.0], [2.0, 4.0 + 1e-14]], [1.0, 1.0])
+
+    def test_near_singular_with_consistent_rhs_raises(self):
+        # x = (1, 0) solves this system exactly, so its residual is zero;
+        # the singularity shows only in the solution's growth
+        with pytest.raises(SingularSystem):
+            solve_linear([[1.0, 1.0], [1.0, 1.0 + 1e-13]], [1.0, 1.0])
+
+    def test_rhs_is_not_mutated(self):
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        rhs = np.array([1.0, 2.0])
+        solve_linear(a, rhs)
+        np.testing.assert_array_equal(rhs, [1.0, 2.0])
+        np.testing.assert_array_equal(a, [[2.0, 1.0], [1.0, 3.0]])
+
 
 class TestLyapunovSolve:
     def test_zero_dynamics_returns_rhs(self):
@@ -107,6 +125,23 @@ class TestLyapunovSolve:
     def test_identity_dynamics_raises(self):
         with pytest.raises(SingularSystem):
             lyapunov_solve(np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("eps", [1e-15, 1e-14])
+    def test_boundary_within_pivot_threshold_raises(self, eps):
+        with pytest.raises(SingularSystem):
+            lyapunov_solve(np.diag([1.0 - eps, 0.5]), np.eye(2))
+
+    @pytest.mark.parametrize("eps", [1e-13, 1e-12])
+    def test_boundary_beyond_pivot_threshold_solves(self, eps):
+        a = np.diag([1.0 - eps, 0.5])
+        p = lyapunov_solve(a, np.eye(2))
+        assert p[0, 0] == pytest.approx(1.0 / (1.0 - (1.0 - eps) ** 2), rel=1e-2)
+        assert p[1, 1] == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-15, 1e-14, 1e-13])
+    def test_certificate_unstable_near_boundary(self, eps):
+        with pytest.raises(Unstable):
+            stability_certificate(np.diag([1.0 - eps, 0.5]))
 
     def test_random_stable_residual_and_symmetry(self):
         rng = np.random.default_rng(21)

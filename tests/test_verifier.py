@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quadinv import horizon, model, verifier
 from quadinv.errors import Unstable
 from quadinv.horizon import nu_sequence
 from quadinv.matcore import mat_pow
@@ -22,7 +23,10 @@ from quadinv.verifier import (
 from support import (
     counterexample_task,
     harmonic_task,
+    random_box,
     random_linear_task,
+    random_psd,
+    random_stable_matrix,
     rotation_task,
 )
 
@@ -236,3 +240,94 @@ class TestExactness:
         tail = np.maximum.accumulate(values[::-1])[::-1][1:]
         for k in range(opt.bound.K, horizon):
             assert running[k] >= tail[k] - 1e-12
+
+
+class TestSharedWork:
+    """One verify computes the identity certificate and eig(Q) once."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name, calls, when=lambda *args: True):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            if when(*args):
+                calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    def test_identity_lyapunov_solved_once(self, monkeypatch):
+        calls = []
+        identity_rhs = lambda a, c, *rest: np.array_equal(c, np.eye(len(c)))
+        self._count(monkeypatch, horizon, "lyapunov_solve", calls, identity_rhs)
+        verdict = verify(rotation_task(np.diag([1.0, 0.0]), alpha=16.0))
+        assert verdict.status is VerdictStatus.PROVED
+        assert calls == ["lyapunov_solve"]
+
+    def test_objective_decomposed_once(self, monkeypatch):
+        task = harmonic_task(np.diag([1.0, 0.0]), alpha=1.0)
+        calls = []
+        of_q = lambda m, *rest: np.array_equal(m, task.objective.Q)
+        self._count(monkeypatch, horizon, "sym_eig", calls, of_q)
+        self._count(monkeypatch, model, "sym_eig", calls, of_q)
+        verify(task)
+        assert calls == ["sym_eig"]
+
+    def test_tail_path_reuses_certificate(self, monkeypatch):
+        calls = []
+        self._count(monkeypatch, verifier, "stability_certificate", calls)
+        self._count(monkeypatch, verifier, "homogenize", calls)
+        verdict = verify(counterexample_task(alpha=0.1), kstrict_cap=100)
+        assert verdict.status is VerdictStatus.PROVED_TAIL
+        assert sorted(calls) == ["homogenize", "stability_certificate"]
+
+
+def parity_task(seed: int, d: int) -> VerificationTask:
+    rng = np.random.default_rng(seed)
+    lower, upper = random_box(rng, d, straddle=bool(seed % 2))
+    return VerificationTask(
+        system=AffineSystem(A=random_stable_matrix(rng, d), b=np.zeros(d)),
+        init=box_to_vertices(lower, upper),
+        objective=QuadraticObjective(
+            Q=random_psd(rng, d), q=rng.normal(0.0, 0.5, d), alpha=2.0 * d
+        ),
+    )
+
+
+# (seed, d, verdict, optimum value, K, winning strategy), recorded with the
+# earlier pure-Python Jacobi and elimination kernels; the LAPACK kernels must
+# reproduce them
+PARITY_CASES = [
+    (1002, 2, "Proved", 2.197119786310762, 2, "identity"),
+    (2002, 2, "Proved", 1.863051946954071, 3, "blend-0.25"),
+    (1003, 3, "Proved", 4.230247788123474, 1, "identity"),
+    (2003, 3, "Disproved", 7.643794476814022, 1, "identity"),
+    (1004, 4, "Proved", 7.73438616912062, 3, "identity"),
+    (2004, 4, "Proved", 2.5075807879559804, 3, "identity"),
+    (1005, 5, "Disproved", 11.479863392815682, 3, "identity"),
+    (2005, 5, "Disproved", 10.487302989735651, 9, "identity"),
+    (1006, 6, "Proved", 11.719870401587192, 4, "identity"),
+    (2006, 6, "Proved", 4.617620407628767, 1, "identity"),
+    (1007, 7, "Disproved", 25.096555360734325, 2, "blend-0.25"),
+    (2007, 7, "Disproved", 14.763813900876904, 1, "identity"),
+    (1008, 8, "Disproved", 20.232508960292748, 1, "blend-0.25"),
+    (2008, 8, "Disproved", 24.711105976847396, 13, "blend-0.25"),
+    (1009, 9, "Proved", 17.45719730603381, 1, "identity"),
+    (2009, 9, "Disproved", 28.894588745144542, 1, "blend-0.25"),
+    (1010, 10, "Disproved", 27.541892173421953, 1, "identity"),
+    (2010, 10, "Proved", 9.939714029758203, 3, "identity"),
+    (1011, 11, "Disproved", 25.446750369432056, 2, "identity"),
+    (2011, 11, "Proved", 20.969159989419605, 1, "identity"),
+    (1012, 12, "Proved", 17.065239370174, 4, "identity"),
+    (2012, 12, "Proved", 17.71257744820947, 2, "identity"),
+]
+
+
+class TestOutputParity:
+    @pytest.mark.parametrize("seed, d, status, value, K, strategy", PARITY_CASES)
+    def test_random_box_matches_recorded(self, seed, d, status, value, K, strategy):
+        verdict = verify(parity_task(seed, d))
+        assert verdict.status.value == status
+        assert verdict.optimum.value == pytest.approx(value, rel=1e-9)
+        assert verdict.optimum.bound.K == K
+        assert verdict.optimum.bound.strategy_id == strategy
