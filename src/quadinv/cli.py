@@ -99,6 +99,13 @@ def _field(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _section(doc: dict, key: str, where: str) -> dict:
+    value = _field(doc, key, where)
+    if not isinstance(value, dict):
+        raise ParseError(f"field {key!r} in {where} must be a JSON object")
+    return value
+
+
 def parse_input(path: str, tol: Tolerances = DEFAULTS) -> VerificationTask:
     """Load and validate a task document.
 
@@ -123,14 +130,14 @@ def parse_input(path: str, tol: Tolerances = DEFAULTS) -> VerificationTask:
         raise ParseError(f"field 'A' must be a nested array, got shape {a.shape}")
     d = a.shape[0]
     declared = doc.get("dimension")
-    if declared is not None and int(declared) != d:
+    if declared is not None and declared != d:
         raise ParseError(f"declared dimension {declared} does not match A ({d} rows)")
     b = np.array(doc.get("b", np.zeros(d)), dtype=float)
     system = AffineSystem(A=a, b=b)
 
-    init_doc = _field(doc, "initial_set", "document")
+    init_doc = _section(doc, "initial_set", "document")
     if "box" in init_doc:
-        box = init_doc["box"]
+        box = _section(init_doc, "box", "initial_set")
         init = box_to_vertices(
             _field(box, "lower", "initial_set.box"),
             _field(box, "upper", "initial_set.box"),
@@ -141,9 +148,9 @@ def parse_input(path: str, tol: Tolerances = DEFAULTS) -> VerificationTask:
     else:
         raise ParseError("initial_set needs either 'box' or 'vertices'")
 
-    prop = _field(doc, "property", "document")
+    prop = _section(doc, "property", "document")
     if "linear_range" in prop:
-        band = prop["linear_range"]
+        band = _section(prop, "linear_range", "property")
         objective = linear_range_property(
             _field(band, "c", "property.linear_range"),
             _field(band, "lower", "property.linear_range"),

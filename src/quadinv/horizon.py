@@ -17,8 +17,22 @@ max over vertices of (A^k v)^T Q (A^k v) + q^T (A^k v).  The public
 original (pre-homogenization) objective at step k; the bound theory needs
 the constant-free sequence because only that sequence decays to zero.
 
-Per-step evaluations are order-independent max reductions, so they can be
-distributed freely; this implementation vectorizes them instead.
+Finding k_strict and enumerating to K read this sequence through one scan
+that yields it in blocks of consecutive steps.  Block lengths double from 1
+up to ceil(sqrt(k_max + 1)): a scan that stops early does little work, and a
+long one takes O(sqrt(k_max)) array operations.  SCAN_BLOCK_ELEMENTS caps the
+entries of a block's (steps, vertices, d) image array, which bounds the
+scan's memory; a block always holds at least one step.
+
+At each block start, coordinates below SCAN_FLOOR times the largest initial
+coordinate are set to zero.  The states of a contracting system otherwise
+pass through the subnormal range on their way to zero, where each float
+operation costs about ten times as much, so the scan's time would depend on
+where its states underflow.  With the floor at 2^-511, a coordinate is zero
+from the first block start below it on, so for an initial set of moderate
+scale the states and their squares leave the normal range only within that
+one block.  Step values move by at most about 2^-511 relative to the initial
+set's scale, times the transient growth of A^k.
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ from .errors import (
     AssumptionViolated,
     InfeasiblePair,
     InvalidUserP,
-    NotPositiveDefinite,
+    NotSymmetric,
     NumeratorOutOfRange,
     SingularSystem,
     Unstable,
@@ -48,6 +62,7 @@ from .matcore import (
     generalized_lmax,
     lyapunov_solve,
     mat_pow,
+    quad_forms,
     sym_eig,
     weighted_opnorm,
 )
@@ -78,6 +93,8 @@ STRATEGIES = ("auto", "identity", "q-augmented", "blend", "user")
 BLEND_WEIGHTS = (0.25, 0.5, 0.75)
 DEFAULT_KSTRICT_CAP = 10_000
 DEFAULT_EPSILON = 0.01
+SCAN_BLOCK_ELEMENTS = 1 << 16  # 512 KiB of float64 per block image array
+SCAN_FLOOR = 2.0**-511  # relative to the largest initial coordinate
 
 
 @dataclass(frozen=True)
@@ -196,54 +213,44 @@ def _warn_if_indefinite(task: VerificationTask, tol: Tolerances) -> None:
         )
 
 
-def _vertex_max_values(
-    A: np.ndarray, Q: np.ndarray, q: np.ndarray, verts: np.ndarray, k_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Constant-free step values and arg-max vertex indices for k = 0..k_max.
+def _step_value_blocks(task: VerificationTask, k_max: int):
+    """Constant-free step values for k = 0..k_max, one block of steps at a time.
 
-    Long scans split each power as A^k = A^(a*m) A^r with m ~ sqrt(k_max),
-    which keeps the number of array operations at O(sqrt(k_max)) instead of
-    O(k_max) without changing the max/argmax reductions.
+    Yields ``(k0, values, argmax)``: the max over vertices of
+    (A^k v)^T Q (A^k v) + q^T (A^k v) and its arg-max vertex index, for
+    k = k0 .. k0 + len(values) - 1.  Each block propagates the previous
+    block's last images by one step and applies a table of powers A^r.
     """
-    steps = k_max + 1
-    values = np.empty(steps)
-    argmax = np.empty(steps, dtype=int)
-    m = max(1, math.isqrt(steps - 1) + 1)
-    blocked = steps > 64 and m * verts.shape[0] * verts.shape[1] <= 20_000_000
-    if not blocked:
-        x = verts.copy()
-        for k in range(steps):
-            vals = np.einsum("ni,ij,nj->n", x, Q, x) + x @ q
-            values[k] = vals.max()
-            argmax[k] = int(vals.argmax())
-            if k + 1 < steps:
-                x = x @ A.T
-        return values, argmax
-
-    powers = np.empty((m, A.shape[0], A.shape[0]))
-    powers[0] = np.eye(A.shape[0])
-    for r in range(1, m):
-        powers[r] = powers[r - 1] @ A
-    block_step = powers[m - 1] @ A  # A^m
-    x_r = np.einsum("nj,rij->rni", verts, powers)  # (m, n, d): A^r v rows
-    outer = np.eye(A.shape[0])  # A^(a*m)
-    blocks = -(-steps // m)
-    for a in range(blocks):
-        y = x_r @ outer.T
-        vals = np.einsum("rni,ij,rnj->rn", y, Q, y) + y @ q
-        lo = a * m
-        hi = min(lo + m, steps)
-        values[lo:hi] = vals.max(axis=1)[: hi - lo]
-        argmax[lo:hi] = vals.argmax(axis=1)[: hi - lo]
-        if a + 1 < blocks:
-            outer = outer @ block_step
-    return values, argmax
+    A = task.system.A
+    obj = task.objective
+    x = task.init.vertices  # A^k0 v, one row per vertex
+    n, d = x.shape
+    floor = SCAN_FLOOR * float(np.abs(x).max())
+    longest = max(1, min(math.isqrt(k_max) + 1, SCAN_BLOCK_ELEMENTS // (n * d)))
+    table = np.eye(d)[None]  # (A^r)^T for r < len(table)
+    k0 = 0
+    while k0 <= k_max:
+        length = min(len(table), k_max + 1 - k0)
+        images = x @ table[:length]  # (length, n, d): rows A^(k0 + r) v
+        vals = quad_forms(images, obj.Q) + images @ obj.q
+        yield k0, vals.max(axis=1), vals.argmax(axis=1)
+        k0 += length
+        x = images[-1] @ A.T
+        x[np.abs(x) < floor] = 0.0
+        grow = min(len(table), longest - len(table))
+        if grow > 0:
+            table = np.concatenate([table, table[:grow] @ (table[-1] @ A.T)])
 
 
-def nu(task: VerificationTask, k: int, tol: Tolerances = DEFAULTS) -> NuResult:
+def nu(
+    task: VerificationTask,
+    k: int,
+    tol: Tolerances = DEFAULTS,
+    include_constant: bool = True,
+) -> NuResult:
     """Largest objective value over initial vertices propagated k steps.
 
-    Requires a homogenized task; includes the objective's constant, so the
+    Requires a homogenized task; with the objective's constant included, the
     result equals the original objective's value at step k.
     """
     _require_linear(task)
@@ -251,7 +258,10 @@ def nu(task: VerificationTask, k: int, tol: Tolerances = DEFAULTS) -> NuResult:
         raise ValueError("step index must be nonnegative")
     power = mat_pow(task.system.A, k)
     images = task.init.vertices @ power.T
-    vals = task.objective.values(images)
+    obj = task.objective
+    vals = quad_forms(images, obj.Q) + images @ obj.q
+    if include_constant:
+        vals = vals + obj.constant
     idx = int(vals.argmax())
     return NuResult(float(vals[idx]), task.init.vertices[idx], idx)
 
@@ -265,47 +275,14 @@ def nu_sequence(
     _require_linear(task)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    obj = task.objective
-    values, argmax = _vertex_max_values(
-        task.system.A, obj.Q, obj.q, task.init.vertices, k_max
-    )
-    if include_constant and obj.constant:
-        values = values + obj.constant
+    values = np.empty(k_max + 1)
+    argmax = np.empty(k_max + 1, dtype=int)
+    for k0, block, idx in _step_value_blocks(task, k_max):
+        values[k0 : k0 + len(block)] = block
+        argmax[k0 : k0 + len(block)] = idx
+    if include_constant and task.objective.constant:
+        values = values + task.objective.constant
     return values, argmax
-
-
-def _nu0(task: VerificationTask, k: int) -> float:
-    """Constant-free step value at a single index."""
-    power = mat_pow(task.system.A, k)
-    images = task.init.vertices @ power.T
-    obj = task.objective
-    vals = np.einsum("ni,ij,nj->n", images, obj.Q, images) + images @ obj.q
-    return float(vals.max())
-
-
-def _fast_path_zero(task: VerificationTask, tol: Tolerances) -> bool:
-    """Syntactic conditions under which the first positive step index is 0.
-
-    Requires Q nonzero and positive semidefinite, and then one of: q = 0 with
-    Q definite and a nonzero vertex; q = 0 with a box of nonempty interior;
-    q != 0 with 0 interior to the box.  Interior tests only apply to box
-    inputs, where open axes are known syntactically; plain vertex lists fall
-    back to the scan.
-    """
-    obj = task.objective
-    if not obj.Q.any():
-        return False
-    eig = obj.eig
-    if eig.lmin < -tol.psd_eig_floor:
-        return False
-    box = task.init.box
-    if not obj.q.any():
-        if eig.lmin > tol.pd_rel * max(1.0, eig.lmax) and task.init.vertices.any():
-            return True
-        return box is not None and bool(np.all(box[0] < box[1]))
-    return (
-        box is not None and bool(np.all(box[0] < 0.0)) and bool(np.all(box[1] > 0.0))
-    )
 
 
 def find_k_strict(
@@ -315,24 +292,16 @@ def find_k_strict(
 ) -> int | None:
     """First k with a strictly positive constant-free step value, or None.
 
-    The decidable fast path returns 0 without scanning; otherwise step
-    values are scanned for k = 0..cap and None means not found within the
+    Step values are scanned for k = 0..cap; None means not found within the
     cap, which downgrades the pipeline to tail-bound mode.
     """
     _require_linear(task)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    if _fast_path_zero(task, tol):
-        return 0
-    obj = task.objective
-    A_t = task.system.A.T
-    x = task.init.vertices.copy()
-    for k in range(cap + 1):
-        vals = np.einsum("ni,ij,nj->n", x, obj.Q, x) + x @ obj.q
-        if float(vals.max()) > tol.strict_pos:
-            return k
-        if k < cap:
-            x = x @ A_t
+    for k0, block, _ in _step_value_blocks(task, cap):
+        hits = np.flatnonzero(block > tol.strict_pos)
+        if hits.size:
+            return k0 + int(hits[0])
     return None
 
 
@@ -343,9 +312,8 @@ def s_value(task: VerificationTask, k_strict: int, tol: Tolerances = DEFAULTS) -
     positive; the verifier then falls back to tail-bound mode.
     """
     _require_linear(task)
-    verts = task.init.vertices
-    sup_q = float(np.einsum("ni,ij,nj->n", verts, task.objective.Q, verts).max())
-    s = min(sup_q, _nu0(task, k_strict))
+    sup_q = float(quad_forms(task.init.vertices, task.objective.Q).max())
+    s = min(sup_q, nu(task, k_strict, tol, include_constant=False).value)
     if s <= tol.strict_pos:
         raise AssumptionViolated(
             f"threshold S = {s:.3e} is not positive; the horizon bound is undefined"
@@ -356,8 +324,19 @@ def s_value(task: VerificationTask, k_strict: int, tol: Tolerances = DEFAULTS) -
 def mu(p_matrix, init: InitialSet) -> float:
     """Largest P-weighted norm over initial vertices (sqrt taken after the max)."""
     p = np.asarray(p_matrix, dtype=float)
-    verts = init.vertices
-    return math.sqrt(max(float(np.einsum("ni,ij,nj->n", verts, p, verts).max()), 0.0))
+    return math.sqrt(max(float(quad_forms(init.vertices, p).max()), 0.0))
+
+
+def _v_term(task: VerificationTask, t: float, lmin_P: float) -> float:
+    """V = |q|_2 / (2 sqrt(t lmin(P))) of the cutoff formula."""
+    return float(np.linalg.norm(task.objective.q)) / (2.0 * math.sqrt(t * lmin_P))
+
+
+def _log_arg(S: float, t: float, v_term: float, mu_val: float) -> float:
+    """g = (sqrt(S + V^2) - V) / (sqrt(t) mu(P)), the argument of ln in K."""
+    # sqrt(S + V^2) - V evaluated as S / (sqrt(S + V^2) + V) to avoid
+    # cancellation when V dominates S
+    return S / ((math.sqrt(S + v_term * v_term) + v_term) * math.sqrt(t) * mu_val)
 
 
 def _k_formula(
@@ -366,24 +345,29 @@ def _k_formula(
     task: VerificationTask,
     S: float,
     tol: Tolerances,
+    certificate: StabilityCertificate | None = None,
 ) -> tuple[int, float, float, StabilityCertificate]:
-    """Evaluate the cutoff formula, returning (K, V, mu(P), certificate)."""
+    """Evaluate the cutoff formula, returning (K, V, mu(P), certificate).
+
+    ``certificate`` is reused as P's certificate when it was made for P.
+    """
     if t <= 0.0:
         raise InfeasiblePair(f"scaling t = {t} must be positive")
-    cert = _certificate_for(task.system.A, P, tol)
+    if certificate is not None and P is certificate.P:
+        cert = certificate
+    else:
+        cert = _certificate_for(task.system.A, P, tol)
     q_mat = task.objective.Q
     feas = sym_eig(t * P - q_mat, tol).lmin
     if feas < -tol.psd_slack_rel * frobenius(q_mat):
         raise InfeasiblePair(
             f"t*P - Q has negative eigenvalue {feas:.3e}; pair is infeasible"
         )
-    v_term = float(np.linalg.norm(task.objective.q)) / (2.0 * math.sqrt(t * cert.lmin_P))
+    v_term = _v_term(task, t, cert.lmin_P)
     mu_val = mu(P, task.init)
     if mu_val <= 0.0:
         raise AssumptionViolated("initial set is reduced to the origin")
-    # sqrt(S + V^2) - V evaluated as S / (sqrt(S + V^2) + V) to avoid
-    # cancellation when V dominates S
-    g = S / ((math.sqrt(S + v_term * v_term) + v_term) * math.sqrt(t) * mu_val)
+    g = _log_arg(S, t, v_term, mu_val)
     if not 0.0 < g <= 1.0 + tol.log_arg_slack:
         raise NumeratorOutOfRange(
             f"log argument {g:.15g} outside (0, 1]: S or (t, P) violates a precondition"
@@ -432,8 +416,8 @@ def objective_scores(
     p = as_matrix(p_matrix, "P")
     q = as_matrix(q_matrix, "Q")
     verts = init.vertices
-    energies_p = np.einsum("ni,ij,nj->n", verts, p, verts)
-    energies_pq = np.einsum("ni,ij,nj->n", verts, p - q, verts)
+    energies_p = quad_forms(verts, p)
+    energies_pq = quad_forms(verts, p - q)
     f4 = sym_eig(0.5 * (p + p.T)).lmax
     return (
         float(energies_p.max()),
@@ -509,7 +493,7 @@ def _user_candidates(
     try:
         p = as_matrix(user_P, "user P")
         eig = sym_eig(p, tol)
-    except (ValueError, NotPositiveDefinite) as exc:
+    except (ValueError, NotSymmetric) as exc:
         raise InvalidUserP(f"user P is not a valid symmetric matrix: {exc}") from exc
     slack = tol.psd_slack_rel * max(1.0, frobenius(p))
     if eig.lmin < -slack:
@@ -564,7 +548,9 @@ def evaluate_candidates(
         certificate=certificate, q_eig=task.objective.eig,
     ):
         try:
-            k_val, v_term, mu_val, cert = _k_formula(cand.t, cand.P, task, S, tol)
+            k_val, v_term, mu_val, cert = _k_formula(
+                cand.t, cand.P, task, S, tol, certificate
+            )
         except (InfeasiblePair, NumeratorOutOfRange):
             continue
         scalars = BoundScalars(

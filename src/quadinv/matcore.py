@@ -30,6 +30,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "frobenius",
+    "quad_forms",
     "sym_eig",
     "solve_linear",
     "lyapunov_solve",
@@ -62,6 +63,11 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
 
 def frobenius(m: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.asarray(m, dtype=float) ** 2)))
+
+
+def quad_forms(points: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x^T M x`` for every row ``x`` of ``points`` (any leading shape)."""
+    return np.sum((points @ m) * points, axis=-1)
 
 
 def _require_square(m: np.ndarray, name: str) -> None:

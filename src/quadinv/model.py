@@ -1,9 +1,7 @@
 """Data model: affine systems, vertex-list initial sets, quadratic properties.
 
 Initial sets are stored as explicit vertex lists; the pipeline only ever
-evaluates objectives at vertices.  Box inputs additionally remember their
-bounds, which later enables the syntactic interior tests used by the
-fast path for the first strictly positive step.
+evaluates objectives at vertices.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from .matcore import (
     _check_symmetric,
     as_matrix,
     as_vector,
+    quad_forms,
     solve_linear,
     sym_eig,
 )
@@ -89,9 +88,7 @@ def _canonical_key(vertex: np.ndarray, sig_digits: int) -> tuple:
 class InitialSet:
     """Polytope of initial states given by its extreme points.
 
-    ``vertices`` is an (n, d) array, one vertex per row.  ``box`` carries
-    (lower, upper) bounds when the set came from a box; it is metadata and
-    never consulted for the vertex list itself.
+    ``vertices`` is an (n, d) array, one vertex per row.
 
     Construct via :meth:`from_vertices` to drop duplicate vertices (exact
     comparison after rounding to 12 significant digits); the raw constructor
@@ -99,7 +96,6 @@ class InitialSet:
     """
 
     vertices: np.ndarray
-    box: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -110,12 +106,6 @@ class InitialSet:
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices contain non-finite entries")
         object.__setattr__(self, "vertices", _freeze(v))
-        if self.box is not None:
-            lower = _freeze(as_vector(self.box[0], "lower"))
-            upper = _freeze(as_vector(self.box[1], "upper"))
-            if lower.shape != upper.shape or lower.shape[0] != v.shape[1]:
-                raise DimensionMismatch("box bounds do not match vertex dimension")
-            object.__setattr__(self, "box", (lower, upper))
 
     @classmethod
     def from_vertices(cls, vertices, tol: Tolerances = DEFAULTS) -> InitialSet:
@@ -138,11 +128,8 @@ class InitialSet:
         return self.vertices.shape[0]
 
     def shifted(self, offset: np.ndarray) -> InitialSet:
-        """Translate every vertex (and box bounds) by ``-offset``, keeping order."""
-        box = None
-        if self.box is not None:
-            box = (self.box[0] - offset, self.box[1] - offset)
-        return InitialSet(vertices=self.vertices - offset, box=box)
+        """Translate every vertex by ``-offset``, keeping order."""
+        return InitialSet(vertices=self.vertices - offset)
 
 
 def box_to_vertices(lower, upper, tol: Tolerances = DEFAULTS) -> InitialSet:
@@ -163,7 +150,7 @@ def box_to_vertices(lower, upper, tol: Tolerances = DEFAULTS) -> InitialSet:
         raise EmptyBox(f"lower[{bad}] = {lo[bad]} exceeds upper[{bad}] = {hi[bad]}")
     axes = [(l,) if l == u else (l, u) for l, u in zip(lo, hi)]
     corners = np.array(list(itertools.product(*axes)), dtype=float)
-    return InitialSet(vertices=corners, box=(lo, hi))
+    return InitialSet(vertices=corners)
 
 
 @dataclass(frozen=True)
@@ -208,7 +195,7 @@ class QuadraticObjective:
     def values(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at each row of an (n, d) array."""
         p = np.asarray(points, dtype=float)
-        return np.einsum("ni,ij,nj->n", p, self.Q, p) + p @ self.q + self.constant
+        return quad_forms(p, self.Q) + p @ self.q + self.constant
 
 
 def linear_range_property(c, lower: float, upper: float) -> QuadraticObjective:

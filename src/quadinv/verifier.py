@@ -23,13 +23,17 @@ from .errors import AssumptionViolated
 from .horizon import (
     DEFAULT_EPSILON,
     DEFAULT_KSTRICT_CAP,
+    BoundScalars,
     HorizonBound,
     StabilityCertificate,
+    _log_arg,
+    _v_term,
     _warn_if_indefinite,
     best_K,
     mu,
     nu_sequence,
     stability_certificate,
+    tail_bound,
 )
 from .matcore import generalized_lmax
 from .model import AffineSystem, VerificationTask, homogenize
@@ -241,43 +245,43 @@ def _tail_verdict(
     # any scaling >= lmax(P^-1/2 Q P^-1/2) is feasible, and the envelope
     # improves as t shrinks; the floor keeps V = |q|/(2 sqrt(t lmin)) finite
     t = max(generalized_lmax(obj.Q, cert.P, tol), tol.strict_pos)
-    mu_val = mu(cert.P, hom.init)
-    v_term = float(np.linalg.norm(obj.q)) / (2.0 * math.sqrt(t * cert.lmin_P))
-    sqrt_t_mu = math.sqrt(t) * mu_val
-
-    def envelope(k: int) -> float:
-        a = sqrt_t_mu * cert.norm_A_P**k
-        return a * a + 2.0 * a * v_term
-
     target = alpha - obj.constant
+    # the level (less the constant) takes the place of S; this path has no k_strict
+    scalars = BoundScalars(
+        t=t, S=target, V=_v_term(hom, t, cert.lmin_P), mu=mu(cert.P, hom.init),
+        k_strict=0,
+    )
+    norm = cert.norm_A_P
     horizon = cap
-    if mu_val == 0.0:
+    if scalars.mu == 0.0:
         horizon = 0
     elif target > 0.0:
-        g = target / ((math.sqrt(target + v_term**2) + v_term) * sqrt_t_mu)
+        g = _log_arg(target, t, scalars.V, scalars.mu)
         if g >= 1.0:
             horizon = 0
         else:
-            needed = int(math.ceil(math.log(g) / math.log(cert.norm_A_P)))
+            needed = int(math.ceil(math.log(g) / math.log(norm)))
             horizon = min(max(needed, 0), cap)
-            while not envelope(horizon) < target and horizon < cap:
+            while not tail_bound(horizon, scalars, norm) < target and horizon < cap:
                 horizon += 1
+    envelope = tail_bound(horizon, scalars, norm)
     # capped: the envelope never strictly certified the tail within the cap
-    capped = not envelope(horizon) < target
+    capped = not envelope < target
 
     values, argmax = nu_sequence(hom, horizon)
-    arg_k = int(values.argmax())
-    peak = float(values[arg_k])
-    tail = TailInfo(horizon=horizon, bound=envelope(horizon))
-    if peak > alpha + tol.alpha_slack:
-        vertex = task.init.vertices[int(argmax[arg_k])]
+    tail = TailInfo(horizon=horizon, bound=envelope)
+    # the first violating sample gives the shortest witness
+    first = _first_index(values > alpha + tol.alpha_slack)
+    if first is not None:
+        vertex = task.init.vertices[int(argmax[first])]
         return Verdict(
             status=VerdictStatus.DISPROVED,
             alpha=alpha,
-            witness=trajectory(task.system, vertex, arg_k),
+            witness=trajectory(task.system, vertex, first),
             tail_info=tail,
-            message=f"sampled objective {peak:.12g} > {alpha:.12g} at step {arg_k}",
+            message=f"sampled objective {values[first]:.12g} > {alpha:.12g} at step {first}",
         )
+    peak = float(values.max())
     if not capped and peak <= alpha:
         return Verdict(
             status=VerdictStatus.PROVED_TAIL,

@@ -64,11 +64,29 @@ class TestParseInput:
             parse_input(path)
 
     def test_dimension_cross_check(self, tmp_path):
-        doc = harmonic_doc(np.eye(2))
-        doc["dimension"] = 3
+        for declared in (3, [1]):
+            doc = harmonic_doc(np.eye(2))
+            doc["dimension"] = declared
+            path = write_json(tmp_path / "bad.json", doc)
+            with pytest.raises(ParseError):
+                parse_input(path)
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("initial_set", 5),
+            ("initial_set", {"box": 5}),
+            ("property", 5),
+            ("property", {"linear_range": 5}),
+        ],
+        ids=["initial_set", "box", "property", "linear_range"],
+    )
+    def test_non_object_section_exit_three(self, tmp_path, capsys, section, value):
+        doc = harmonic_doc(np.eye(2), alpha=2.0)
+        doc[section] = value
         path = write_json(tmp_path / "bad.json", doc)
-        with pytest.raises(ParseError):
-            parse_input(path)
+        assert main(["verify", path, "--report", "json"]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
 
     def test_linear_range_matches_constructor(self, tmp_path):
         doc = {
@@ -196,6 +214,16 @@ class TestBoundCommand:
         task_path = write_json(tmp_path / "h.json", harmonic_doc(np.eye(2)))
         p_path = write_json(tmp_path / "p.json", [[1.0, 0.0], [0.0, 1.0]])
         assert main(["bound", task_path, "--strategy", "user", "--user-P", p_path]) == 3
+
+    def test_asymmetric_user_p_is_invalid_user_p(self, tmp_path, capsys):
+        task_path = write_json(tmp_path / "h.json", harmonic_doc(np.eye(2), alpha=2.0))
+        p_path = write_json(tmp_path / "p.json", [[1.0, 0.5], [0.0, 1.0]])
+        code = main(
+            ["verify", task_path, "--strategy", "user", "--user-P", p_path,
+             "--report", "json"]
+        )
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "InvalidUserP"
 
     def test_counterexample_bound_fails_with_engine_code(self, tmp_path):
         doc = {

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadinv import horizon
+from quadinv.config import DEFAULTS
 from quadinv.errors import (
     AssumptionViolated,
     InfeasiblePair,
@@ -35,6 +38,7 @@ from quadinv.model import (
     box_to_vertices,
     homogenize,
 )
+from quadinv.verifier import VerdictStatus, verify
 from support import (
     counterexample_task,
     harmonic_task,
@@ -130,7 +134,6 @@ class TestFindKStrict:
 
     def test_shifted_rotation_needs_scan(self):
         hom = homogenize(rotation_task(np.diag([0.0, 1.0])))
-        assert hom.init.box is not None
         assert find_k_strict(hom) == 2
 
     def test_vertex_list_scans(self):
@@ -139,12 +142,89 @@ class TestFindKStrict:
             init=InitialSet.from_vertices([[1.0, 0.0], [0.0, 1.0]]),
             objective=QuadraticObjective(Q=np.diag([1.0, 0.0]), q=np.zeros(2)),
         )
-        assert task.init.box is None
         assert find_k_strict(task) == 0
 
     def test_zero_objective_not_found(self):
         task = harmonic_task(np.zeros((2, 2)))
         assert find_k_strict(task, cap=50) is None
+
+    def test_tiny_box_is_not_strictly_positive(self):
+        # Q definite and every vertex nonzero, yet the step-0 value 2e-14 is
+        # below strict_pos: the scan finds nothing and verify takes the tail path
+        task = VerificationTask(
+            system=AffineSystem(A=0.5 * np.eye(2), b=np.zeros(2)),
+            init=box_to_vertices([-1e-7, -1e-7], [1e-7, 1e-7]),
+            objective=QuadraticObjective(Q=np.eye(2), q=np.zeros(2)),
+        )
+        assert find_k_strict(task) is None
+        assert verify(task, alpha=1.0).status is VerdictStatus.PROVED_TAIL
+
+    @pytest.mark.parametrize("d", range(2, 21))
+    def test_first_positive_step_at_block_edges(self, d):
+        # A^k e_1 = 0.5^k e_(k+1), so only step d - 1 sees Q = e_d e_d^T; the
+        # scan's blocks start at k = 0, 1, 3, 7, 15, ...
+        task = VerificationTask(
+            system=AffineSystem(A=0.5 * np.eye(d, k=-1), b=np.zeros(d)),
+            init=InitialSet.from_vertices([np.eye(d)[0]]),
+            objective=QuadraticObjective(Q=np.diag(np.eye(d)[-1]), q=np.zeros(d)),
+        )
+        assert find_k_strict(task) == d - 1
+        assert find_k_strict(task, cap=d - 1) == d - 1
+        assert find_k_strict(task, cap=d - 2) is None
+
+
+def _random_scan_task(seed: int, d: int, n: int) -> VerificationTask:
+    rng = np.random.default_rng(seed)
+    sym = rng.standard_normal((d, d))
+    return VerificationTask(
+        system=AffineSystem(A=random_stable_matrix(rng, d), b=np.zeros(d)),
+        init=InitialSet(vertices=rng.uniform(-1.0, 1.0, (n, d))),
+        objective=QuadraticObjective(
+            Q=0.5 * (sym + sym.T), q=rng.normal(0.0, 1.0, d)
+        ),
+    )
+
+
+class TestScanMatchesStepLoop:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 5),
+        n=st.integers(1, 6),
+        k_max=st.integers(0, 300),
+    )
+    def test_blocked_scan_matches_plain_loop(self, seed, d, n, k_max):
+        task = _random_scan_task(seed, d, n)
+        x = task.init.vertices
+        loop = []
+        for _ in range(k_max + 1):
+            loop.append(task.objective.values(x).max())
+            x = x @ task.system.A.T
+        values, _ = nu_sequence(task, k_max)
+        np.testing.assert_allclose(values, loop, rtol=0.0, atol=1e-9)
+        hits = np.flatnonzero(np.array(loop) > DEFAULTS.strict_pos)
+        assert find_k_strict(task, cap=k_max) == (int(hits[0]) if hits.size else None)
+
+    def test_contracting_states_stay_out_of_subnormal_range(self):
+        # both coordinates contract to 0 within the cap; the plain loop's step
+        # values pass through the subnormal range, the scan's are 0 or normal
+        task = VerificationTask(
+            system=AffineSystem(A=np.diag([0.9, 0.4]), b=np.zeros(2)),
+            init=InitialSet.from_vertices([[0.3, 0.8], [0.6, 0.1]]),
+            objective=QuadraticObjective(Q=np.eye(2), q=-np.ones(2)),
+        )
+        x = task.init.vertices
+        loop = []
+        for _ in range(10_001):
+            loop.append(task.objective.values(x).max())
+            x = x @ task.system.A.T
+        values, _ = nu_sequence(task, 10_000)
+        np.testing.assert_allclose(values, loop, rtol=1e-12, atol=1e-150)
+        tiny = np.finfo(float).tiny
+        assert not np.any((values != 0.0) & (np.abs(values) < tiny))
+        assert np.any((np.array(loop) != 0.0) & (np.abs(loop) < tiny))
+        assert values[-1] == 0.0
+        assert find_k_strict(task) is None
 
 
 class TestSValue:
@@ -352,6 +432,16 @@ class TestCandidates:
         with pytest.raises(InvalidUserP):
             candidate_Ps(
                 task.system.A, task.objective.Q, strategy="user", user_P=np.eye(2)
+            )
+
+    def test_user_rejected_when_asymmetric(self):
+        task = harmonic_task(np.eye(2))
+        with pytest.raises(InvalidUserP):
+            candidate_Ps(
+                task.system.A,
+                task.objective.Q,
+                strategy="user",
+                user_P=[[1.0, 0.5], [0.0, 1.0]],
             )
 
     def test_user_rejected_when_indefinite(self):

@@ -123,7 +123,6 @@ class TestInitialSet:
         moved = init.shifted(np.array([0.5, -0.5]))
         assert moved.n_vertices == init.n_vertices
         np.testing.assert_allclose(moved.vertices, init.vertices - [0.5, -0.5])
-        np.testing.assert_allclose(moved.box[0], [-1.5, 0.5])
 
 
 class TestQuadraticObjective:

@@ -143,6 +143,14 @@ class TestTailBoundMode:
         endpoint = verdict.witness[-1]
         assert counterexample_task().objective.value(endpoint) > -0.05 + 1e-9
 
+    def test_tail_witness_ends_at_first_violation(self):
+        # step values -0.1875, -0.109, -0.0586, -0.0303: step 3 is the first
+        # above -0.05, long before the samples tie at 0.0 as the states underflow
+        verdict = verify(counterexample_task(alpha=-0.05))
+        assert verdict.status is VerdictStatus.DISPROVED
+        np.testing.assert_array_equal(verdict.witness[:, 0], [0.25, 0.125, 0.0625, 0.03125])
+        assert "at step 3" in verdict.message
+
     def test_counterexample_inconclusive_at_the_limit(self):
         verdict = verify(counterexample_task(alpha=0.0))
         assert verdict.status is VerdictStatus.INCONCLUSIVE
@@ -272,6 +280,19 @@ class TestSharedWork:
         self._count(monkeypatch, model, "sym_eig", calls, of_q)
         verify(task)
         assert calls == ["sym_eig"]
+
+    def test_each_shape_certified_once(self, monkeypatch):
+        shapes = []
+        original = horizon._certificate_for
+
+        def recording(a, p, *rest, **kwargs):
+            shapes.append(p.tobytes())
+            return original(a, p, *rest, **kwargs)
+
+        monkeypatch.setattr(horizon, "_certificate_for", recording)
+        verify(parity_task(1005, 5))
+        # identity, q-augmented and three blends
+        assert len(shapes) == len(set(shapes)) == 5
 
     def test_tail_path_reuses_certificate(self, monkeypatch):
         calls = []
