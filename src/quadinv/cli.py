@@ -4,7 +4,7 @@ Input is a single JSON document:
 
     {
       "dimension": 2,
-      "A": [[1.0, 0.01], [-0.01, 0.99]],
+      "A": [[0.9, 0.1], [-0.1, 0.9]],
       "b": [0.0, 0.0],
       "initial_set": {"box": {"lower": [-1, -1], "upper": [1, 1]}},
       "property": {"Q": [[1, 0], [0, 0]], "q": [0, 0], "alpha": 1.0}
@@ -13,6 +13,12 @@ Input is a single JSON document:
 ``b`` defaults to zero, ``initial_set`` alternatively takes
 ``{"vertices": [[...], ...]}``, and ``property`` alternatively takes
 ``{"linear_range": {"c": [...], "lower": a, "upper": b}}``.
+
+Every subcommand takes ``--report`` and ``--tol``; ``verify`` and ``bound``
+add ``--kstrict-cap``, ``--strategy``, ``--user-P`` and ``--epsilon``,
+``verify`` also ``--horizon-cap`` and ``--alpha-override``, ``simulate``
+``--oracle-horizon``, and ``export`` ``--epsilon``.  Any other flag is a
+usage error.  The parsed arguments are the run's configuration.
 
 Exit codes: 0 proved (directly or by tail bound), 1 disproved,
 2 inconclusive, 3 bad input, 4 unstable system, 5 other engine errors.
@@ -24,7 +30,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +43,8 @@ from .errors import (
     Unstable,
 )
 from .horizon import (
+    DEFAULT_EPSILON,
+    DEFAULT_KSTRICT_CAP,
     STRATEGIES,
     CandidateBound,
     HorizonBound,
@@ -53,9 +60,15 @@ from .model import (
     homogenize,
     linear_range_property,
 )
-from .verifier import Verdict, VerdictStatus, brute_force_oracle, verify
+from .verifier import (
+    DEFAULT_TAIL_CAP,
+    Verdict,
+    VerdictStatus,
+    brute_force_oracle,
+    verify,
+)
 
-__all__ = ["RunConfig", "parse_input", "run", "main"]
+__all__ = ["parse_input", "run", "main"]
 
 VERDICT_EXIT_CODES = {
     VerdictStatus.PROVED: 0,
@@ -63,34 +76,6 @@ VERDICT_EXIT_CODES = {
     VerdictStatus.DISPROVED: 1,
     VerdictStatus.INCONCLUSIVE: 2,
 }
-DEFAULT_ORACLE_HORIZON = 500
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: command, input file and every knob."""
-
-    command: str
-    input_path: str
-    horizon_cap: int = 10_000
-    kstrict_cap: int = 10_000
-    oracle_horizon: int | None = None
-    epsilon: float = 0.01
-    report: str = "text"
-    strategy: str = "auto"
-    user_p_path: str | None = None
-    alpha_override: float | None = None
-    tol: Tolerances = field(default_factory=lambda: DEFAULTS)
-
-    def __post_init__(self):
-        if self.horizon_cap <= 0 or self.kstrict_cap <= 0:
-            raise ParseError("caps must be positive")
-        if self.oracle_horizon is not None and self.oracle_horizon < 1:
-            raise ParseError("--oracle-horizon must be at least 1")
-        if self.epsilon <= 0:
-            raise ParseError("--epsilon must be positive")
-        if self.strategy not in STRATEGIES:
-            raise ParseError(f"unknown strategy {self.strategy!r}")
 
 
 def _field(doc: dict, key: str, where: str):
@@ -106,45 +91,60 @@ def _section(doc: dict, key: str, where: str) -> dict:
     return value
 
 
+def _load_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _numeric(doc: dict, key: str, where: str, ndim: int | None = None) -> np.ndarray:
+    """The numeric leaf ``doc[key]`` as a float array.
+
+    Raises :class:`ParseError` naming the field when it is missing or not
+    numeric or, with ``ndim`` given, has another number of dimensions.
+    """
+    try:
+        array = np.array(_field(doc, key, where), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"field {key!r} in {where} is not numeric: {exc}") from exc
+    if ndim is not None and array.ndim != ndim:
+        raise ParseError(f"field {key!r} in {where} has shape {array.shape}, not {ndim}-D")
+    return array
+
+
 def parse_input(path: str, tol: Tolerances = DEFAULTS) -> VerificationTask:
     """Load and validate a task document.
 
     Raises :class:`ParseError` for malformed documents and lets dimensional
     inconsistencies surface as :class:`DimensionMismatch`.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be a JSON object")
 
-    try:
-        a = np.array(_field(doc, "A", "document"), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field 'A' is not a numeric matrix: {exc}") from exc
-    if a.ndim != 2:
-        raise ParseError(f"field 'A' must be a nested array, got shape {a.shape}")
+    a = _numeric(doc, "A", "document", ndim=2)
     d = a.shape[0]
     declared = doc.get("dimension")
     if declared is not None and declared != d:
         raise ParseError(f"declared dimension {declared} does not match A ({d} rows)")
-    b = np.array(doc.get("b", np.zeros(d)), dtype=float)
+    b = _numeric(doc, "b", "document") if "b" in doc else np.zeros(d)
     system = AffineSystem(A=a, b=b)
 
     init_doc = _section(doc, "initial_set", "document")
     if "box" in init_doc:
         box = _section(init_doc, "box", "initial_set")
         init = box_to_vertices(
-            _field(box, "lower", "initial_set.box"),
-            _field(box, "upper", "initial_set.box"),
+            _numeric(box, "lower", "initial_set.box"),
+            _numeric(box, "upper", "initial_set.box"),
             tol,
         )
     elif "vertices" in init_doc:
-        init = InitialSet.from_vertices(init_doc["vertices"], tol)
+        vertices = _numeric(init_doc, "vertices", "initial_set")
+        init = InitialSet.from_vertices(vertices, tol)
     else:
         raise ParseError("initial_set needs either 'box' or 'vertices'")
 
@@ -152,16 +152,16 @@ def parse_input(path: str, tol: Tolerances = DEFAULTS) -> VerificationTask:
     if "linear_range" in prop:
         band = _section(prop, "linear_range", "property")
         objective = linear_range_property(
-            _field(band, "c", "property.linear_range"),
-            _field(band, "lower", "property.linear_range"),
-            _field(band, "upper", "property.linear_range"),
+            _numeric(band, "c", "property.linear_range"),
+            _numeric(band, "lower", "property.linear_range", ndim=0),
+            _numeric(band, "upper", "property.linear_range", ndim=0),
         )
     elif "Q" in prop:
-        q_mat = np.array(prop["Q"], dtype=float)
+        alpha = prop.get("alpha")
         objective = QuadraticObjective(
-            Q=q_mat,
-            q=np.array(prop.get("q", np.zeros(d)), dtype=float),
-            alpha=prop.get("alpha"),
+            Q=_numeric(prop, "Q", "property"),
+            q=_numeric(prop, "q", "property") if "q" in prop else np.zeros(d),
+            alpha=None if alpha is None else _numeric(prop, "alpha", "property", ndim=0),
         )
     else:
         raise ParseError("property needs either 'Q' or 'linear_range'")
@@ -169,21 +169,12 @@ def parse_input(path: str, tol: Tolerances = DEFAULTS) -> VerificationTask:
     return VerificationTask(system=system, init=init, objective=objective)
 
 
-def load_user_matrix(path: str) -> np.ndarray:
-    """Read a user-supplied shape matrix (bare nested array or {"P": ...})."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    if isinstance(doc, dict):
-        doc = _field(doc, "P", path)
-    try:
-        return np.array(doc, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path} does not hold a numeric matrix: {exc}") from exc
+def load_user_matrix(path: str | None) -> np.ndarray | None:
+    """Read a user-supplied shape matrix (bare nested array or {"P": ...}), if any."""
+    if path is None:
+        return None
+    doc = _load_json(path)
+    return _numeric(doc if isinstance(doc, dict) else {"P": doc}, "P", path)
 
 
 def _bound_dict(bound: HorizonBound) -> dict:
@@ -234,30 +225,31 @@ def _candidate_dict(cb: CandidateBound) -> dict:
     return entry
 
 
-def _run_verify(task: VerificationTask, config: RunConfig, user_p) -> tuple[int, dict]:
+def _run_verify(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict]:
     verdict = verify(
         task,
-        alpha=config.alpha_override,
-        kstrict_cap=config.kstrict_cap,
-        tail_cap=config.horizon_cap,
-        strategy=config.strategy,
-        user_P=user_p,
-        epsilon=config.epsilon,
-        tol=config.tol,
+        alpha=args.alpha_override,
+        kstrict_cap=args.kstrict_cap,
+        tail_cap=args.horizon_cap,
+        strategy=args.strategy,
+        user_P=load_user_matrix(args.user_p),
+        epsilon=args.epsilon,
+        tol=tol,
     )
     return VERDICT_EXIT_CODES[verdict.status], _verdict_dict(verdict)
 
 
-def _run_bound(task: VerificationTask, config: RunConfig, user_p) -> tuple[int, dict]:
-    cert = stability_certificate(task.system.A, config.tol)
-    hom = homogenize(task, config.tol)
+def _run_bound(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict]:
+    user_p = load_user_matrix(args.user_p)
+    cert = stability_certificate(task.system.A, tol)
+    hom = homogenize(task, tol)
     candidates = evaluate_candidates(
         hom,
-        strategy=config.strategy,
+        strategy=args.strategy,
         user_P=user_p,
-        epsilon=config.epsilon,
-        kstrict_cap=config.kstrict_cap,
-        tol=config.tol,
+        epsilon=args.epsilon,
+        kstrict_cap=args.kstrict_cap,
+        tol=tol,
         certificate=cert,
     )
     best = min(candidates, key=lambda cb: cb.bound.K)
@@ -268,9 +260,8 @@ def _run_bound(task: VerificationTask, config: RunConfig, user_p) -> tuple[int, 
     }
 
 
-def _run_simulate(task: VerificationTask, config: RunConfig) -> tuple[int, dict]:
-    horizon = config.oracle_horizon or DEFAULT_ORACLE_HORIZON
-    report = brute_force_oracle(task, horizon, config.tol)
+def _run_simulate(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict]:
+    report = brute_force_oracle(task, args.oracle_horizon, tol)
     return 0, {
         "command": "simulate",
         "horizon": report.horizon,
@@ -284,8 +275,8 @@ def _run_simulate(task: VerificationTask, config: RunConfig) -> tuple[int, dict]
     }
 
 
-def _run_export(task: VerificationTask, config: RunConfig) -> tuple[int, dict]:
-    hom = homogenize(task, config.tol)
+def _run_export(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict]:
+    hom = homogenize(task, tol)
     objectives = [
         {"id": "F0", "kind": "max-vertex-energy", "of": "P"},
         {"id": "F1", "kind": "max-vertex-energy", "of": "P - Q"},
@@ -317,7 +308,7 @@ def _run_export(task: VerificationTask, config: RunConfig) -> tuple[int, dict]:
     return 0, {
         "command": "export",
         "dimension": task.dim,
-        "epsilon": config.epsilon,
+        "epsilon": args.epsilon,
         "system": {"A": task.system.A.tolist(), "b": task.system.b.tolist()},
         "property": {
             "Q": task.objective.Q.tolist(),
@@ -335,21 +326,14 @@ def _run_export(task: VerificationTask, config: RunConfig) -> tuple[int, dict]:
     }
 
 
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute one subcommand; returns (exit_code, report)."""
-    task = parse_input(config.input_path, config.tol)
-    user_p = None
-    if config.user_p_path is not None:
-        user_p = load_user_matrix(config.user_p_path)
-    if config.command == "verify":
-        return _run_verify(task, config, user_p)
-    if config.command == "bound":
-        return _run_bound(task, config, user_p)
-    if config.command == "simulate":
-        return _run_simulate(task, config)
-    if config.command == "export":
-        return _run_export(task, config)
-    raise ParseError(f"unknown command {config.command!r}")
+def run(args: argparse.Namespace) -> tuple[int, dict]:
+    """Run a subcommand parsed by :func:`build_parser`; returns (exit_code, report)."""
+    tol = _tolerances_from(args.tol)
+    for name in ("horizon_cap", "kstrict_cap", "oracle_horizon", "epsilon"):
+        if name in args and not getattr(args, name) > 0:  # NaN fails too
+            raise ParseError(f"--{name.replace('_', '-')} must be positive")
+    task = parse_input(args.input, tol)
+    return args.handler(task, args, tol)
 
 
 def render_text(report: dict) -> str:
@@ -419,6 +403,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``quadinv`` parser; each subcommand registers only the flags it reads."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input", help="path to the JSON task document")
+    common.add_argument("--report", choices=("text", "json"), default="text")
+    common.add_argument(
+        "--tol",
+        action="append",
+        default=[],
+        metavar="NAME=VALUE",
+        help="override a tolerance field (repeatable)",
+    )
+    cutoff = argparse.ArgumentParser(add_help=False)
+    cutoff.add_argument("--kstrict-cap", type=int, default=DEFAULT_KSTRICT_CAP)
+    cutoff.add_argument("--strategy", choices=STRATEGIES, default="auto")
+    cutoff.add_argument("--user-P", dest="user_p", default=None, metavar="PATH")
+    margin = argparse.ArgumentParser(add_help=False)
+    margin.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    decide = argparse.ArgumentParser(add_help=False)
+    decide.add_argument("--horizon-cap", type=int, default=DEFAULT_TAIL_CAP)
+    decide.add_argument("--alpha-override", type=float, default=None)
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument("--oracle-horizon", type=int, default=500)
+
     parser = _Parser(
         prog="quadinv",
         description=(
@@ -427,60 +434,33 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("verify", "decide the property; exit 0 proved, 1 disproved, 2 inconclusive"),
-        ("bound", "report the certified cutoff K for every candidate strategy"),
-        ("simulate", "scan raw step values and report empirical stopping ranks"),
-        ("export", "emit constraint data for an external semidefinite solver"),
+    for name, parents, handler, help_text in [
+        ("verify", [common, cutoff, margin, decide], _run_verify,
+         "decide the property; exit 0 proved, 1 disproved, 2 inconclusive"),
+        ("bound", [common, cutoff, margin], _run_bound,
+         "report the certified cutoff K for every candidate strategy"),
+        ("simulate", [common, oracle], _run_simulate,
+         "scan raw step values and report empirical stopping ranks"),
+        ("export", [common, margin], _run_export,
+         "emit constraint data for an external semidefinite solver"),
     ]:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("input", help="path to the JSON task document")
-        cmd.add_argument("--horizon-cap", type=int, default=10_000)
-        cmd.add_argument("--kstrict-cap", type=int, default=10_000)
-        cmd.add_argument("--oracle-horizon", type=int, default=None)
-        cmd.add_argument("--epsilon", type=float, default=0.01)
-        cmd.add_argument("--report", choices=("text", "json"), default="text")
-        cmd.add_argument("--strategy", choices=STRATEGIES, default="auto")
-        cmd.add_argument("--user-P", dest="user_p", default=None, metavar="PATH")
-        cmd.add_argument("--alpha-override", type=float, default=None)
-        cmd.add_argument(
-            "--tol",
-            action="append",
-            default=[],
-            metavar="NAME=VALUE",
-            help="override a tolerance field (repeatable)",
-        )
+        cmd = sub.add_parser(name, parents=parents, help=help_text)
+        cmd.set_defaults(handler=handler)
     return parser
 
 
 def _tolerances_from(pairs: list[str]) -> Tolerances:
     overrides = {}
-    valid = {f.name: f.type for f in dataclasses.fields(Tolerances)}
+    names = {f.name for f in dataclasses.fields(Tolerances)}
     for pair in pairs:
         name, _, raw = pair.partition("=")
-        if not _ or name not in valid:
+        if not _ or name not in names:
             raise ParseError(f"unknown tolerance override {pair!r}")
         try:
-            overrides[name] = int(raw) if valid[name] is int else float(raw)
+            overrides[name] = type(getattr(DEFAULTS, name))(raw)
         except ValueError as exc:
             raise ParseError(f"bad tolerance value in {pair!r}") from exc
     return DEFAULTS.override(**overrides)
-
-
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=ns.command,
-        input_path=ns.input,
-        horizon_cap=ns.horizon_cap,
-        kstrict_cap=ns.kstrict_cap,
-        oracle_horizon=ns.oracle_horizon,
-        epsilon=ns.epsilon,
-        report=ns.report,
-        strategy=ns.strategy,
-        user_p_path=ns.user_p,
-        alpha_override=ns.alpha_override,
-        tol=_tolerances_from(ns.tol),
-    )
 
 
 def _exit_code_for(exc: Exception) -> int:
@@ -492,15 +472,13 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
-    report_mode = getattr(ns, "report", "text")
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from(ns)
-        code, report = run(config)
+        code, report = run(args)
     except (QuadinvError, ValueError) as exc:
         code = _exit_code_for(exc)
         report = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    if report_mode == "json":
+    if args.report == "json":
         print(json.dumps(report, indent=2))
     else:
         print(render_text(report), file=sys.stderr if "error" in report else sys.stdout)

@@ -446,7 +446,7 @@ def candidate_Ps(
       so that t = 1 is feasible.
     - ``blend``: convex combinations of P0 and P1, each with minimal t.
     - ``user``: a supplied P, validated against P - A^T P A >= epsilon*Id and
-      P >= 0; paired with its minimal t and, when P - Q >= 0, also with t = 1.
+      P > 0; paired with its minimal t and, when P - Q >= 0, also with t = 1.
 
     ``auto`` runs every applicable strategy.  ``certificate`` (from
     :func:`stability_certificate`) supplies P0 and ``q_eig`` the spectrum of Q
@@ -495,9 +495,9 @@ def _user_candidates(
         eig = sym_eig(p, tol)
     except (ValueError, NotSymmetric) as exc:
         raise InvalidUserP(f"user P is not a valid symmetric matrix: {exc}") from exc
+    if eig.lmin <= tol.pd_rel * max(1.0, eig.lmax):
+        raise InvalidUserP(f"user P is not positive definite (lmin {eig.lmin:.3e})")
     slack = tol.psd_slack_rel * max(1.0, frobenius(p))
-    if eig.lmin < -slack:
-        raise InvalidUserP(f"user P is not positive semidefinite (lmin {eig.lmin:.3e})")
     margin = sym_eig(p - a.T @ p @ a - epsilon * np.eye(a.shape[0]), tol).lmin
     if margin < -slack:
         raise InvalidUserP(

@@ -202,28 +202,26 @@ def mat_pow(matrix, k: int) -> np.ndarray:
 def weighted_opnorm(a_matrix, p_matrix, tol: Tolerances = DEFAULTS) -> float:
     """Operator norm of A in the metric induced by positive definite P.
 
-    Computed as ``sqrt(lmax(P^-1/2 A^T P A P^-1/2))``; invariant under
-    positive scaling of P.
+    Computed as ``sqrt(generalized_lmax(A^T P A, P))``, with ``A^T P A``
+    symmetrized; invariant under positive scaling of P.
     """
     a = as_matrix(a_matrix, "A")
     _require_square(a, "A")
     p = _check_symmetric(as_matrix(p_matrix, "P"), tol, "P")
-    root = inv_sqrt(p, tol)
-    middle = root @ (a.T @ p @ a) @ root
-    middle = 0.5 * (middle + middle.T)
-    return math.sqrt(max(sym_eig(middle, tol).lmax, 0.0))
+    image = a.T @ p @ a
+    return math.sqrt(max(generalized_lmax(0.5 * (image + image.T), p, tol), 0.0))
 
 
 def generalized_lmax(q_matrix, p_matrix, tol: Tolerances = DEFAULTS) -> float:
     """Largest generalized eigenvalue ``lmax(P^-1/2 Q P^-1/2)``.
 
     This is the smallest scaling t with ``t*P - Q`` positive semidefinite.
+    P's symmetry is checked by :func:`inv_sqrt`.
     """
     q = _check_symmetric(as_matrix(q_matrix, "Q"), tol, "Q")
-    p = _check_symmetric(as_matrix(p_matrix, "P"), tol, "P")
-    if q.shape != p.shape:
-        raise ValueError(f"Q has shape {q.shape}, expected {p.shape}")
-    root = inv_sqrt(p, tol)
+    root = inv_sqrt(p_matrix, tol)
+    if q.shape != root.shape:
+        raise ValueError(f"Q has shape {q.shape}, expected {root.shape}")
     middle = root @ q @ root
     middle = 0.5 * (middle + middle.T)
     return sym_eig(middle, tol).lmax

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import quadinv
-from quadinv.cli import main, parse_input, render_text
+from quadinv.cli import build_parser, main, parse_input, render_text
 from quadinv.errors import DimensionMismatch, ParseError
 from quadinv.model import linear_range_property
 from support import HARMONIC_A, ROTATION_A, ROTATION_B
@@ -82,6 +83,23 @@ class TestParseInput:
         ids=["initial_set", "box", "property", "linear_range"],
     )
     def test_non_object_section_exit_three(self, tmp_path, capsys, section, value):
+        doc = harmonic_doc(np.eye(2), alpha=2.0)
+        doc[section] = value
+        path = write_json(tmp_path / "bad.json", doc)
+        assert main(["verify", path, "--report", "json"]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("property", {"Q": np.eye(2).tolist(), "alpha": [1]}),
+            ("initial_set", {"box": {"lower": {"a": 1}, "upper": [1, 1]}}),
+            ("property", {"Q": {"x": 1}, "alpha": 1.0}),
+            ("property", {"linear_range": {"c": {"a": 1}, "lower": 0, "upper": 1}}),
+        ],
+        ids=["alpha", "box-lower", "Q", "linear-range-c"],
+    )
+    def test_non_numeric_leaf_exit_three(self, tmp_path, capsys, section, value):
         doc = harmonic_doc(np.eye(2), alpha=2.0)
         doc[section] = value
         path = write_json(tmp_path / "bad.json", doc)
@@ -225,6 +243,21 @@ class TestBoundCommand:
         assert code == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "InvalidUserP"
 
+    def test_singular_user_p_is_invalid_user_p(self, tmp_path, capsys):
+        doc = {
+            "A": [[0.5, 0.0], [0.0, 0.5]],
+            "initial_set": {"box": {"lower": [-1, -1], "upper": [1, 1]}},
+            "property": {"Q": [[1.0, 0.0], [0.0, 1.0]], "alpha": 2.0},
+        }
+        task_path = write_json(tmp_path / "half.json", doc)
+        p_path = write_json(tmp_path / "p.json", [[1.0, 0.0], [0.0, 0.0]])
+        code = main(
+            ["verify", task_path, "--strategy", "user", "--user-P", p_path,
+             "--epsilon", "1e-13", "--report", "json"]
+        )
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "InvalidUserP"
+
     def test_counterexample_bound_fails_with_engine_code(self, tmp_path):
         doc = {
             "A": [[0.5]],
@@ -282,6 +315,13 @@ class TestReports:
         assert main(["verify", path, "--tol", "no_such_field=1"]) == 3
         assert main(["verify", path, "--tol", "alpha_slack=abc"]) == 3
 
+    def test_integer_tolerance_override(self, tmp_path):
+        doc = harmonic_doc(np.diag([0.0, 1.0]), alpha=1.0)
+        doc["initial_set"] = {"vertices": [[-1, -1], [1, 1], [1, -1], [-1, 1]]}
+        path = write_json(tmp_path / "t.json", doc)
+        assert main(["verify", path, "--tol", "vertex_sig_digits=10"]) == 0
+        assert main(["verify", path, "--tol", "vertex_sig_digits=10.5"]) == 3
+
     def test_removed_tolerance_is_a_parse_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", harmonic_doc(np.eye(2), alpha=2.0))
         code = main(["verify", path, "--tol", "eig_max_sweeps=5", "--report", "json"])
@@ -293,6 +333,58 @@ class TestReports:
             main(["verify"])  # missing input path
         assert exc.value.code == 3
         capsys.readouterr()
+
+
+class TestSurface:
+    FLAGS = {
+        "verify": {"--report", "--tol", "--kstrict-cap", "--strategy", "--user-P",
+                   "--epsilon", "--horizon-cap", "--alpha-override"},
+        "bound": {"--report", "--tol", "--kstrict-cap", "--strategy", "--user-P",
+                  "--epsilon"},
+        "simulate": {"--report", "--tol", "--oracle-horizon"},
+        "export": {"--report", "--tol", "--epsilon"},
+    }
+
+    def test_each_subcommand_registers_only_its_flags(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        registered = {
+            name: {s for a in cmd._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, cmd in sub.choices.items()
+        }
+        assert registered == self.FLAGS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--strategy", "user"],
+            ["export", "--user-P", "/nonexistent.json"],
+        ],
+        ids=["simulate-strategy", "export-user-p"],
+    )
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv):
+        path = write_json(tmp_path / "s.json", harmonic_doc(np.eye(2), alpha=2.0))
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + [path] + argv[1:])
+        assert exc.value.code == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("verify", "--horizon-cap", "0"),
+            ("bound", "--kstrict-cap", "-1"),
+            ("simulate", "--oracle-horizon", "0"),
+            ("export", "--epsilon", "nan"),
+        ],
+    )
+    def test_nonpositive_setting_is_json_parse_error(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        path = write_json(tmp_path / "c.json", harmonic_doc(np.eye(2), alpha=2.0))
+        assert main([command, path, flag, value, "--report", "json"]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ParseError" and flag in error["message"]
 
 
 def test_cli_import_does_not_load_scipy():

@@ -454,6 +454,17 @@ class TestCandidates:
                 user_P=np.diag([1.0, -1.0]),
             )
 
+    def test_user_rejected_when_singular(self):
+        # P meets the epsilon margin within slack and is PSD, but it is singular
+        with pytest.raises(InvalidUserP, match="positive definite"):
+            candidate_Ps(
+                0.5 * np.eye(2),
+                np.eye(2),
+                strategy="user",
+                user_P=np.diag([1.0, 0.0]),
+                epsilon=1e-13,
+            )
+
     def test_all_candidates_certify(self):
         rng = np.random.default_rng(53)
         for _ in range(20):
