@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -105,12 +106,14 @@ def _numeric(doc: dict, key: str, where: str, ndim: int | None = None) -> np.nda
     """The numeric leaf ``doc[key]`` as a float array.
 
     Raises :class:`ParseError` naming the field when it is missing or not
-    numeric or, with ``ndim`` given, has another number of dimensions.
+    finite numbers or, with ``ndim`` given, has another number of dimensions.
     """
     try:
         array = np.array(_field(doc, key, where), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"field {key!r} in {where} is not numeric: {exc}") from exc
+    if not np.all(np.isfinite(array)):
+        raise ParseError(f"field {key!r} in {where} is not finite")
     if ndim is not None and array.ndim != ndim:
         raise ParseError(f"field {key!r} in {where} has shape {array.shape}, not {ndim}-D")
     return array
@@ -288,7 +291,8 @@ def _run_export(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dic
         {
             "id": "unit-scale",
             "description": "minimize F_i over P with P - Q >= 0, "
-            "P - A^T P A - epsilon*Id >= 0, P >= 0; use with t = 1",
+            "P - A^T P A - epsilon*Id >= 0, P >= 0; a returned P is paired "
+            "with its smallest t = lmax(P^-1/2 Q P^-1/2), which is at most 1",
             "constraints": [
                 {"type": "psd", "expr": "P - Q"},
                 {"type": "psd", "expr": "P - A^T P A - epsilon*Id"},
@@ -332,6 +336,8 @@ def run(args: argparse.Namespace) -> tuple[int, dict]:
     for name in ("horizon_cap", "kstrict_cap", "oracle_horizon", "epsilon"):
         if name in args and not getattr(args, name) > 0:  # NaN fails too
             raise ParseError(f"--{name.replace('_', '-')} must be positive")
+    if not math.isfinite(getattr(args, "alpha_override", None) or 0.0):  # None passes
+        raise ParseError("--alpha-override must be finite")
     task = parse_input(args.input, tol)
     return args.handler(task, args, tol)
 
@@ -450,17 +456,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances_from(pairs: list[str]) -> Tolerances:
-    overrides = {}
+    tol = DEFAULTS
     names = {f.name for f in dataclasses.fields(Tolerances)}
     for pair in pairs:
         name, _, raw = pair.partition("=")
         if not _ or name not in names:
             raise ParseError(f"unknown tolerance override {pair!r}")
-        try:
-            overrides[name] = type(getattr(DEFAULTS, name))(raw)
+        try:  # Tolerances rejects values out of range
+            tol = tol.override(**{name: type(getattr(DEFAULTS, name))(raw)})
         except ValueError as exc:
-            raise ParseError(f"bad tolerance value in {pair!r}") from exc
-    return DEFAULTS.override(**overrides)
+            raise ParseError(f"bad tolerance value in {pair!r}: {exc}") from exc
+    return tol
 
 
 def _exit_code_for(exc: Exception) -> int:

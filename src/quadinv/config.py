@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -10,7 +11,8 @@ from dataclasses import dataclass
 class Tolerances:
     """Every numeric threshold used by the engine, in one place.
 
-    Relative thresholds note the scale they are measured against.
+    Relative thresholds note the scale they are measured against.  A field
+    that is not finite and >= 0 (``vertex_sig_digits``: >= 1) raises ValueError.
     Instances are immutable; use :meth:`override` to derive a copy.
     """
 
@@ -25,6 +27,12 @@ class Tolerances:
     log_arg_slack: float = 1e-12    # allowed overshoot of the log argument past 1
     alpha_slack: float = 1e-9       # decision slack against the level alpha
     vertex_sig_digits: int = 12     # rounding used to drop duplicate vertices
+
+    def __post_init__(self):
+        for name, value in dataclasses.asdict(self).items():
+            least = 1 if name == "vertex_sig_digits" else 0
+            if not (math.isfinite(value) and value >= least):
+                raise ValueError(f"{name} = {value!r} must be finite and >= {least}")
 
     def override(self, **changes) -> Tolerances:
         """Return a copy with the given fields replaced."""

@@ -58,13 +58,12 @@ from .errors import (
 from .matcore import (
     SymEig,
     as_matrix,
+    congruence_lmax,
     frobenius,
-    generalized_lmax,
     lyapunov_solve,
     mat_pow,
     quad_forms,
     sym_eig,
-    weighted_opnorm,
 )
 from .model import InitialSet, VerificationTask
 
@@ -90,7 +89,10 @@ __all__ = [
 ]
 
 STRATEGIES = ("auto", "identity", "q-augmented", "blend", "user")
-BLEND_WEIGHTS = (0.25, 0.5, 0.75)
+# theta of each built-in shape theta P0 + (1 - theta) P1 by id, in evaluation
+# order: the first of equal cutoffs wins
+SHAPES = {"identity": 1.0, "blend-0.25": 0.25, "blend-0.5": 0.5, "blend-0.75": 0.75,
+          "q-augmented": 0.0}
 DEFAULT_KSTRICT_CAP = 10_000
 DEFAULT_EPSILON = 0.01
 SCAN_BLOCK_ELEMENTS = 1 << 16  # 512 KiB of float64 per block image array
@@ -102,13 +104,15 @@ class StabilityCertificate:
     """A shape matrix P > 0 with P - A^T P A > 0, plus cached scalars.
 
     ``residual_margin`` is lmin(P - A^T P A); a valid certificate always has
-    margin > 0 and ``norm_A_P`` strictly inside (0, 1).
+    margin > 0 and ``norm_A_P`` strictly inside (0, 1).  ``lmin_P`` and
+    ``P_inv_sqrt`` = P^-1/2 come from the one eigendecomposition of P.
     """
 
     P: np.ndarray
     residual_margin: float
     norm_A_P: float
     lmin_P: float
+    P_inv_sqrt: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,11 +138,15 @@ class HorizonBound:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A scaling/shape pair proposed by one of the built-in strategies."""
+    """A certified shape paired with its smallest feasible scaling t."""
 
     strategy_id: str
     t: float
-    P: np.ndarray
+    certificate: StabilityCertificate
+
+    @property
+    def P(self) -> np.ndarray:
+        return self.certificate.P
 
 
 @dataclass(frozen=True)
@@ -173,18 +181,21 @@ def _require_linear(task: VerificationTask) -> None:
 def _certificate_for(
     A: np.ndarray, P: np.ndarray, tol: Tolerances, error_cls=InfeasiblePair
 ) -> StabilityCertificate:
-    """Validate P as a strict Lyapunov shape for A and cache its scalars."""
+    """Validate P as a strict Lyapunov shape for A, decomposing P once."""
     eig = sym_eig(P, tol)
     if eig.lmin <= tol.pd_rel * max(1.0, eig.lmax):
         raise error_cls(f"shape matrix is not positive definite (lmin {eig.lmin:.3e})")
-    margin = sym_eig(P - A.T @ P @ A, tol).lmin
+    image = A.T @ P @ A
+    margin = sym_eig(P - image, tol).lmin
     if margin <= 0.0:
         raise error_cls(f"P - A^T P A is not positive definite (lmin {margin:.3e})")
-    norm = weighted_opnorm(A, P, tol)
+    root = (eig.vectors * eig.values**-0.5) @ eig.vectors.T
+    norm = math.sqrt(max(congruence_lmax(0.5 * (image + image.T), root, tol), 0.0))
     if not 0.0 < norm <= 1.0 - tol.norm_margin:
         raise error_cls(f"|A|_P = {norm:.12f} is not strictly below one")
     return StabilityCertificate(
-        P=P, residual_margin=float(margin), norm_A_P=float(norm), lmin_P=eig.lmin
+        P=P, residual_margin=float(margin), norm_A_P=norm, lmin_P=eig.lmin,
+        P_inv_sqrt=root,
     )
 
 
@@ -340,31 +351,20 @@ def _log_arg(S: float, t: float, v_term: float, mu_val: float) -> float:
 
 
 def _k_formula(
-    t: float,
-    P: np.ndarray,
-    task: VerificationTask,
-    S: float,
+    t: float, cert: StabilityCertificate, task: VerificationTask, S: float,
     tol: Tolerances,
-    certificate: StabilityCertificate | None = None,
-) -> tuple[int, float, float, StabilityCertificate]:
-    """Evaluate the cutoff formula, returning (K, V, mu(P), certificate).
-
-    ``certificate`` is reused as P's certificate when it was made for P.
-    """
+) -> tuple[int, float, float]:
+    """Evaluate the cutoff formula for t and a certified P, returning (K, V, mu(P))."""
     if t <= 0.0:
         raise InfeasiblePair(f"scaling t = {t} must be positive")
-    if certificate is not None and P is certificate.P:
-        cert = certificate
-    else:
-        cert = _certificate_for(task.system.A, P, tol)
     q_mat = task.objective.Q
-    feas = sym_eig(t * P - q_mat, tol).lmin
+    feas = sym_eig(t * cert.P - q_mat, tol).lmin
     if feas < -tol.psd_slack_rel * frobenius(q_mat):
         raise InfeasiblePair(
             f"t*P - Q has negative eigenvalue {feas:.3e}; pair is infeasible"
         )
     v_term = _v_term(task, t, cert.lmin_P)
-    mu_val = mu(P, task.init)
+    mu_val = mu(cert.P, task.init)
     if mu_val <= 0.0:
         raise AssumptionViolated("initial set is reduced to the origin")
     g = _log_arg(S, t, v_term, mu_val)
@@ -376,7 +376,7 @@ def _k_formula(
     k_val = int(math.floor(ratio + tol.log_arg_slack)) + 1
     if k_val < 1:
         raise NumeratorOutOfRange(f"computed cutoff {k_val} below one")
-    return k_val, v_term, mu_val, cert
+    return k_val, v_term, mu_val
 
 
 def K_of(
@@ -388,9 +388,8 @@ def K_of(
 ) -> int:
     """Certified cutoff K(t, P) for a feasible pair; always a positive integer."""
     _require_linear(task)
-    p = as_matrix(p_matrix, "P")
-    k_val, _, _, _ = _k_formula(float(t), p, task, float(S), tol)
-    return k_val
+    cert = _certificate_for(task.system.A, as_matrix(p_matrix, "P"), tol)
+    return _k_formula(float(t), cert, task, float(S), tol)[0]
 
 
 def tail_bound(k: int, scalars: BoundScalars, norm_A_P: float) -> float:
@@ -439,79 +438,67 @@ def candidate_Ps(
     certificate: StabilityCertificate | None = None,
     q_eig: SymEig | None = None,
 ) -> list[Candidate]:
-    """Produce feasible (t, P) pairs from the built-in strategies.
+    """Certified shapes P at their smallest feasible scaling t = lmax(P^-1/2 Q P^-1/2).
 
-    - ``identity``: P0 solving P - A^T P A = Id, with its minimal feasible t.
-    - ``q-augmented`` (Q >= 0 only): P1 solving P - A^T P A = Id + Q, scaled
-      so that t = 1 is feasible.
-    - ``blend``: convex combinations of P0 and P1, each with minimal t.
-    - ``user``: a supplied P, validated against P - A^T P A >= epsilon*Id and
-      P > 0; paired with its minimal t and, when P - Q >= 0, also with t = 1.
+    The built-in shapes are theta P0 + (1 - theta) P1, where P0 solves
+    P - A^T P A = Id and P1 (Q >= 0 only) solves P - A^T P A = Id + Q:
+    ``identity`` is theta = 1, ``q-augmented`` theta = 0 and ``blend-*`` the
+    weights in between (:data:`SHAPES`).  A strategy selects the shapes whose
+    id it begins, ``auto`` every one; a built-in shape that fails its
+    certificate is left out.  ``user`` (and ``auto`` with ``user_P``) adds the
+    supplied P, which must pass the same certificate and
+    P - A^T P A >= epsilon*Id, or :class:`InvalidUserP` is raised.
 
-    ``auto`` runs every applicable strategy.  ``certificate`` (from
-    :func:`stability_certificate`) supplies P0 and ``q_eig`` the spectrum of Q
-    when the caller already holds them.
+    ``certificate`` (from :func:`stability_certificate`) is P0's certificate
+    and ``q_eig`` the spectrum of Q, when the caller already holds them.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     a = as_matrix(a_matrix, "A")
     q = as_matrix(q_matrix, "Q")
     d = a.shape[0]
-    out: list[Candidate] = []
-
-    p0 = p1 = None
-    if strategy in ("auto", "identity", "blend"):
-        p0 = certificate.P if certificate else lyapunov_solve(a, np.eye(d), tol)
     q_is_psd = (q_eig or sym_eig(q, tol)).lmin >= -tol.psd_eig_floor
-    if strategy in ("auto", "q-augmented", "blend") and q_is_psd:
+    shapes = {
+        sid: w for sid, w in SHAPES.items()
+        if (strategy == "auto" or sid.startswith(strategy)) and (w == 1.0 or q_is_psd)
+    }
+    p0 = certificate.P if certificate else None
+    if p0 is None and any(w > 0.0 for w in shapes.values()):
+        p0 = lyapunov_solve(a, np.eye(d), tol)
+    p1 = None
+    if any(w < 1.0 for w in shapes.values()):
         p1 = lyapunov_solve(a, np.eye(d) + q, tol)
-
-    if strategy in ("auto", "identity") and p0 is not None:
-        t0 = generalized_lmax(q, p0, tol)
-        if t0 > 0.0:
-            out.append(Candidate("identity", t0, p0))
-    if strategy in ("auto", "q-augmented") and p1 is not None:
-        scale = max(1.0, generalized_lmax(q, p1, tol))
-        out.append(Candidate("q-augmented", 1.0, scale * p1))
-    if strategy in ("auto", "blend") and p0 is not None and p1 is not None:
-        for theta in BLEND_WEIGHTS:
-            blend = theta * p0 + (1.0 - theta) * p1
-            t_blend = generalized_lmax(q, blend, tol)
-            if t_blend > 0.0:
-                out.append(Candidate(f"blend-{theta:g}", t_blend, blend))
+    out: list[Candidate] = []
+    for sid, w in shapes.items():
+        shape = p0 if w == 1.0 else p1 if w == 0.0 else w * p0 + (1.0 - w) * p1
+        reuse = certificate is not None and shape is certificate.P
+        try:
+            cert = certificate if reuse else _certificate_for(a, shape, tol)
+        except InfeasiblePair:
+            continue
+        out.append(Candidate(sid, congruence_lmax(q, cert.P_inv_sqrt, tol), cert))
 
     if user_P is not None and strategy in ("auto", "user"):
-        out.extend(_user_candidates(a, q, user_P, epsilon, tol))
+        out.append(_user_candidate(a, q, user_P, epsilon, tol))
     elif strategy == "user":
         raise InvalidUserP("strategy 'user' requires a supplied P matrix")
     return out
 
 
-def _user_candidates(
+def _user_candidate(
     a: np.ndarray, q: np.ndarray, user_P, epsilon: float, tol: Tolerances
-) -> list[Candidate]:
+) -> Candidate:
     try:
-        p = as_matrix(user_P, "user P")
-        eig = sym_eig(p, tol)
+        cert = _certificate_for(a, as_matrix(user_P, "user P"), tol, InvalidUserP)
     except (ValueError, NotSymmetric) as exc:
-        raise InvalidUserP(f"user P is not a valid symmetric matrix: {exc}") from exc
-    if eig.lmin <= tol.pd_rel * max(1.0, eig.lmax):
-        raise InvalidUserP(f"user P is not positive definite (lmin {eig.lmin:.3e})")
-    slack = tol.psd_slack_rel * max(1.0, frobenius(p))
-    margin = sym_eig(p - a.T @ p @ a - epsilon * np.eye(a.shape[0]), tol).lmin
-    if margin < -slack:
+        raise InvalidUserP(f"user P is not a valid shape matrix: {exc}") from exc
+    slack = tol.psd_slack_rel * max(1.0, frobenius(cert.P))
+    if cert.residual_margin - epsilon < -slack:
         raise InvalidUserP(
-            f"user P violates P - A^T P A >= {epsilon}*Id by {-margin:.3e}"
+            f"user P violates P - A^T P A >= {epsilon}*Id by "
+            f"{epsilon - cert.residual_margin:.3e}"
         )
-    out = []
-    t_min = generalized_lmax(q, p, tol)
-    if t_min > 0.0:
-        out.append(Candidate("user-min-scale", t_min, p))
-    if sym_eig(p - q, tol).lmin >= -tol.psd_slack_rel * frobenius(q):
-        out.append(Candidate("user-unit-scale", 1.0, p))
-    if not out:
-        raise InvalidUserP("user P admits no feasible scaling against Q")
-    return out
+    return Candidate("user-min-scale", congruence_lmax(q, cert.P_inv_sqrt, tol), cert)
 
 
 def evaluate_candidates(
@@ -548,17 +535,14 @@ def evaluate_candidates(
         certificate=certificate, q_eig=task.objective.eig,
     ):
         try:
-            k_val, v_term, mu_val, cert = _k_formula(
-                cand.t, cand.P, task, S, tol, certificate
-            )
+            k_val, v_term, mu_val = _k_formula(cand.t, cand.certificate, task, S, tol)
         except (InfeasiblePair, NumeratorOutOfRange):
             continue
         scalars = BoundScalars(
             t=cand.t, S=S, V=v_term, mu=mu_val, k_strict=int(k_strict)
         )
-        results.append(
-            CandidateBound(HorizonBound(k_val, scalars, cert, cand.strategy_id), task)
-        )
+        bound = HorizonBound(k_val, scalars, cand.certificate, cand.strategy_id)
+        results.append(CandidateBound(bound, task))
     if not results:
         raise InfeasiblePair("no candidate pair produced a feasible cutoff")
     return results

@@ -38,6 +38,7 @@ __all__ = [
     "mat_pow",
     "weighted_opnorm",
     "generalized_lmax",
+    "congruence_lmax",
 ]
 
 
@@ -219,9 +220,11 @@ def generalized_lmax(q_matrix, p_matrix, tol: Tolerances = DEFAULTS) -> float:
     P's symmetry is checked by :func:`inv_sqrt`.
     """
     q = _check_symmetric(as_matrix(q_matrix, "Q"), tol, "Q")
-    root = inv_sqrt(p_matrix, tol)
-    if q.shape != root.shape:
-        raise ValueError(f"Q has shape {q.shape}, expected {root.shape}")
-    middle = root @ q @ root
-    middle = 0.5 * (middle + middle.T)
-    return sym_eig(middle, tol).lmax
+    return congruence_lmax(q, inv_sqrt(p_matrix, tol), tol)
+
+
+def congruence_lmax(m: np.ndarray, root: np.ndarray, tol: Tolerances = DEFAULTS) -> float:
+    """Largest eigenvalue of ``root @ m @ root``, symmetrized, for symmetric
+    inputs; with ``root = P^-1/2`` it is :func:`generalized_lmax` of m and P."""
+    middle = root @ m @ root
+    return sym_eig(0.5 * (middle + middle.T), tol).lmax

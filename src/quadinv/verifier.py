@@ -35,7 +35,7 @@ from .horizon import (
     stability_certificate,
     tail_bound,
 )
-from .matcore import generalized_lmax
+from .matcore import congruence_lmax
 from .model import AffineSystem, VerificationTask, homogenize
 
 __all__ = [
@@ -183,11 +183,9 @@ def verify(
     with both numbers.  When the horizon bound is unavailable the tail-bound
     fallback scans up to ``tail_cap`` steps.
     """
-    if alpha is None:
-        alpha = task.objective.alpha
-    if alpha is None:
-        raise ValueError("verify requires a level alpha on the objective or as argument")
-    alpha = float(alpha)
+    alpha = task.objective.alpha if alpha is None else float(alpha)
+    if alpha is None or not math.isfinite(alpha):
+        raise ValueError(f"verify requires a finite level alpha, got {alpha}")
     cert = stability_certificate(task.system.A, tol)
     hom = homogenize(task, tol)
     try:
@@ -244,7 +242,7 @@ def _tail_verdict(
     obj = hom.objective
     # any scaling >= lmax(P^-1/2 Q P^-1/2) is feasible, and the envelope
     # improves as t shrinks; the floor keeps V = |q|/(2 sqrt(t lmin)) finite
-    t = max(generalized_lmax(obj.Q, cert.P, tol), tol.strict_pos)
+    t = max(congruence_lmax(obj.Q, cert.P_inv_sqrt, tol), tol.strict_pos)
     target = alpha - obj.constant
     # the level (less the constant) takes the place of S; this path has no k_strict
     scalars = BoundScalars(

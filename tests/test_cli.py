@@ -322,6 +322,35 @@ class TestReports:
         assert main(["verify", path, "--tol", "vertex_sig_digits=10"]) == 0
         assert main(["verify", path, "--tol", "vertex_sig_digits=10.5"]) == 3
 
+    @pytest.mark.parametrize(
+        "alpha, extra, field",
+        [
+            (1.0, ["--tol", "alpha_slack=nan"], "alpha_slack"),
+            (1.0, ["--tol", "strict_pos=nan"], "strict_pos"),
+            (1.0, ["--tol", "pd_rel=-1"], "pd_rel"),
+            (1.0, ["--alpha-override", "nan"], "--alpha-override"),
+            (float("nan"), [], "'alpha'"),
+        ],
+        ids=["alpha-slack-nan", "strict-pos-nan", "pd-rel-negative",
+             "alpha-override-nan", "document-alpha-nan"],
+    )
+    def test_non_finite_setting_is_json_parse_error(
+        self, tmp_path, capsys, alpha, extra, field
+    ):
+        doc = {
+            "A": [[0.5, 0.0], [0.0, 0.5]],
+            "initial_set": {"box": {"lower": [-1, -1], "upper": [1, 1]}},
+            "property": {"Q": [[1.0, 0.0], [0.0, 1.0]], "alpha": 1.0},
+        }
+        # the optimum 2 is reached at step 0: Disproved with valid settings
+        assert main(["verify", write_json(tmp_path / "ok.json", doc)]) == 1
+        capsys.readouterr()
+        doc["property"]["alpha"] = alpha  # json writes NaN as a bare literal
+        path = write_json(tmp_path / "half.json", doc)
+        assert main(["verify", path, *extra, "--report", "json"]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ParseError" and field in error["message"]
+
     def test_removed_tolerance_is_a_parse_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", harmonic_doc(np.eye(2), alpha=2.0))
         code = main(["verify", path, "--tol", "eig_max_sweeps=5", "--report", "json"])

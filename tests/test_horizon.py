@@ -424,8 +424,8 @@ class TestCandidates:
         cands = candidate_Ps(
             task.system.A, task.objective.Q, strategy="user", user_P=np.eye(2)
         )
-        ids = {c.strategy_id for c in cands}
-        assert "user-unit-scale" in ids
+        assert [c.strategy_id for c in cands] == ["user-min-scale"]
+        assert cands[0].t == 1.0
 
     def test_user_rejected_without_margin(self):
         task = harmonic_task(np.eye(2))
@@ -464,6 +464,20 @@ class TestCandidates:
                 user_P=np.diag([1.0, 0.0]),
                 epsilon=1e-13,
             )
+
+    def test_every_candidate_at_minimal_scaling(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            task = random_linear_task(rng)
+            A, Q = task.system.A, task.objective.Q
+            g = rng.standard_normal((task.dim, task.dim))
+            user_P = lyapunov_solve(A, np.eye(task.dim) + g @ g.T)
+            cands = candidate_Ps(A, Q, user_P=user_P)
+            assert {c.strategy_id for c in cands} >= {"q-augmented", "user-min-scale"}
+            for cand in cands:
+                assert cand.t == pytest.approx(generalized_lmax(Q, cand.P), rel=1e-12)
+                if cand.strategy_id == "q-augmented":
+                    assert cand.t < 1.0
 
     def test_all_candidates_certify(self):
         rng = np.random.default_rng(53)
@@ -529,6 +543,22 @@ class TestBestK:
             "user-min-scale",
         }
         assert min(cb.bound.K for cb in evaluated) == 1
+
+    def test_never_above_unit_scale_pairs(self):
+        # (1, P) with P - Q >= 0 is feasible, and K is monotone in t, so the
+        # same shape at its smallest scaling is never worse
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            task = random_linear_task(rng)
+            A, Q, d = task.system.A, task.objective.Q, task.dim
+            S = s_value(task, find_k_strict(task))
+            q_augmented = lyapunov_solve(A, np.eye(d) + Q)
+            assert best_K(task).K <= K_of(1.0, q_augmented, task, S)
+            g = rng.standard_normal((d, d))
+            user_P = lyapunov_solve(A, np.eye(d) + Q + g @ g.T)
+            assert np.linalg.eigvalsh(user_P - Q).min() >= 0.0
+            user = best_K(task, strategy="user", user_P=user_P)
+            assert user.K <= K_of(1.0, user_P, task, S)
 
     def test_scores_computed_only_on_request(self, monkeypatch):
         calls = []

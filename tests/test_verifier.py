@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quadinv import horizon, model, verifier
+from quadinv import horizon, matcore, model, verifier
+from quadinv.config import DEFAULTS
 from quadinv.errors import Unstable
 from quadinv.horizon import nu_sequence
 from quadinv.matcore import mat_pow
@@ -122,6 +123,13 @@ class TestVerify:
     def test_alpha_required(self):
         with pytest.raises(ValueError):
             verify(harmonic_task(np.eye(2)))
+
+    def test_non_finite_level_or_tolerance_rejected(self):
+        task = harmonic_task(np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            verify(task, alpha=float("nan"))
+        with pytest.raises(ValueError, match="strict_pos"):
+            verify(task, alpha=1.0, tol=DEFAULTS.override(strict_pos=float("nan")))
 
     def test_alpha_argument_overrides_objective(self):
         verdict = verify(harmonic_task(np.diag([0.0, 1.0]), alpha=0.5), alpha=2.0)
@@ -293,6 +301,31 @@ class TestSharedWork:
         verify(parity_task(1005, 5))
         # identity, q-augmented and three blends
         assert len(shapes) == len(set(shapes)) == 5
+
+    def test_each_shape_decomposed_once(self, monkeypatch):
+        shapes, decomposed, forbidden = [], [], []
+
+        def recording(module, name, log, arg):
+            original = getattr(module, name)
+
+            def record(*args, **kwargs):
+                log.append(args[arg])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, record)
+
+        recording(horizon, "_certificate_for", shapes, 1)
+        for module in (horizon, matcore):
+            recording(module, "sym_eig", decomposed, 0)
+        for module in (horizon, matcore, verifier):
+            for name in ("inv_sqrt", "generalized_lmax", "weighted_opnorm"):
+                if hasattr(module, name):
+                    self._count(monkeypatch, module, name, forbidden)
+        verify(parity_task(1005, 5))
+        assert len(shapes) == 5  # identity, three blends and q-augmented
+        for p in shapes:
+            assert sum(np.array_equal(m, p) for m in decomposed) == 1
+        assert forbidden == []
 
     def test_tail_path_reuses_certificate(self, monkeypatch):
         calls = []

@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Record verify outcomes on the benchmark's tasks and compare two records.
+
+Usage, from the root of a source checkout:
+
+    python3 tools/parity.py dump OUT.json [--repo PATH]
+    python3 tools/parity.py diff A.json B.json
+
+``dump`` runs ``quadinv.verify`` on seeds 1-3 of every workload in
+``bench/workloads.py``, the known-defect probes included, and writes one
+record per task: status, optimum value, K, strategy, tail horizon, witness
+length and, when verify raises, the error type.  quadinv and the workload
+generators are imported from the checkout at ``--repo`` (default: the one
+holding this script), so one copy of the script can record an older
+checkout.  The generators are only read.
+
+``diff`` prints every field that differs between two records, one line per
+field, and exits 1 when any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import warnings
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+
+
+def _task(model, spec):
+    if spec.box is not None:
+        init = model.box_to_vertices(spec.box[0], spec.box[1])
+    else:
+        init = model.InitialSet.from_vertices(spec.vertices)
+    return model.VerificationTask(
+        system=model.AffineSystem(A=spec.A, b=spec.b),
+        init=init,
+        objective=model.QuadraticObjective(Q=spec.Q, q=spec.q, alpha=spec.alpha),
+    )
+
+
+def _record(verifier, task) -> dict:
+    try:
+        verdict = verifier.verify(task)
+    except Exception as exc:  # every failure is recorded by its type
+        return {"error": type(exc).__name__}
+    opt, tail = verdict.optimum, verdict.tail_info
+    return {
+        "status": verdict.status.value,
+        "value": None if opt is None else opt.value,
+        "K": None if opt is None else opt.bound.K,
+        "strategy": None if opt is None else opt.bound.strategy_id,
+        "tail_horizon": None if tail is None else tail.horizon,
+        "witness_len": None if verdict.witness is None else len(verdict.witness),
+        "error": None,
+    }
+
+
+def dump(out: str, repo: Path) -> None:
+    sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
+    import workloads
+    from quadinv import model, verifier
+
+    if repo / "src" not in Path(verifier.__file__).resolve().parents:
+        raise RuntimeError(f"quadinv was imported from {verifier.__file__}, not from {repo}")
+
+    records = {}
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            specs = workloads.generate(workload, seed)
+            for i, spec in enumerate(specs + workloads.defect_probes(workload, seed)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    record = _record(verifier, _task(model, spec))
+                records[f"{workload}/{seed}/{i}/{spec.name}"] = record
+    Path(out).write_text(json.dumps(records, indent=1, sort_keys=True), encoding="utf-8")
+    print(f"{len(records)} tasks written to {out}")
+
+
+def diff(path_a: str, path_b: str) -> int:
+    a = json.loads(Path(path_a).read_text(encoding="utf-8"))
+    b = json.loads(Path(path_b).read_text(encoding="utf-8"))
+    differing = 0
+    for key in sorted(a.keys() | b.keys()):
+        ra, rb = a.get(key, {}), b.get(key, {})
+        for field in sorted(ra.keys() | rb.keys()):
+            if ra.get(field) != rb.get(field):
+                differing += 1
+                print(f"{key} {field}: {ra.get(field)!r} -> {rb.get(field)!r}")
+    print(f"{len(a.keys() | b.keys())} tasks, {differing} differing fields")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_dump = sub.add_parser("dump", help="record verify outcomes on every workload task")
+    p_dump.add_argument("out")
+    p_dump.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose src/ and bench/ are used")
+    p_diff = sub.add_parser("diff", help="print the fields that differ in two records")
+    p_diff.add_argument("a")
+    p_diff.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.out, args.repo.resolve())
+        return 0
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
