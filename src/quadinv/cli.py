@@ -211,6 +211,7 @@ def _verdict_dict(verdict: Verdict) -> dict:
             "k": verdict.optimum.arg_k,
             "vertex": verdict.optimum.arg_vertex.tolist(),
             "bound": _bound_dict(verdict.optimum.bound),
+            "stop": verdict.optimum.stop,
         }
     if verdict.witness is not None:
         out["witness"] = verdict.witness.tolist()
@@ -360,7 +361,8 @@ def render_text(report: dict) -> str:
             lines.append(
                 f"cutoff:  K = {bound['K']} via {bound['strategy']} "
                 f"(t = {bound['t']:.6g}, S = {bound['S']:.6g}, "
-                f"k_strict = {bound['k_strict']}, |A|_P = {bound['norm_A_P']:.9g})"
+                f"k_strict = {bound['k_strict']}, |A|_P = {bound['norm_A_P']:.9g}), "
+                f"scanned to step {opt['stop']}"
             )
         if report["tail"] is not None:
             lines.append(

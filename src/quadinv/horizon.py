@@ -17,10 +17,13 @@ max over vertices of (A^k v)^T Q (A^k v) + q^T (A^k v).  The public
 original (pre-homogenization) objective at step k; the bound theory needs
 the constant-free sequence because only that sequence decays to zero.
 
-Finding k_strict and enumerating to K read this sequence through one scan
-that yields it in blocks of consecutive steps.  Block lengths double from 1
-up to ceil(sqrt(k_max + 1)): a scan that stops early does little work, and a
-long one takes O(sqrt(k_max)) array operations.  SCAN_BLOCK_ELEMENTS caps the
+Finding k_strict and enumerating read this sequence through one scan that
+yields it in blocks of consecutive steps.  Each stops once the envelope U of
+:func:`tail_bound` rules out a change to its answer: enumeration at the first
+m with U(m + 1) at most the running maximum (K bounds m whatever the data),
+the k_strict search once U falls below strict_pos.  Block lengths double from
+1 up to ceil(sqrt(k_max + 1)): a scan that stops early does little work, and
+a long one takes O(sqrt(k_max)) array operations.  SCAN_BLOCK_ELEMENTS caps the
 entries of a block's (steps, vertices, d) image array, which bounds the
 scan's memory; a block always holds at least one step.
 
@@ -104,14 +107,15 @@ class StabilityCertificate:
     """A shape matrix P > 0 with P - A^T P A > 0, plus cached scalars.
 
     ``residual_margin`` is lmin(P - A^T P A); a valid certificate always has
-    margin > 0 and ``norm_A_P`` strictly inside (0, 1).  ``lmin_P`` and
-    ``P_inv_sqrt`` = P^-1/2 come from the one eigendecomposition of P.
+    margin > 0 and ``norm_A_P`` strictly inside (0, 1).  ``lmin_P``, ``lmax_P``
+    and ``P_inv_sqrt`` = P^-1/2 come from the one eigendecomposition of P.
     """
 
     P: np.ndarray
     residual_margin: float
     norm_A_P: float
     lmin_P: float
+    lmax_P: float
     P_inv_sqrt: np.ndarray
 
 
@@ -162,9 +166,8 @@ class CandidateBound:
 
     @cached_property
     def scores(self) -> tuple[float, float, float, float, float]:
-        return objective_scores(
-            self.bound.certificate.P, self.task.objective.Q, self.task.init
-        )
+        cert = self.bound.certificate
+        return objective_scores(cert.P, self.task.objective.Q, self.task.init, cert.lmax_P)
 
 
 class NuResult(NamedTuple):
@@ -195,7 +198,7 @@ def _certificate_for(
         raise error_cls(f"|A|_P = {norm:.12f} is not strictly below one")
     return StabilityCertificate(
         P=P, residual_margin=float(margin), norm_A_P=norm, lmin_P=eig.lmin,
-        P_inv_sqrt=root,
+        lmax_P=eig.lmax, P_inv_sqrt=root,
     )
 
 
@@ -392,32 +395,72 @@ def K_of(
     return _k_formula(float(t), cert, task, float(S), tol)[0]
 
 
-def tail_bound(k: int, scalars: BoundScalars, norm_A_P: float) -> float:
+def tail_bound(k: int | np.ndarray, scalars: BoundScalars, norm_A_P: float):
     """Decreasing upper envelope U(k) = (sqrt(t) mu |A|_P^k + V)^2 - V^2.
 
     Bounds every constant-free step value from above for the pair that
-    produced ``scalars``; tends to zero geometrically.  Evaluated as
-    a^2 + 2 a V, which is the same quantity without cancellation.
+    produced ``scalars``; tends to zero geometrically, and ``k`` may be an
+    array of steps.  Evaluated as a^2 + 2 a V, free of cancellation.
     """
     a = math.sqrt(scalars.t) * scalars.mu * norm_A_P**k
     return a * a + 2.0 * a * scalars.V
 
 
+def _envelope_horizon(scalars: BoundScalars, norm_A_P: float, level: float, cap: int) -> int:
+    """First k <= cap with U(k) < level, from the closed form ln g / ln |A|_P.
+
+    Gives cap when U does not fall below the level by then, and 0 when mu = 0.
+    """
+    if scalars.mu == 0.0:
+        return 0
+    if level <= 0.0:
+        return cap
+    g = _log_arg(level, scalars.t, scalars.V, scalars.mu)
+    if g >= 1.0:
+        return 0
+    k = min(max(math.ceil(math.log(g) / math.log(norm_A_P)), 0), cap)
+    while not tail_bound(k, scalars, norm_A_P) < level and k < cap:
+        k += 1
+    return k
+
+
+def _stopped_max(task: VerificationTask, bound: HorizonBound) -> tuple[float, int, int, int]:
+    """Largest step value over k <= K: (value, arg_k, vertex index, last step scanned).
+
+    The scan stops at the first m with U(m + 1) <= max(nu_0..nu_m), or at K,
+    as no later step exceeds that maximum.  U is tested on the constant-free
+    values; the value returned includes the constant, as in :func:`nu`.
+    """
+    const, best, peak = task.objective.constant, (-math.inf, 0, 0), -math.inf
+    for k0, block, idx in _step_value_blocks(task, bound.K):
+        running = np.maximum.accumulate(np.maximum(block, peak))
+        steps = np.arange(k0 + 1, k0 + len(block) + 1)
+        done = tail_bound(steps, bound.scalars, bound.certificate.norm_A_P) <= running
+        n = int(done.argmax()) + 1 if done.any() else len(block)
+        vals = block[:n] + const if const else block[:n]
+        j, peak = int(vals.argmax()), running[-1]
+        if vals[j] > best[0]:
+            best = (float(vals[j]), k0 + j, int(idx[j]))
+        if done.any():
+            return (*best, k0 + n - 1)
+    return (*best, bound.K)
+
+
 def objective_scores(
-    p_matrix, q_matrix, init: InitialSet
+    p_matrix, q_matrix, init: InitialSet, lmax_P: float | None = None
 ) -> tuple[float, float, float, float, float]:
     """Ranking functionals (F0..F4) used to compare candidate shape matrices.
 
     F0/F2 are the max/sum of vertex P-energies, F1/F3 the same on P - Q, and
-    F4 the largest eigenvalue of P.  Scores only rank and report candidates;
-    they never affect soundness.
+    F4 lmax(P), read from ``lmax_P`` when given.  Scores only rank and
+    report candidates; they never affect soundness.
     """
     p = as_matrix(p_matrix, "P")
     q = as_matrix(q_matrix, "Q")
     verts = init.vertices
     energies_p = quad_forms(verts, p)
     energies_pq = quad_forms(verts, p - q)
-    f4 = sym_eig(0.5 * (p + p.T)).lmax
+    f4 = sym_eig(0.5 * (p + p.T)).lmax if lmax_P is None else lmax_P
     return (
         float(energies_p.max()),
         float(energies_pq.max()),

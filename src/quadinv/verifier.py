@@ -26,7 +26,8 @@ from .horizon import (
     BoundScalars,
     HorizonBound,
     StabilityCertificate,
-    _log_arg,
+    _envelope_horizon,
+    _stopped_max,
     _v_term,
     _warn_if_indefinite,
     best_K,
@@ -68,6 +69,7 @@ class Optimum:
     arg_k: int
     arg_vertex: np.ndarray
     bound: HorizonBound
+    stop: int  # the last step the enumeration scanned, at most bound.K
 
 
 @dataclass(frozen=True)
@@ -134,35 +136,15 @@ def optimize(
     """
     cert = stability_certificate(task.system.A, tol)
     hom = homogenize(task, tol)
-    return _optimize(task, hom, cert, kstrict_cap, strategy, user_P, epsilon, tol)
+    bound = best_K(hom, strategy=strategy, user_P=user_P, epsilon=epsilon,
+                   kstrict_cap=kstrict_cap, tol=tol, certificate=cert)
+    return _optimum(task, hom, bound)
 
 
-def _optimize(
-    task: VerificationTask,
-    hom: VerificationTask,
-    cert: StabilityCertificate,
-    kstrict_cap: int,
-    strategy: str,
-    user_P,
-    epsilon: float,
-    tol: Tolerances,
-) -> Optimum:
-    """:func:`optimize` on a task already homogenized and certified stable."""
-    bound = best_K(
-        hom,
-        strategy=strategy,
-        user_P=user_P,
-        epsilon=epsilon,
-        kstrict_cap=kstrict_cap,
-        tol=tol,
-        certificate=cert,
-    )
-    values, argmax = nu_sequence(hom, bound.K)
-    arg_k = int(values.argmax())
-    vertex = task.init.vertices[int(argmax[arg_k])]
-    return Optimum(
-        value=float(values[arg_k]), arg_k=arg_k, arg_vertex=vertex, bound=bound
-    )
+def _optimum(task: VerificationTask, hom: VerificationTask, bound: HorizonBound) -> Optimum:
+    """The supremum over the homogenized task's steps, scanned under ``bound``."""
+    value, arg_k, index, stop = _stopped_max(hom, bound)
+    return Optimum(value, arg_k, task.init.vertices[index], bound, stop)
 
 
 def verify(
@@ -181,19 +163,24 @@ def verify(
     a witness trajectory whose endpoint exceeds alpha by more than the
     decision slack.  Values inside the slack band are reported Inconclusive
     with both numbers.  When the horizon bound is unavailable the tail-bound
-    fallback scans up to ``tail_cap`` steps.
+    fallback scans up to ``tail_cap`` steps.  The k_strict search stops where
+    the identity shape's envelope U falls below ``strict_pos``, enumeration
+    where the winning pair's U meets the running maximum, by the cutoff K.
     """
     alpha = task.objective.alpha if alpha is None else float(alpha)
     if alpha is None or not math.isfinite(alpha):
         raise ValueError(f"verify requires a finite level alpha, got {alpha}")
     cert = stability_certificate(task.system.A, tol)
     hom = homogenize(task, tol)
+    envelope = _envelope(hom, cert, tol)
+    # past the step where U falls below strict_pos no value counts as positive
+    last = _envelope_horizon(envelope, cert.norm_A_P, tol.strict_pos, kstrict_cap + 1)
     try:
-        optimum = _optimize(
-            task, hom, cert, kstrict_cap, strategy, user_P, epsilon, tol
-        )
+        bound = best_K(hom, strategy=strategy, user_P=user_P, epsilon=epsilon,
+                       kstrict_cap=max(last - 1, 0), tol=tol, certificate=cert)
     except AssumptionViolated:
-        return _tail_verdict(task, hom, cert, alpha, tail_cap, tol)
+        return _tail_verdict(task, hom, cert, envelope, alpha, tail_cap, tol)
+    optimum = _optimum(task, hom, bound)
     slack = tol.alpha_slack
     if optimum.value <= alpha:
         return Verdict(
@@ -225,44 +212,37 @@ def verify(
     )
 
 
+def _envelope(
+    hom: VerificationTask, cert: StabilityCertificate, tol: Tolerances
+) -> BoundScalars:
+    """Scalars of the envelope U for the certificate's shape at its smallest t.
+
+    Any t >= lmax(P^-1/2 Q P^-1/2) is feasible, and U improves as t shrinks;
+    the floor keeps V = |q|/(2 sqrt(t lmin)) finite.  U needs no S or k_strict.
+    """
+    t = max(congruence_lmax(hom.objective.Q, cert.P_inv_sqrt, tol), tol.strict_pos)
+    V, mu_val = _v_term(hom, t, cert.lmin_P), mu(cert.P, hom.init)
+    return BoundScalars(t=t, S=0.0, V=V, mu=mu_val, k_strict=0)
+
+
 def _tail_verdict(
     task: VerificationTask,
     hom: VerificationTask,
     cert: StabilityCertificate,
+    scalars: BoundScalars,
     alpha: float,
     cap: int,
     tol: Tolerances,
 ) -> Verdict:
     """Fallback when no strictly positive step value was found.
 
-    The decreasing envelope U(k) bounds the constant-free step values for
-    any feasible pair, so once U drops below alpha minus the objective's
-    constant, no later step can violate the level.
+    The decreasing envelope U(k) (``scalars``, from :func:`_envelope`) bounds
+    the constant-free step values, so once U drops below alpha minus the
+    objective's constant, no later step can violate the level.
     """
-    obj = hom.objective
-    # any scaling >= lmax(P^-1/2 Q P^-1/2) is feasible, and the envelope
-    # improves as t shrinks; the floor keeps V = |q|/(2 sqrt(t lmin)) finite
-    t = max(congruence_lmax(obj.Q, cert.P_inv_sqrt, tol), tol.strict_pos)
-    target = alpha - obj.constant
-    # the level (less the constant) takes the place of S; this path has no k_strict
-    scalars = BoundScalars(
-        t=t, S=target, V=_v_term(hom, t, cert.lmin_P), mu=mu(cert.P, hom.init),
-        k_strict=0,
-    )
-    norm = cert.norm_A_P
-    horizon = cap
-    if scalars.mu == 0.0:
-        horizon = 0
-    elif target > 0.0:
-        g = _log_arg(target, t, scalars.V, scalars.mu)
-        if g >= 1.0:
-            horizon = 0
-        else:
-            needed = int(math.ceil(math.log(g) / math.log(norm)))
-            horizon = min(max(needed, 0), cap)
-            while not tail_bound(horizon, scalars, norm) < target and horizon < cap:
-                horizon += 1
-    envelope = tail_bound(horizon, scalars, norm)
+    target = alpha - hom.objective.constant
+    horizon = _envelope_horizon(scalars, cert.norm_A_P, target, cap)
+    envelope = tail_bound(horizon, scalars, cert.norm_A_P)
     # capped: the envelope never strictly certified the tail within the cap
     capped = not envelope < target
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import quadinv
+from quadinv import horizon, matcore
 from quadinv.cli import build_parser, main, parse_input, render_text
 from quadinv.errors import DimensionMismatch, ParseError
 from quadinv.model import linear_range_property
@@ -143,6 +144,15 @@ class TestVerifyCommand:
         assert "optimum: 1 " in out
         assert "K = " in out
         assert "via identity" in out or "via q-augmented" in out or "via blend" in out
+        assert ", scanned to step " in out
+
+    def test_json_reports_stop_next_to_cutoff(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "s.json", harmonic_doc(np.diag([1.0, 0.0]), alpha=1.0)
+        )
+        assert main(["verify", path, "--report", "json"]) == 1
+        optimum = json.loads(capsys.readouterr().out)["optimum"]
+        assert (optimum["bound"]["K"], optimum["stop"], optimum["k"]) == (188, 96, 61)
 
     def test_disproved_with_witness(self, tmp_path, capsys):
         path = write_json(
@@ -213,6 +223,23 @@ class TestBoundCommand:
         assert "identity" in strategies and "q-augmented" in strategies
         for cand in report["candidates"]:
             assert set(cand["scores"]) == {"F0", "F1", "F2", "F3", "F4"}
+
+    def test_scores_reuse_certificate_eigenvalues(self, tmp_path, monkeypatch):
+        # F4 = lmax(P) comes from each shape's certificate, not from a sixth
+        # decomposition per shape: 25 sym_eig calls instead of 30, besides
+        # the objective's one eig(Q) in model
+        calls = []
+        for module in (matcore, horizon):
+            original = module.sym_eig
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "sym_eig", counting)
+        path = write_json(tmp_path / "b.json", harmonic_doc(np.diag([1.0, 0.0])))
+        assert main(["bound", path]) == 0
+        assert len(calls) == 25
 
     def test_user_p_gives_unit_cutoff(self, tmp_path, capsys):
         task_path = write_json(

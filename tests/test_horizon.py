@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadinv import horizon
+from quadinv import horizon, verifier
 from quadinv.config import DEFAULTS
 from quadinv.errors import (
     AssumptionViolated,
@@ -15,6 +16,7 @@ from quadinv.errors import (
     Unstable,
 )
 from quadinv.horizon import (
+    DEFAULT_KSTRICT_CAP,
     BoundScalars,
     K_of,
     best_K,
@@ -225,6 +227,55 @@ class TestScanMatchesStepLoop:
         assert np.any((np.array(loop) != 0.0) & (np.abs(loop) < tiny))
         assert values[-1] == 0.0
         assert find_k_strict(task) is None
+
+
+class TestEnvelopeStops:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 5),
+        n=st.integers(1, 6),
+        psd=st.booleans(),
+        translated=st.booleans(),
+    )
+    def test_stops_change_no_answer(self, seed, d, n, psd, translated):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((d, d))
+        task = homogenize(VerificationTask(
+            system=AffineSystem(
+                A=random_stable_matrix(rng, d),
+                b=rng.normal(0.0, 1.0, d) if translated else np.zeros(d),
+            ),
+            init=InitialSet(vertices=rng.uniform(-1.0, 1.0, (n, d))),
+            objective=QuadraticObjective(
+                Q=g @ g.T if psd else 0.5 * (g + g.T), q=rng.normal(0.0, 1.0, d)
+            ),
+        ))
+        # the k_strict search capped where the identity shape's U falls below strict_pos
+        cert = stability_certificate(task.system.A)
+        envelope = verifier._envelope(task, cert, DEFAULTS)
+        last = horizon._envelope_horizon(
+            envelope, cert.norm_A_P, DEFAULTS.strict_pos, DEFAULT_KSTRICT_CAP + 1
+        )
+        cap = max(last - 1, 0)
+        free, _ = nu_sequence(task, DEFAULT_KSTRICT_CAP, include_constant=False)
+        assert np.all(free[cap + 1 :] <= DEFAULTS.strict_pos)
+        k_strict = find_k_strict(task)
+        assert find_k_strict(task, cap) == k_strict
+        if k_strict is None:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                bound = best_K(task, k_strict=k_strict)
+            except (AssumptionViolated, InfeasiblePair):
+                return
+        # the enumeration stopped where the winning pair's U meets the running maximum
+        values, argmax = nu_sequence(task, bound.K)
+        first = int(values.argmax())
+        value, arg_k, index, stop = horizon._stopped_max(task, bound)
+        assert (value, arg_k, index) == (values[first], first, argmax[first])
+        assert stop <= bound.K
 
 
 class TestSValue:

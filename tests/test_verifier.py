@@ -4,7 +4,12 @@ import pytest
 from quadinv import horizon, matcore, model, verifier
 from quadinv.config import DEFAULTS
 from quadinv.errors import Unstable
-from quadinv.horizon import nu_sequence
+from quadinv.horizon import (
+    DEFAULT_KSTRICT_CAP,
+    nu_sequence,
+    stability_certificate,
+    tail_bound,
+)
 from quadinv.matcore import mat_pow
 from quadinv.model import (
     AffineSystem,
@@ -177,6 +182,56 @@ class TestTailBoundMode:
         assert verdict.tail_info.bound <= 0.5
 
 
+def tail_style_task(d: int, alpha: float) -> VerificationTask:
+    """The counterexample in d dimensions: no step value is strictly positive."""
+    rng = np.random.default_rng(d)
+    return VerificationTask(
+        system=AffineSystem(A=np.diag(rng.uniform(0.3, 0.9, d)), b=np.zeros(d)),
+        init=InitialSet.from_vertices(rng.uniform(0.05, 0.95, (d + 2, d))),
+        objective=QuadraticObjective(Q=np.eye(d), q=-np.ones(d), alpha=alpha),
+    )
+
+
+class TestEnvelopeStop:
+    """Both scans stop where the envelope U can no longer change their answer."""
+
+    def test_paper_rotation(self):
+        c, s = np.cos(0.01), np.sin(0.01)
+        task = VerificationTask(
+            system=AffineSystem(A=0.99999 * np.array([[c, s], [-s, c]]), b=np.zeros(2)),
+            init=box_to_vertices([-1.0, -1.0], [1.0, 1.0]),
+            objective=QuadraticObjective(Q=np.diag([1.0, 0.0]), q=np.zeros(2), alpha=1.0),
+        )
+        optimum = verify(task).optimum
+        assert (optimum.bound.K, optimum.stop) == (34_658, 79)
+
+    def test_harmonic_first_coordinate(self):
+        optimum = optimize(harmonic_task(np.diag([1.0, 0.0])))
+        assert (optimum.bound.K, optimum.stop, optimum.arg_k) == (188, 96, 61)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("alpha", [0.05, 0.0, -1e-3])
+    def test_k_strict_scan_ends_at_envelope_cap(self, monkeypatch, d, alpha):
+        task = tail_style_task(d, alpha)
+        cert = stability_certificate(task.system.A)
+        envelope = verifier._envelope(task, cert, DEFAULTS)
+        steps = np.arange(DEFAULT_KSTRICT_CAP + 2)
+        upper = tail_bound(steps, envelope, cert.norm_A_P)
+        below = np.flatnonzero(upper < DEFAULTS.strict_pos)
+        scans = []
+        original = horizon.find_k_strict
+
+        def recording(task, cap, *rest):
+            scans.append((cap, original(task, cap, *rest)))
+            return scans[-1][1]
+
+        monkeypatch.setattr(horizon, "find_k_strict", recording)
+        verdict = verify(task)
+        assert verdict.tail_info is not None
+        assert scans == [(int(below[0]) - 1, None)]
+        assert scans[0][0] < 300
+
+
 class TestBruteForceOracle:
     def test_harmonic_first_coordinate(self):
         report = brute_force_oracle(harmonic_task(np.diag([1.0, 0.0])), 1000)
@@ -326,6 +381,17 @@ class TestSharedWork:
         for p in shapes:
             assert sum(np.array_equal(m, p) for m in decomposed) == 1
         assert forbidden == []
+
+    @pytest.mark.parametrize(
+        "task",
+        [counterexample_task(alpha=0.1), harmonic_task(np.eye(2), alpha=1.0)],
+        ids=["tail-path", "cutoff"],
+    )
+    def test_envelope_built_once(self, monkeypatch, task):
+        calls = []
+        self._count(monkeypatch, verifier, "_envelope", calls)
+        verify(task)
+        assert calls == ["_envelope"]
 
     def test_tail_path_reuses_certificate(self, monkeypatch):
         calls = []

@@ -8,11 +8,11 @@ Usage, from the root of a source checkout:
 
 ``dump`` runs ``quadinv.verify`` on seeds 1-3 of every workload in
 ``bench/workloads.py``, the known-defect probes included, and writes one
-record per task: status, optimum value, K, strategy, tail horizon, witness
-length and, when verify raises, the error type.  quadinv and the workload
-generators are imported from the checkout at ``--repo`` (default: the one
-holding this script), so one copy of the script can record an older
-checkout.  The generators are only read.
+record per task: status, optimum value, K, the enumeration's stopping step,
+strategy, tail horizon, witness length and, when verify raises, the error
+type.  quadinv and the workload generators are imported from the checkout at
+``--repo`` (default: the one holding this script), so one copy of the script
+can record an older checkout.  The generators are only read.
 
 ``diff`` prints every field that differs between two records, one line per
 field, and exits 1 when any does.
@@ -51,6 +51,7 @@ def _record(verifier, task) -> dict:
         "status": verdict.status.value,
         "value": None if opt is None else opt.value,
         "K": None if opt is None else opt.bound.K,
+        "stop": None if opt is None else opt.stop,
         "strategy": None if opt is None else opt.bound.strategy_id,
         "tail_horizon": None if tail is None else tail.horizon,
         "witness_len": None if verdict.witness is None else len(verdict.witness),
