@@ -219,6 +219,7 @@ def _verdict_dict(verdict: Verdict) -> dict:
         out["tail"] = {
             "horizon": verdict.tail_info.horizon,
             "bound": verdict.tail_info.bound,
+            "stop": verdict.tail_info.stop,
         }
     return out
 
@@ -366,8 +367,9 @@ def render_text(report: dict) -> str:
             )
         if report["tail"] is not None:
             lines.append(
-                f"tail:    scanned to step {report['tail']['horizon']}, "
-                f"envelope {report['tail']['bound']:.6g}"
+                f"tail:    horizon {report['tail']['horizon']}, "
+                f"envelope {report['tail']['bound']:.6g}, "
+                f"scanned to step {report['tail']['stop']}"
             )
         if report["witness"] is not None:
             lines.append("witness trajectory:")

@@ -17,15 +17,22 @@ max over vertices of (A^k v)^T Q (A^k v) + q^T (A^k v).  The public
 original (pre-homogenization) objective at step k; the bound theory needs
 the constant-free sequence because only that sequence decays to zero.
 
-Finding k_strict and enumerating read this sequence through one scan that
-yields it in blocks of consecutive steps.  Each stops once the envelope U of
-:func:`tail_bound` rules out a change to its answer: enumeration at the first
-m with U(m + 1) at most the running maximum (K bounds m whatever the data),
-the k_strict search once U falls below strict_pos.  Block lengths double from
-1 up to ceil(sqrt(k_max + 1)): a scan that stops early does little work, and
-a long one takes O(sqrt(k_max)) array operations.  SCAN_BLOCK_ELEMENTS caps the
-entries of a block's (steps, vertices, d) image array, which bounds the
-scan's memory; a block always holds at least one step.
+Every reader walks one replayable scan of this sequence from step 0: steps
+already computed are replayed from its record, and later ones are computed
+in blocks of consecutive steps and recorded.  The readers of one verify (the
+k_strict search, S, then the enumeration or the tail fallback) share one
+scan, so each step is computed once.  :func:`_walk` holds the one stopping
+rule: a walk ends at the first m with U(m + 1) at most the larger of the
+running maximum and a floor, where U is the decreasing envelope of
+:func:`tail_bound` (no later step can exceed that), at the first value above
+a level, or at the reader's bound k_max.  Block lengths double from 1 up to
+ceil(sqrt(k_max + 1)) of the bound the current reader holds: a walk that
+stops early does little work, and a long one takes O(sqrt(k_max)) array
+operations.  The k_strict search is bounded where the identity shape's U
+falls below strict_pos, the enumeration by K, the tail fallback by the step
+where U certifies the level.  SCAN_BLOCK_ELEMENTS caps the entries of a
+block's (steps, vertices, d) image array, which bounds the scan's memory; a
+block always holds at least one step.
 
 At each block start, coordinates below SCAN_FLOOR times the largest initial
 coordinate are set to zero.  The states of a contracting system otherwise
@@ -41,6 +48,7 @@ set's scale, times the transient growth of A^k.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -193,8 +201,11 @@ def _certificate_for(
     if margin <= 0.0:
         raise error_cls(f"P - A^T P A is not positive definite (lmin {margin:.3e})")
     root = (eig.vectors * eig.values**-0.5) @ eig.vectors.T
-    norm = math.sqrt(max(congruence_lmax(0.5 * (image + image.T), root, tol), 0.0))
-    if not 0.0 < norm <= 1.0 - tol.norm_margin:
+    # any upper bound on |A|_P is sound for K and U; the floor keeps ln |A|_P
+    # finite when A^T P A = 0
+    norm = max(math.sqrt(max(congruence_lmax(0.5 * (image + image.T), root, tol), 0.0)),
+               sys.float_info.min)
+    if not norm <= 1.0 - tol.norm_margin:
         raise error_cls(f"|A|_P = {norm:.12f} is not strictly below one")
     return StabilityCertificate(
         P=P, residual_margin=float(margin), norm_A_P=norm, lmin_P=eig.lmin,
@@ -227,24 +238,25 @@ def _warn_if_indefinite(task: VerificationTask, tol: Tolerances) -> None:
         )
 
 
-def _step_value_blocks(task: VerificationTask, k_max: int):
-    """Constant-free step values for k = 0..k_max, one block of steps at a time.
+def _step_value_blocks(task: VerificationTask, bound: list[int]):
+    """Constant-free step values from step 0 on, one block at a time.
 
     Yields ``(k0, values, argmax)``: the max over vertices of
     (A^k v)^T Q (A^k v) + q^T (A^k v) and its arg-max vertex index, for
-    k = k0 .. k0 + len(values) - 1.  Each block propagates the previous
-    block's last images by one step and applies a table of powers A^r.
+    k = k0 .. k0 + len(values) - 1.  ``bound[0]`` is the k_max of the reader
+    asking for the next block, which ends by it.  Each block propagates the
+    previous block's last images by one step and applies a table of powers
+    A^r.
     """
-    A = task.system.A
-    obj = task.objective
-    x = task.init.vertices  # A^k0 v, one row per vertex
+    A, obj, x = task.system.A, task.objective, task.init.vertices
     n, d = x.shape
     floor = SCAN_FLOOR * float(np.abs(x).max())
-    longest = max(1, min(math.isqrt(k_max) + 1, SCAN_BLOCK_ELEMENTS // (n * d)))
     table = np.eye(d)[None]  # (A^r)^T for r < len(table)
     k0 = 0
-    while k0 <= k_max:
-        length = min(len(table), k_max + 1 - k0)
+    while True:
+        k_max = bound[0]
+        longest = max(1, min(math.isqrt(k_max) + 1, SCAN_BLOCK_ELEMENTS // (n * d)))
+        length = min(len(table), longest, k_max + 1 - k0)
         images = x @ table[:length]  # (length, n, d): rows A^(k0 + r) v
         vals = quad_forms(images, obj.Q) + images @ obj.q
         yield k0, vals.max(axis=1), vals.argmax(axis=1)
@@ -254,6 +266,75 @@ def _step_value_blocks(task: VerificationTask, k_max: int):
         grow = min(len(table), longest - len(table))
         if grow > 0:
             table = np.concatenate([table, table[:grow] @ (table[-1] @ A.T)])
+
+
+class _StepScan:
+    """The step values of one homogenized task, each computed once.
+
+    :meth:`blocks` replays the recorded blocks of :func:`_step_value_blocks`
+    and records the new ones it draws.
+    """
+
+    def __init__(self, task: VerificationTask):
+        self.task = task
+        # read by the source as each new block starts; the source holds no
+        # reference to the scan, so no cycle keeps its arrays past the last reader
+        self._bound = [0]
+        self._next = 0  # the first step not yet computed
+        self._record: list[tuple[int, np.ndarray, np.ndarray]] = []
+        self._source = _step_value_blocks(task, self._bound)
+
+    def blocks(self, k_max: int):
+        """Blocks covering k = 0..k_max, the recorded ones first."""
+        if k_max < 0:
+            raise ValueError(f"step bound {k_max} must be nonnegative")
+        self._bound[0], i = k_max, 0
+        while i < len(self._record) or self._next <= k_max:
+            if i == len(self._record):
+                self._record.append(next(self._source))
+                self._next += len(self._record[-1][1])
+            k0, values, argmax = self._record[i]
+            if k0 > k_max:
+                return
+            yield k0, values[: k_max + 1 - k0], argmax[: k_max + 1 - k0]
+            i += 1
+
+    def value(self, k: int) -> float:
+        """The constant-free step value at k."""
+        for _, values, _ in self.blocks(k):
+            pass
+        return float(values[-1])
+
+
+def _walk(
+    scan: _StepScan, k_max: int, envelope: tuple[BoundScalars, float] | None = None,
+    shift: float = 0.0, level: float = math.inf, floor: float = -math.inf,
+) -> tuple[int, float, int, int]:
+    """Walk a scan from step 0: ``(m, value, arg_k, vertex index)``.
+
+    The walk ends at the first m with U(m + 1) <= max(nu_0..nu_m, floor),
+    where U is the envelope of ``envelope = (scalars, |A|_P)`` tested on the
+    constant-free values, as no later step exceeds that; at the first value
+    above ``level``; or at k_max.  Values are compared with the level and
+    maximized with ``shift`` added: ``value`` is the largest over steps
+    0..m, at its first step ``arg_k``.
+    """
+    best, peak = (-math.inf, 0, 0), floor
+    for k0, block, idx in scan.blocks(k_max):
+        vals = block + shift if shift else block
+        done = vals > level
+        if envelope is not None:
+            running = np.maximum.accumulate(np.maximum(block, peak))
+            steps = np.arange(k0 + 1, k0 + len(block) + 1)
+            done |= tail_bound(steps, *envelope) <= running
+            peak = running[-1]
+        n = int(done.argmax()) + 1 if done.any() else len(block)
+        j = int(vals[:n].argmax())
+        if vals[j] > best[0]:
+            best = (float(vals[j]), k0 + j, int(idx[j]))
+        if done.any():
+            return (k0 + n - 1, *best)
+    return (k_max, *best)
 
 
 def nu(
@@ -291,7 +372,7 @@ def nu_sequence(
         raise ValueError("k_max must be nonnegative")
     values = np.empty(k_max + 1)
     argmax = np.empty(k_max + 1, dtype=int)
-    for k0, block, idx in _step_value_blocks(task, k_max):
+    for k0, block, idx in _StepScan(task).blocks(k_max):
         values[k0 : k0 + len(block)] = block
         argmax[k0 : k0 + len(block)] = idx
     if include_constant and task.objective.constant:
@@ -310,13 +391,8 @@ def find_k_strict(
     cap, which downgrades the pipeline to tail-bound mode.
     """
     _require_linear(task)
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    for k0, block, _ in _step_value_blocks(task, cap):
-        hits = np.flatnonzero(block > tol.strict_pos)
-        if hits.size:
-            return k0 + int(hits[0])
-    return None
+    _, value, k, _ = _walk(_StepScan(task), cap, level=tol.strict_pos)
+    return k if value > tol.strict_pos else None
 
 
 def s_value(task: VerificationTask, k_strict: int, tol: Tolerances = DEFAULTS) -> float:
@@ -326,8 +402,13 @@ def s_value(task: VerificationTask, k_strict: int, tol: Tolerances = DEFAULTS) -
     positive; the verifier then falls back to tail-bound mode.
     """
     _require_linear(task)
+    return _threshold(task, _StepScan(task).value(k_strict), tol)
+
+
+def _threshold(task: VerificationTask, nu_k: float, tol: Tolerances) -> float:
+    """S = min(sup x^T Q x, nu_k) over vertices, or AssumptionViolated."""
     sup_q = float(quad_forms(task.init.vertices, task.objective.Q).max())
-    s = min(sup_q, nu(task, k_strict, tol, include_constant=False).value)
+    s = min(sup_q, nu_k)
     if s <= tol.strict_pos:
         raise AssumptionViolated(
             f"threshold S = {s:.3e} is not positive; the horizon bound is undefined"
@@ -355,9 +436,12 @@ def _log_arg(S: float, t: float, v_term: float, mu_val: float) -> float:
 
 def _k_formula(
     t: float, cert: StabilityCertificate, task: VerificationTask, S: float,
-    tol: Tolerances,
+    tol: Tolerances, known: BoundScalars | None = None,
 ) -> tuple[int, float, float]:
-    """Evaluate the cutoff formula for t and a certified P, returning (K, V, mu(P))."""
+    """Evaluate the cutoff formula for t and a certified P, returning (K, V, mu(P)).
+
+    V and mu(P) are read from ``known`` when the caller already holds them.
+    """
     if t <= 0.0:
         raise InfeasiblePair(f"scaling t = {t} must be positive")
     q_mat = task.objective.Q
@@ -366,8 +450,10 @@ def _k_formula(
         raise InfeasiblePair(
             f"t*P - Q has negative eigenvalue {feas:.3e}; pair is infeasible"
         )
-    v_term = _v_term(task, t, cert.lmin_P)
-    mu_val = mu(cert.P, task.init)
+    if known is None:
+        v_term, mu_val = _v_term(task, t, cert.lmin_P), mu(cert.P, task.init)
+    else:
+        v_term, mu_val = known.V, known.mu
     if mu_val <= 0.0:
         raise AssumptionViolated("initial set is reduced to the origin")
     g = _log_arg(S, t, v_term, mu_val)
@@ -424,28 +510,6 @@ def _envelope_horizon(scalars: BoundScalars, norm_A_P: float, level: float, cap:
     return k
 
 
-def _stopped_max(task: VerificationTask, bound: HorizonBound) -> tuple[float, int, int, int]:
-    """Largest step value over k <= K: (value, arg_k, vertex index, last step scanned).
-
-    The scan stops at the first m with U(m + 1) <= max(nu_0..nu_m), or at K,
-    as no later step exceeds that maximum.  U is tested on the constant-free
-    values; the value returned includes the constant, as in :func:`nu`.
-    """
-    const, best, peak = task.objective.constant, (-math.inf, 0, 0), -math.inf
-    for k0, block, idx in _step_value_blocks(task, bound.K):
-        running = np.maximum.accumulate(np.maximum(block, peak))
-        steps = np.arange(k0 + 1, k0 + len(block) + 1)
-        done = tail_bound(steps, bound.scalars, bound.certificate.norm_A_P) <= running
-        n = int(done.argmax()) + 1 if done.any() else len(block)
-        vals = block[:n] + const if const else block[:n]
-        j, peak = int(vals.argmax()), running[-1]
-        if vals[j] > best[0]:
-            best = (float(vals[j]), k0 + j, int(idx[j]))
-        if done.any():
-            return (*best, k0 + n - 1)
-    return (*best, bound.K)
-
-
 def objective_scores(
     p_matrix, q_matrix, init: InitialSet, lmax_P: float | None = None
 ) -> tuple[float, float, float, float, float]:
@@ -495,6 +559,16 @@ def candidate_Ps(
     ``certificate`` (from :func:`stability_certificate`) is P0's certificate
     and ``q_eig`` the spectrum of Q, when the caller already holds them.
     """
+    q = as_matrix(q_matrix, "Q")
+    shapes = _shapes(a_matrix, q, strategy, user_P, epsilon, tol, certificate, q_eig)
+    return [Candidate(sid, congruence_lmax(q, cert.P_inv_sqrt, tol), cert) for sid, cert in shapes]
+
+
+def _shapes(
+    a_matrix, q_matrix, strategy: str, user_P, epsilon: float, tol: Tolerances,
+    certificate: StabilityCertificate | None, q_eig: SymEig | None,
+) -> list[tuple[str, StabilityCertificate]]:
+    """The certified shapes of :func:`candidate_Ps` by strategy id, in evaluation order."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     a = as_matrix(a_matrix, "A")
@@ -511,7 +585,7 @@ def candidate_Ps(
     p1 = None
     if any(w < 1.0 for w in shapes.values()):
         p1 = lyapunov_solve(a, np.eye(d) + q, tol)
-    out: list[Candidate] = []
+    out: list[tuple[str, StabilityCertificate]] = []
     for sid, w in shapes.items():
         shape = p0 if w == 1.0 else p1 if w == 0.0 else w * p0 + (1.0 - w) * p1
         reuse = certificate is not None and shape is certificate.P
@@ -519,18 +593,18 @@ def candidate_Ps(
             cert = certificate if reuse else _certificate_for(a, shape, tol)
         except InfeasiblePair:
             continue
-        out.append(Candidate(sid, congruence_lmax(q, cert.P_inv_sqrt, tol), cert))
+        out.append((sid, cert))
 
     if user_P is not None and strategy in ("auto", "user"):
-        out.append(_user_candidate(a, q, user_P, epsilon, tol))
+        out.append(("user-min-scale", _user_certificate(a, user_P, epsilon, tol)))
     elif strategy == "user":
         raise InvalidUserP("strategy 'user' requires a supplied P matrix")
     return out
 
 
-def _user_candidate(
-    a: np.ndarray, q: np.ndarray, user_P, epsilon: float, tol: Tolerances
-) -> Candidate:
+def _user_certificate(
+    a: np.ndarray, user_P, epsilon: float, tol: Tolerances
+) -> StabilityCertificate:
     try:
         cert = _certificate_for(a, as_matrix(user_P, "user P"), tol, InvalidUserP)
     except (ValueError, NotSymmetric) as exc:
@@ -541,7 +615,7 @@ def _user_candidate(
             f"user P violates P - A^T P A >= {epsilon}*Id by "
             f"{epsilon - cert.residual_margin:.3e}"
         )
-    return Candidate("user-min-scale", congruence_lmax(q, cert.P_inv_sqrt, tol), cert)
+    return cert
 
 
 def evaluate_candidates(
@@ -563,32 +637,51 @@ def evaluate_candidates(
     strictly positive step value exists within the scan cap.
     """
     _require_linear(task)
+    bounds = _evaluate(
+        _StepScan(task), k_strict, S, strategy, user_P, epsilon, kstrict_cap, tol, certificate
+    )
+    return [CandidateBound(bound, task) for bound in bounds]
+
+
+def _evaluate(
+    scan: _StepScan, k_strict: int | None, S: float | None, strategy: str, user_P,
+    epsilon: float, kstrict_cap: int, tol: Tolerances,
+    certificate: StabilityCertificate | None, envelope: BoundScalars | None = None,
+) -> list[HorizonBound]:
+    """:func:`evaluate_candidates` on a scan of its task.
+
+    ``envelope`` holds the t, V and mu of ``certificate``'s shape P0, which
+    the identity shape then reuses; the k_strict search also ends where its
+    U falls below strict_pos, as no later value can exceed it.
+    """
+    task = scan.task
     _warn_if_indefinite(task, tol)
+    if envelope is not None:
+        last = _envelope_horizon(envelope, certificate.norm_A_P, tol.strict_pos, kstrict_cap + 1)
+        kstrict_cap = max(last - 1, 0)
     if k_strict is None:
-        k_strict = find_k_strict(task, kstrict_cap, tol)
-        if k_strict is None:
+        _, nu_k, k_strict, _ = _walk(scan, kstrict_cap, level=tol.strict_pos)
+        if not nu_k > tol.strict_pos:
             raise AssumptionViolated(
                 f"no strictly positive step value within cap {kstrict_cap}"
             )
     if S is None:
-        S = s_value(task, k_strict, tol)
-    results: list[CandidateBound] = []
-    for cand in candidate_Ps(
-        task.system.A, task.objective.Q, strategy, user_P, epsilon, tol,
-        certificate=certificate, q_eig=task.objective.eig,
+        S = _threshold(task, scan.value(k_strict), tol)
+    Q, bounds = task.objective.Q, []
+    for sid, cert in _shapes(
+        task.system.A, Q, strategy, user_P, epsilon, tol, certificate, task.objective.eig
     ):
+        known = envelope if cert is certificate else None
+        t = known.t if known else congruence_lmax(Q, cert.P_inv_sqrt, tol)
         try:
-            k_val, v_term, mu_val = _k_formula(cand.t, cand.certificate, task, S, tol)
+            k_val, v_term, mu_val = _k_formula(t, cert, task, S, tol, known)
         except (InfeasiblePair, NumeratorOutOfRange):
             continue
-        scalars = BoundScalars(
-            t=cand.t, S=S, V=v_term, mu=mu_val, k_strict=int(k_strict)
-        )
-        bound = HorizonBound(k_val, scalars, cand.certificate, cand.strategy_id)
-        results.append(CandidateBound(bound, task))
-    if not results:
+        scalars = BoundScalars(t=t, S=S, V=v_term, mu=mu_val, k_strict=int(k_strict))
+        bounds.append(HorizonBound(k_val, scalars, cert, sid))
+    if not bounds:
         raise InfeasiblePair("no candidate pair produced a feasible cutoff")
-    return results
+    return bounds
 
 
 def best_K(

@@ -27,10 +27,11 @@ from .horizon import (
     HorizonBound,
     StabilityCertificate,
     _envelope_horizon,
-    _stopped_max,
+    _evaluate,
+    _StepScan,
     _v_term,
+    _walk,
     _warn_if_indefinite,
-    best_K,
     mu,
     nu_sequence,
     stability_certificate,
@@ -74,10 +75,11 @@ class Optimum:
 
 @dataclass(frozen=True)
 class TailInfo:
-    """Scan horizon and the decreasing envelope's value there."""
+    """Scan horizon, the decreasing envelope's value there, and the last step scanned."""
 
     horizon: int
     bound: float
+    stop: int  # at most horizon
 
 
 @dataclass(frozen=True)
@@ -136,14 +138,18 @@ def optimize(
     """
     cert = stability_certificate(task.system.A, tol)
     hom = homogenize(task, tol)
-    bound = best_K(hom, strategy=strategy, user_P=user_P, epsilon=epsilon,
-                   kstrict_cap=kstrict_cap, tol=tol, certificate=cert)
-    return _optimum(task, hom, bound)
+    scan = _StepScan(hom)
+    envelope = _envelope(hom, cert, tol)
+    bounds = _evaluate(
+        scan, None, None, strategy, user_P, epsilon, kstrict_cap, tol, cert, envelope
+    )
+    return _optimum(task, scan, min(bounds, key=lambda bound: bound.K))
 
 
-def _optimum(task: VerificationTask, hom: VerificationTask, bound: HorizonBound) -> Optimum:
-    """The supremum over the homogenized task's steps, scanned under ``bound``."""
-    value, arg_k, index, stop = _stopped_max(hom, bound)
+def _optimum(task: VerificationTask, scan: _StepScan, bound: HorizonBound) -> Optimum:
+    """The supremum over the homogenized task's steps, walked under ``bound``'s envelope."""
+    envelope = (bound.scalars, bound.certificate.norm_A_P)
+    stop, value, arg_k, index = _walk(scan, bound.K, envelope, scan.task.objective.constant)
     return Optimum(value, arg_k, task.init.vertices[index], bound, stop)
 
 
@@ -163,24 +169,28 @@ def verify(
     a witness trajectory whose endpoint exceeds alpha by more than the
     decision slack.  Values inside the slack band are reported Inconclusive
     with both numbers.  When the horizon bound is unavailable the tail-bound
-    fallback scans up to ``tail_cap`` steps.  The k_strict search stops where
-    the identity shape's envelope U falls below ``strict_pos``, enumeration
-    where the winning pair's U meets the running maximum, by the cutoff K.
+    fallback samples at most ``tail_cap`` steps.
+
+    The homogenized task's step values are walked once: the k_strict search
+    (bounded where the identity shape's envelope U falls below
+    ``strict_pos``), S, and then the enumeration (stopped where the winning
+    pair's U meets the running maximum, by the cutoff K) or the tail
+    fallback each continue the same scan.
     """
     alpha = task.objective.alpha if alpha is None else float(alpha)
     if alpha is None or not math.isfinite(alpha):
         raise ValueError(f"verify requires a finite level alpha, got {alpha}")
     cert = stability_certificate(task.system.A, tol)
     hom = homogenize(task, tol)
+    scan = _StepScan(hom)
     envelope = _envelope(hom, cert, tol)
-    # past the step where U falls below strict_pos no value counts as positive
-    last = _envelope_horizon(envelope, cert.norm_A_P, tol.strict_pos, kstrict_cap + 1)
     try:
-        bound = best_K(hom, strategy=strategy, user_P=user_P, epsilon=epsilon,
-                       kstrict_cap=max(last - 1, 0), tol=tol, certificate=cert)
+        bounds = _evaluate(
+            scan, None, None, strategy, user_P, epsilon, kstrict_cap, tol, cert, envelope
+        )
     except AssumptionViolated:
-        return _tail_verdict(task, hom, cert, envelope, alpha, tail_cap, tol)
-    optimum = _optimum(task, hom, bound)
+        return _tail_verdict(task, scan, cert, envelope, alpha, tail_cap, tol)
+    optimum = _optimum(task, scan, min(bounds, key=lambda bound: bound.K))
     slack = tol.alpha_slack
     if optimum.value <= alpha:
         return Verdict(
@@ -218,16 +228,18 @@ def _envelope(
     """Scalars of the envelope U for the certificate's shape at its smallest t.
 
     Any t >= lmax(P^-1/2 Q P^-1/2) is feasible, and U improves as t shrinks;
-    the floor keeps V = |q|/(2 sqrt(t lmin)) finite.  U needs no S or k_strict.
+    where that bound is not positive, t = strict_pos keeps V = |q|/(2 sqrt(t
+    lmin)) finite.  U needs no S or k_strict.
     """
-    t = max(congruence_lmax(hom.objective.Q, cert.P_inv_sqrt, tol), tol.strict_pos)
+    t = congruence_lmax(hom.objective.Q, cert.P_inv_sqrt, tol)
+    t = t if t > 0.0 else tol.strict_pos
     V, mu_val = _v_term(hom, t, cert.lmin_P), mu(cert.P, hom.init)
     return BoundScalars(t=t, S=0.0, V=V, mu=mu_val, k_strict=0)
 
 
 def _tail_verdict(
     task: VerificationTask,
-    hom: VerificationTask,
+    scan: _StepScan,
     cert: StabilityCertificate,
     scalars: BoundScalars,
     alpha: float,
@@ -238,35 +250,39 @@ def _tail_verdict(
 
     The decreasing envelope U(k) (``scalars``, from :func:`_envelope`) bounds
     the constant-free step values, so once U drops below alpha minus the
-    objective's constant, no later step can violate the level.
+    objective's constant, no later step can violate the level.  The samples
+    stop at the first one above the level plus the slack (the witness), at
+    that horizon, or where U rules out a change to the verdict.
     """
-    target = alpha - hom.objective.constant
+    const = scan.task.objective.constant
+    target = alpha - const
     horizon = _envelope_horizon(scalars, cert.norm_A_P, target, cap)
     envelope = tail_bound(horizon, scalars, cert.norm_A_P)
-    # capped: the envelope never strictly certified the tail within the cap
+    # capped: the envelope never strictly certified the tail within the cap, so
+    # the verdict is Disproved or Inconclusive, and no sample past the step
+    # where U falls to the level plus the slack can violate it
     capped = not envelope < target
-
-    values, argmax = nu_sequence(hom, horizon)
-    tail = TailInfo(horizon=horizon, bound=envelope)
-    # the first violating sample gives the shortest witness
-    first = _first_index(values > alpha + tol.alpha_slack)
-    if first is not None:
-        vertex = task.init.vertices[int(argmax[first])]
+    level = alpha + tol.alpha_slack
+    stop, peak, first, index = _walk(
+        scan, horizon, (scalars, cert.norm_A_P), const, level,
+        level - const if capped else -math.inf,
+    )
+    tail = TailInfo(horizon=horizon, bound=envelope, stop=stop)
+    if peak > level:
         return Verdict(
             status=VerdictStatus.DISPROVED,
             alpha=alpha,
-            witness=trajectory(task.system, vertex, first),
+            witness=trajectory(task.system, task.init.vertices[index], first),
             tail_info=tail,
-            message=f"sampled objective {values[first]:.12g} > {alpha:.12g} at step {first}",
+            message=f"sampled objective {peak:.12g} > {alpha:.12g} at step {first}",
         )
-    peak = float(values.max())
     if not capped and peak <= alpha:
         return Verdict(
             status=VerdictStatus.PROVED_TAIL,
             alpha=alpha,
             tail_info=tail,
             message=(
-                f"samples up to step {horizon} stay at or below {alpha:.12g} and the "
+                f"samples up to step {stop} stay at or below {alpha:.12g} and the "
                 f"tail envelope {tail.bound:.12g} rules out later violations"
             ),
         )
@@ -275,7 +291,7 @@ def _tail_verdict(
         alpha=alpha,
         tail_info=tail,
         message=(
-            f"no violation sampled up to step {horizon}, but the tail envelope "
+            f"no violation sampled up to step {stop}, but the tail envelope "
             f"{tail.bound:.12g} does not fall below the level {alpha:.12g}"
         ),
     )

@@ -184,6 +184,28 @@ class TestVerifyCommand:
         assert report["status"] == "ProvedByTailBound"
         assert report["tail"]["bound"] <= 0.1
 
+    def test_json_and_text_report_tail_stop(self, tmp_path, capsys):
+        doc = {
+            "A": [[0.5]],
+            "initial_set": {"vertices": [[0.25], [0.5]]},
+            "property": {"Q": [[1.0]], "q": [-1.0], "alpha": -0.05},
+        }
+        path = write_json(tmp_path / "tail.json", doc)
+        assert main(["verify", path, "--report", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["tail"]["horizon"], report["tail"]["stop"]) == (10_000, 3)
+        assert main(["verify", path]) == 1
+        assert ", scanned to step 3" in capsys.readouterr().out
+
+    def test_zero_map_exit_zero(self, tmp_path):
+        doc = {
+            "A": [[0.0, 0.0], [0.0, 0.0]],
+            "b": [0.5, -0.25],
+            "initial_set": {"vertices": [[1.0, 1.0], [-1.0, 1.0]]},
+            "property": {"Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0], "alpha": 3.0},
+        }
+        assert main(["verify", write_json(tmp_path / "zero.json", doc)]) == 0
+
     def test_inconclusive_exit_two(self, tmp_path):
         doc = {
             "A": [[0.5]],

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -229,6 +231,19 @@ class TestScanMatchesStepLoop:
         assert find_k_strict(task) is None
 
 
+    def test_scan_freed_without_cycle_collector(self):
+        # a scan's arrays go with its last reader, not at the next collection
+        scan = horizon._StepScan(scalar_demo_task())
+        assert len(list(scan.blocks(50))) > 1
+        gc.disable()
+        try:
+            ref = weakref.ref(scan)
+            del scan
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestEnvelopeStops:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
@@ -273,7 +288,10 @@ class TestEnvelopeStops:
         # the enumeration stopped where the winning pair's U meets the running maximum
         values, argmax = nu_sequence(task, bound.K)
         first = int(values.argmax())
-        value, arg_k, index, stop = horizon._stopped_max(task, bound)
+        envelope = (bound.scalars, bound.certificate.norm_A_P)
+        stop, value, arg_k, index = horizon._walk(
+            horizon._StepScan(task), bound.K, envelope, task.objective.constant
+        )
         assert (value, arg_k, index) == (values[first], first, argmax[first])
         assert stop <= bound.K
 

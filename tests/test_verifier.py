@@ -3,7 +3,7 @@ import pytest
 
 from quadinv import horizon, matcore, model, verifier
 from quadinv.config import DEFAULTS
-from quadinv.errors import Unstable
+from quadinv.errors import AssumptionViolated, Unstable
 from quadinv.horizon import (
     DEFAULT_KSTRICT_CAP,
     nu_sequence,
@@ -136,6 +136,22 @@ class TestVerify:
         with pytest.raises(ValueError, match="strict_pos"):
             verify(task, alpha=1.0, tol=DEFAULTS.override(strict_pos=float("nan")))
 
+    @pytest.mark.parametrize("b", [[0.0, 0.0], [0.5, -0.25]], ids=["zero", "reset"])
+    def test_zero_map(self, b):
+        # |A|_P = 0: every state after step 0 is the fixed point b
+        task = VerificationTask(
+            system=AffineSystem(A=np.zeros((2, 2)), b=b),
+            init=InitialSet.from_vertices([[1.0, 1.0], [-1.0, 1.0]]),
+            objective=QuadraticObjective(Q=np.eye(2), q=np.zeros(2)),
+        )
+        proved = verify(task, alpha=3.0)
+        assert proved.status is VerdictStatus.PROVED
+        assert proved.optimum.value == pytest.approx(2.0, abs=1e-12)
+        assert proved.optimum.bound.K == 1
+        disproved = verify(task, alpha=1.0)
+        assert disproved.status is VerdictStatus.DISPROVED
+        assert disproved.optimum.arg_k == 0
+
     def test_alpha_argument_overrides_objective(self):
         verdict = verify(harmonic_task(np.diag([0.0, 1.0]), alpha=0.5), alpha=2.0)
         assert verdict.status is VerdictStatus.PROVED
@@ -209,27 +225,35 @@ class TestEnvelopeStop:
         optimum = optimize(harmonic_task(np.diag([1.0, 0.0])))
         assert (optimum.bound.K, optimum.stop, optimum.arg_k) == (188, 96, 61)
 
-    @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("alpha", [0.05, 0.0, -1e-3])
-    def test_k_strict_scan_ends_at_envelope_cap(self, monkeypatch, d, alpha):
+    # (d, alpha, verdict, tail horizon, witness as (states, start vertex index)),
+    # the verdicts, horizons and witnesses of the full tail sampling
+    TAIL_CASES = [
+        (1, 0.05, "ProvedByTailBound", 6, None),
+        (1, 0.0, "Inconclusive", 10_000, None),
+        (1, -1e-3, "Disproved", 10_000, (12, 1)),
+        (3, 0.05, "ProvedByTailBound", 16, None),
+        (3, 0.0, "Inconclusive", 10_000, None),
+        (3, -1e-3, "Disproved", 10_000, (26, 0)),
+    ]
+
+    @pytest.mark.parametrize(
+        "d, alpha, status, horizon, witness", TAIL_CASES,
+        ids=[f"{alpha}-{d}" for d, alpha, *_ in TAIL_CASES],
+    )
+    def test_tail_stop(self, d, alpha, status, horizon, witness):
         task = tail_style_task(d, alpha)
-        cert = stability_certificate(task.system.A)
-        envelope = verifier._envelope(task, cert, DEFAULTS)
-        steps = np.arange(DEFAULT_KSTRICT_CAP + 2)
-        upper = tail_bound(steps, envelope, cert.norm_A_P)
-        below = np.flatnonzero(upper < DEFAULTS.strict_pos)
-        scans = []
-        original = horizon.find_k_strict
-
-        def recording(task, cap, *rest):
-            scans.append((cap, original(task, cap, *rest)))
-            return scans[-1][1]
-
-        monkeypatch.setattr(horizon, "find_k_strict", recording)
         verdict = verify(task)
-        assert verdict.tail_info is not None
-        assert scans == [(int(below[0]) - 1, None)]
-        assert scans[0][0] < 300
+        assert verdict.status.value == status
+        assert verdict.tail_info.horizon == horizon
+        assert verdict.tail_info.stop <= horizon
+        assert verdict.tail_info.stop < 300
+        if witness is None:
+            assert verdict.witness is None
+        else:
+            states, vertex = witness
+            replay = trajectory(task.system, task.init.vertices[vertex], states - 1)
+            np.testing.assert_array_equal(verdict.witness, replay)
+            assert verdict.tail_info.stop == states - 1
 
 
 class TestBruteForceOracle:
@@ -392,6 +416,58 @@ class TestSharedWork:
         self._count(monkeypatch, verifier, "_envelope", calls)
         verify(task)
         assert calls == ["_envelope"]
+
+    def test_identity_shape_scaled_once(self, monkeypatch):
+        task = parity_task(1005, 5)
+        root = stability_certificate(task.system.A).P_inv_sqrt
+        calls = []
+        of_identity = lambda m, r, *rest: (
+            np.array_equal(m, task.objective.Q) and np.array_equal(r, root)
+        )
+        for module in (horizon, verifier):
+            self._count(monkeypatch, module, "congruence_lmax", calls, of_identity)
+        verdict = verify(task)
+        assert verdict.optimum.bound.strategy_id == "identity"
+        assert calls == ["congruence_lmax"]
+
+    @staticmethod
+    def _record_blocks(monkeypatch):
+        ranges = []
+        original = horizon._step_value_blocks
+
+        def recording(task, bound):
+            for block in original(task, bound):
+                ranges.append(range(block[0], block[0] + len(block[1])))
+                yield block
+
+        monkeypatch.setattr(horizon, "_step_value_blocks", recording)
+        return ranges
+
+    @pytest.mark.parametrize(
+        "task",
+        [harmonic_task(np.diag([1.0, 0.0]), alpha=1.0), counterexample_task(alpha=0.1)],
+        ids=["cutoff", "tail-path"],
+    )
+    def test_each_step_computed_once(self, monkeypatch, task):
+        ranges = self._record_blocks(monkeypatch)
+        verdict = verify(task)
+        steps = [k for block in ranges for k in block]
+        assert steps == list(range(len(steps)))
+        last = verdict.optimum.stop if verdict.tail_info is None else verdict.tail_info.stop
+        assert last < len(steps)
+        if verdict.optimum is not None:
+            assert (verdict.optimum.bound.K, verdict.optimum.stop) == (188, 96)
+
+    def test_optimize_stops_at_envelope_cap(self, monkeypatch):
+        task = tail_style_task(3, 0.0)
+        cert = stability_certificate(task.system.A)
+        envelope = verifier._envelope(task, cert, DEFAULTS)
+        steps = np.arange(DEFAULT_KSTRICT_CAP + 2)
+        below = np.flatnonzero(tail_bound(steps, envelope, cert.norm_A_P) < DEFAULTS.strict_pos)
+        ranges = self._record_blocks(monkeypatch)
+        with pytest.raises(AssumptionViolated):
+            optimize(task)
+        assert sum(len(block) for block in ranges) <= int(below[0])
 
     def test_tail_path_reuses_certificate(self, monkeypatch):
         calls = []

@@ -9,10 +9,11 @@ Usage, from the root of a source checkout:
 ``dump`` runs ``quadinv.verify`` on seeds 1-3 of every workload in
 ``bench/workloads.py``, the known-defect probes included, and writes one
 record per task: status, optimum value, K, the enumeration's stopping step,
-strategy, tail horizon, witness length and, when verify raises, the error
-type.  quadinv and the workload generators are imported from the checkout at
-``--repo`` (default: the one holding this script), so one copy of the script
-can record an older checkout.  The generators are only read.
+strategy, tail horizon, the tail fallback's last sampled step, witness length
+and, when verify raises, the error type.  quadinv and the workload generators
+are imported from the checkout at ``--repo`` (default: the one holding this
+script), so one copy of the script can record an older checkout.  The
+generators are only read.
 
 ``diff`` prints every field that differs between two records, one line per
 field, and exits 1 when any does.
@@ -54,6 +55,7 @@ def _record(verifier, task) -> dict:
         "stop": None if opt is None else opt.stop,
         "strategy": None if opt is None else opt.bound.strategy_id,
         "tail_horizon": None if tail is None else tail.horizon,
+        "tail_stop": None if tail is None else tail.stop,
         "witness_len": None if verdict.witness is None else len(verdict.witness),
         "error": None,
     }
