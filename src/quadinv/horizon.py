@@ -25,14 +25,18 @@ scan, so each step is computed once.  :func:`_walk` holds the one stopping
 rule: a walk ends at the first m with U(m + 1) at most the larger of the
 running maximum and a floor, where U is the decreasing envelope of
 :func:`tail_bound` (no later step can exceed that), at the first value above
-a level, or at the reader's bound k_max.  Block lengths double from 1 up to
-ceil(sqrt(k_max + 1)) of the bound the current reader holds: a walk that
-stops early does little work, and a long one takes O(sqrt(k_max)) array
-operations.  The k_strict search is bounded where the identity shape's U
-falls below strict_pos, the enumeration by K, the tail fallback by the step
-where U certifies the level.  SCAN_BLOCK_ELEMENTS caps the entries of a
-block's (steps, vertices, d) image array, which bounds the scan's memory; a
-block always holds at least one step.
+a level, or at the reader's bound k_max.  Block lengths double from the
+smallest block up to the larger of that and ceil(sqrt(k_max + 1)) of the
+bound the current reader holds: a walk that stops early does little work,
+and a long one takes O(sqrt(k_max)) array operations.  The smallest block
+holds SCAN_MIN_ELEMENTS entries of its (vertices, steps, d) image array (at
+least one step); below that a block costs about its fixed overhead of some
+ten array operations, so for a few vertices in low dimension a walk of a few
+hundred steps is one or two blocks and its time barely depends on where it
+stops.  SCAN_BLOCK_ELEMENTS caps a block's entries, which bounds the scan's
+memory.  The k_strict search is bounded where the identity shape's U falls
+below strict_pos, the enumeration by K, the tail fallback by the step where
+U certifies the level; no block runs past the bound of its reader.
 
 At each block start, coordinates below SCAN_FLOOR times the largest initial
 coordinate are set to zero.  The states of a contracting system otherwise
@@ -107,6 +111,7 @@ SHAPES = {"identity": 1.0, "blend-0.25": 0.25, "blend-0.5": 0.5, "blend-0.75": 0
 DEFAULT_KSTRICT_CAP = 10_000
 DEFAULT_EPSILON = 0.01
 SCAN_BLOCK_ELEMENTS = 1 << 16  # 512 KiB of float64 per block image array
+SCAN_MIN_ELEMENTS = 1 << 12  # a smaller block costs about its fixed overhead
 SCAN_FLOOR = 2.0**-511  # relative to the largest initial coordinate
 
 
@@ -246,26 +251,31 @@ def _step_value_blocks(task: VerificationTask, bound: list[int]):
     k = k0 .. k0 + len(values) - 1.  ``bound[0]`` is the k_max of the reader
     asking for the next block, which ends by it.  Each block propagates the
     previous block's last images by one step and applies a table of powers
-    A^r.
+    A^r in one matrix product.
     """
     A, obj, x = task.system.A, task.objective, task.init.vertices
     n, d = x.shape
     floor = SCAN_FLOOR * float(np.abs(x).max())
-    table = np.eye(d)[None]  # (A^r)^T for r < len(table)
+    cap = max(1, SCAN_BLOCK_ELEMENTS // (n * d))
+    shortest = size = min(max(1, SCAN_MIN_ELEMENTS // (n * d)), cap)
+    table = np.eye(d)  # (d, steps * d): column block r is (A^r)^T
     k0 = 0
     while True:
         k_max = bound[0]
-        longest = max(1, min(math.isqrt(k_max) + 1, SCAN_BLOCK_ELEMENTS // (n * d)))
-        length = min(len(table), longest, k_max + 1 - k0)
-        images = x @ table[:length]  # (length, n, d): rows A^(k0 + r) v
-        vals = quad_forms(images, obj.Q) + images @ obj.q
-        yield k0, vals.max(axis=1), vals.argmax(axis=1)
+        longest = min(max(math.isqrt(k_max) + 1, shortest), cap)
+        length = min(size, longest, k_max + 1 - k0)
+        while table.shape[1] < length * d:
+            grow = min(table.shape[1], length * d - table.shape[1])
+            power = table[:, -d:] @ A.T  # (A^steps)^T
+            table = np.hstack([table, (table[:, :grow].reshape(-1, d) @ power).reshape(d, grow)])
+        # one product for the block; row i * length + r is A^(k0 + r) v_i
+        images = (x @ table[:, : length * d]).reshape(n * length, d)
+        vals = (quad_forms(images, obj.Q) + images @ obj.q).reshape(n, length)
+        yield k0, vals.max(axis=0), vals.argmax(axis=0)
         k0 += length
-        x = images[-1] @ A.T
+        x = images[length - 1 :: length] @ A.T
         x[np.abs(x) < floor] = 0.0
-        grow = min(len(table), longest - len(table))
-        if grow > 0:
-            table = np.concatenate([table, table[:grow] @ (table[-1] @ A.T)])
+        size = min(2 * size, longest)
 
 
 class _StepScan:

@@ -234,7 +234,7 @@ class TestScanMatchesStepLoop:
     def test_scan_freed_without_cycle_collector(self):
         # a scan's arrays go with its last reader, not at the next collection
         scan = horizon._StepScan(scalar_demo_task())
-        assert len(list(scan.blocks(50))) > 1
+        assert len(list(scan.blocks(5_000))) > 1
         gc.disable()
         try:
             ref = weakref.ref(scan)

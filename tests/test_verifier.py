@@ -458,6 +458,15 @@ class TestSharedWork:
         if verdict.optimum is not None:
             assert (verdict.optimum.bound.K, verdict.optimum.stop) == (188, 96)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha", [0.05, 0.0, -1e-3])
+    def test_small_task_scanned_in_few_blocks(self, monkeypatch, d, alpha):
+        # a few vertices in low dimension: every walk of one verify fits in
+        # one or two blocks, so its time barely depends on where it stops
+        ranges = self._record_blocks(monkeypatch)
+        verify(tail_style_task(d, alpha))
+        assert 1 <= len(ranges) <= 2
+
     def test_optimize_stops_at_envelope_cap(self, monkeypatch):
         task = tail_style_task(3, 0.0)
         cert = stability_certificate(task.system.A)
