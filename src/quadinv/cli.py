@@ -49,8 +49,7 @@ from .horizon import (
     STRATEGIES,
     CandidateBound,
     HorizonBound,
-    evaluate_candidates,
-    stability_certificate,
+    _evaluate,
 )
 from .model import (
     AffineSystem,
@@ -65,6 +64,7 @@ from .verifier import (
     DEFAULT_TAIL_CAP,
     Verdict,
     VerdictStatus,
+    _stage,
     brute_force_oracle,
     verify,
 )
@@ -246,17 +246,9 @@ def _run_verify(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dic
 
 def _run_bound(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict]:
     user_p = load_user_matrix(args.user_p)
-    cert = stability_certificate(task.system.A, tol)
-    hom = homogenize(task, tol)
-    candidates = evaluate_candidates(
-        hom,
-        strategy=args.strategy,
-        user_P=user_p,
-        epsilon=args.epsilon,
-        kstrict_cap=args.kstrict_cap,
-        tol=tol,
-        certificate=cert,
-    )
+    staged = _stage(task, tol)
+    bounds = _evaluate(*staged, args.strategy, user_p, args.epsilon, args.kstrict_cap, tol)
+    candidates = [CandidateBound(bound, staged[0].task) for bound in bounds]
     best = min(candidates, key=lambda cb: cb.bound.K)
     return 0, {
         "command": "bound",

@@ -72,6 +72,7 @@ from .errors import (
 )
 from .matcore import (
     SymEig,
+    _check_symmetric,
     as_matrix,
     congruence_lmax,
     frobenius,
@@ -194,27 +195,27 @@ def _require_linear(task: VerificationTask) -> None:
         raise ValueError("task must be homogenized first (translation b is nonzero)")
 
 
-def _certificate_for(
-    A: np.ndarray, P: np.ndarray, tol: Tolerances, error_cls=InfeasiblePair
-) -> StabilityCertificate:
-    """Validate P as a strict Lyapunov shape for A, decomposing P once."""
-    eig = sym_eig(P, tol)
-    if eig.lmin <= tol.pd_rel * max(1.0, eig.lmax):
-        raise error_cls(f"shape matrix is not positive definite (lmin {eig.lmin:.3e})")
+def _certificate_for(A: np.ndarray, P: np.ndarray, tol: Tolerances) -> StabilityCertificate:
+    """Validate an exactly symmetric P as a strict Lyapunov shape for A, or raise
+    :class:`InfeasiblePair`; P is decomposed once, unchecked, and A^T P A
+    symmetrized once, for both the margin and |A|_P."""
+    values, vectors = np.linalg.eigh(P)
+    lmin, lmax = float(values[0]), float(values[-1])
+    if lmin <= tol.pd_rel * max(1.0, lmax):
+        raise InfeasiblePair(f"shape matrix is not positive definite (lmin {lmin:.3e})")
     image = A.T @ P @ A
-    margin = sym_eig(P - image, tol).lmin
+    image = 0.5 * (image + image.T)
+    margin = float(np.linalg.eigvalsh(P - image)[0])
     if margin <= 0.0:
-        raise error_cls(f"P - A^T P A is not positive definite (lmin {margin:.3e})")
-    root = (eig.vectors * eig.values**-0.5) @ eig.vectors.T
+        raise InfeasiblePair(f"P - A^T P A is not positive definite (lmin {margin:.3e})")
+    root = (vectors * values**-0.5) @ vectors.T
     # any upper bound on |A|_P is sound for K and U; the floor keeps ln |A|_P
     # finite when A^T P A = 0
-    norm = max(math.sqrt(max(congruence_lmax(0.5 * (image + image.T), root, tol), 0.0)),
-               sys.float_info.min)
+    norm = max(math.sqrt(max(congruence_lmax(image, root), 0.0)), sys.float_info.min)
     if not norm <= 1.0 - tol.norm_margin:
-        raise error_cls(f"|A|_P = {norm:.12f} is not strictly below one")
+        raise InfeasiblePair(f"|A|_P = {norm:.12f} is not strictly below one")
     return StabilityCertificate(
-        P=P, residual_margin=float(margin), norm_A_P=norm, lmin_P=eig.lmin,
-        lmax_P=eig.lmax, P_inv_sqrt=root,
+        P=P, residual_margin=margin, norm_A_P=norm, lmin_P=lmin, lmax_P=lmax, P_inv_sqrt=root,
     )
 
 
@@ -228,8 +229,8 @@ def stability_certificate(a_matrix, tol: Tolerances = DEFAULTS) -> StabilityCert
     a = as_matrix(a_matrix, "A")
     try:
         p = lyapunov_solve(a, np.eye(a.shape[0]), tol)
-        return _certificate_for(a, p, tol, error_cls=Unstable)
-    except (SingularSystem, Unstable) as exc:
+        return _certificate_for(a, p, tol)
+    except (SingularSystem, InfeasiblePair) as exc:
         raise Unstable(f"no quadratic stability certificate exists: {exc}") from exc
 
 
@@ -455,7 +456,7 @@ def _k_formula(
     if t <= 0.0:
         raise InfeasiblePair(f"scaling t = {t} must be positive")
     q_mat = task.objective.Q
-    feas = sym_eig(t * cert.P - q_mat, tol).lmin
+    feas = float(np.linalg.eigvalsh(t * cert.P - q_mat)[0])
     if feas < -tol.psd_slack_rel * frobenius(q_mat):
         raise InfeasiblePair(
             f"t*P - Q has negative eigenvalue {feas:.3e}; pair is infeasible"
@@ -487,8 +488,8 @@ def K_of(
 ) -> int:
     """Certified cutoff K(t, P) for a feasible pair; always a positive integer."""
     _require_linear(task)
-    cert = _certificate_for(task.system.A, as_matrix(p_matrix, "P"), tol)
-    return _k_formula(float(t), cert, task, float(S), tol)[0]
+    p = _check_symmetric(as_matrix(p_matrix, "P"), tol, "P")
+    return _k_formula(float(t), _certificate_for(task.system.A, p, tol), task, float(S), tol)[0]
 
 
 def tail_bound(k: int | np.ndarray, scalars: BoundScalars, norm_A_P: float):
@@ -569,22 +570,25 @@ def candidate_Ps(
     ``certificate`` (from :func:`stability_certificate`) is P0's certificate
     and ``q_eig`` the spectrum of Q, when the caller already holds them.
     """
-    q = as_matrix(q_matrix, "Q")
-    shapes = _shapes(a_matrix, q, strategy, user_P, epsilon, tol, certificate, q_eig)
-    return [Candidate(sid, congruence_lmax(q, cert.P_inv_sqrt, tol), cert) for sid, cert in shapes]
+    _check_strategy(strategy)
+    a, q = as_matrix(a_matrix, "A"), _check_symmetric(as_matrix(q_matrix, "Q"), tol, "Q")
+    q_eig = q_eig or SymEig(*np.linalg.eigh(q))
+    shapes = _shapes(a, q, strategy, user_P, epsilon, tol, certificate, q_eig)
+    return [Candidate(sid, congruence_lmax(q, cert.P_inv_sqrt), cert) for sid, cert in shapes]
+
+
+def _check_strategy(strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
 def _shapes(
-    a_matrix, q_matrix, strategy: str, user_P, epsilon: float, tol: Tolerances,
-    certificate: StabilityCertificate | None, q_eig: SymEig | None,
+    a: np.ndarray, q: np.ndarray, strategy: str, user_P, epsilon: float, tol: Tolerances,
+    certificate: StabilityCertificate | None, q_eig: SymEig,
 ) -> list[tuple[str, StabilityCertificate]]:
-    """The certified shapes of :func:`candidate_Ps` by strategy id, in evaluation order."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    a = as_matrix(a_matrix, "A")
-    q = as_matrix(q_matrix, "Q")
+    """The certified shapes of :func:`candidate_Ps`, in evaluation order, for checked A, Q."""
     d = a.shape[0]
-    q_is_psd = (q_eig or sym_eig(q, tol)).lmin >= -tol.psd_eig_floor
+    q_is_psd = q_eig.lmin >= -tol.psd_eig_floor
     shapes = {
         sid: w for sid, w in SHAPES.items()
         if (strategy == "auto" or sid.startswith(strategy)) and (w == 1.0 or q_is_psd)
@@ -616,8 +620,9 @@ def _user_certificate(
     a: np.ndarray, user_P, epsilon: float, tol: Tolerances
 ) -> StabilityCertificate:
     try:
-        cert = _certificate_for(a, as_matrix(user_P, "user P"), tol, InvalidUserP)
-    except (ValueError, NotSymmetric) as exc:
+        p = _check_symmetric(as_matrix(user_P, "user P"), tol, "user P")
+        cert = _certificate_for(a, p, tol)
+    except (ValueError, NotSymmetric, InfeasiblePair) as exc:
         raise InvalidUserP(f"user P is not a valid shape matrix: {exc}") from exc
     slack = tol.psd_slack_rel * max(1.0, frobenius(cert.P))
     if cert.residual_margin - epsilon < -slack:
@@ -647,16 +652,15 @@ def evaluate_candidates(
     strictly positive step value exists within the scan cap.
     """
     _require_linear(task)
-    bounds = _evaluate(
-        _StepScan(task), k_strict, S, strategy, user_P, epsilon, kstrict_cap, tol, certificate
-    )
+    bounds = _evaluate(_StepScan(task), certificate, None, strategy, user_P, epsilon,
+                       kstrict_cap, tol, k_strict, S)
     return [CandidateBound(bound, task) for bound in bounds]
 
 
 def _evaluate(
-    scan: _StepScan, k_strict: int | None, S: float | None, strategy: str, user_P,
-    epsilon: float, kstrict_cap: int, tol: Tolerances,
-    certificate: StabilityCertificate | None, envelope: BoundScalars | None = None,
+    scan: _StepScan, certificate: StabilityCertificate | None, envelope: BoundScalars | None,
+    strategy: str, user_P, epsilon: float, kstrict_cap: int, tol: Tolerances,
+    k_strict: int | None = None, S: float | None = None,
 ) -> list[HorizonBound]:
     """:func:`evaluate_candidates` on a scan of its task.
 
@@ -664,6 +668,7 @@ def _evaluate(
     the identity shape then reuses; the k_strict search also ends where its
     U falls below strict_pos, as no later value can exceed it.
     """
+    _check_strategy(strategy)
     task = scan.task
     _warn_if_indefinite(task, tol)
     if envelope is not None:
@@ -682,7 +687,7 @@ def _evaluate(
         task.system.A, Q, strategy, user_P, epsilon, tol, certificate, task.objective.eig
     ):
         known = envelope if cert is certificate else None
-        t = known.t if known else congruence_lmax(Q, cert.P_inv_sqrt, tol)
+        t = known.t if known else congruence_lmax(Q, cert.P_inv_sqrt)
         try:
             k_val, v_term, mu_val = _k_formula(t, cert, task, S, tol, known)
         except (InfeasiblePair, NumeratorOutOfRange):

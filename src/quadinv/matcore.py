@@ -2,13 +2,16 @@
 
 The factorizations are LAPACK's, through ``numpy.linalg``: ``eigh`` for
 symmetric eigenproblems and an LU ``solve`` for linear systems, including the
-Kronecker formulation of the discrete Lyapunov equation.  The checks around
-them are this module's own: inputs must be symmetric within
-``tol.symmetry_rel``, a solve raises :class:`SingularSystem` when its solution
-grows past ``1 / tol.pivot_rel`` times its right-hand side, a Lyapunov
-solution must meet ``tol.lyap_residual``, and an inverse square root needs
-``lambda_min`` above ``tol.pd_rel``.  The certificate, margin and
-feasibility checks built on these kernels live in :mod:`quadinv.horizon`.
+Kronecker formulation of the discrete Lyapunov equation.  A matrix is checked
+once, where it enters the program: the model's constructors, the user ``P``
+and every public function here require symmetry within ``tol.symmetry_rel``.
+Every matrix the engine builds from checked ones is exactly symmetric by
+construction, so the engine's own eigenproblems call ``numpy.linalg``
+directly.  The soundness guards run on every matrix: a solve raises
+:class:`SingularSystem` when its solution grows past ``1 / tol.pivot_rel``
+times its right-hand side, a Lyapunov solution must meet
+``tol.lyap_residual``, and an inverse square root needs ``lambda_min`` above
+``tol.pd_rel``; the certificate checks live in :mod:`quadinv.horizon`.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays,
 and results do not depend on call order, so values can be shared freely
@@ -107,7 +110,7 @@ class SymEig:
 
 
 def sym_eig(matrix, tol: Tolerances = DEFAULTS) -> SymEig:
-    """Full eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
+    """Full eigendecomposition of a caller's symmetric matrix (LAPACK ``syevd``).
 
     Raises :class:`NotSymmetric` when the input fails ``tol.symmetry_rel``;
     the symmetrized input is decomposed.
@@ -220,11 +223,12 @@ def generalized_lmax(q_matrix, p_matrix, tol: Tolerances = DEFAULTS) -> float:
     P's symmetry is checked by :func:`inv_sqrt`.
     """
     q = _check_symmetric(as_matrix(q_matrix, "Q"), tol, "Q")
-    return congruence_lmax(q, inv_sqrt(p_matrix, tol), tol)
+    return congruence_lmax(q, inv_sqrt(p_matrix, tol))
 
 
-def congruence_lmax(m: np.ndarray, root: np.ndarray, tol: Tolerances = DEFAULTS) -> float:
+def congruence_lmax(m: np.ndarray, root: np.ndarray) -> float:
     """Largest eigenvalue of ``root @ m @ root``, symmetrized, for symmetric
-    inputs; with ``root = P^-1/2`` it is :func:`generalized_lmax` of m and P."""
+    inputs, which are not checked; with ``root = P^-1/2`` it is
+    :func:`generalized_lmax` of m and P."""
     middle = root @ m @ root
-    return sym_eig(0.5 * (middle + middle.T), tol).lmax
+    return float(np.linalg.eigvalsh(0.5 * (middle + middle.T))[-1])

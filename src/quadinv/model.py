@@ -28,7 +28,6 @@ from .matcore import (
     as_vector,
     quad_forms,
     solve_linear,
-    sym_eig,
 )
 
 __all__ = [
@@ -185,8 +184,8 @@ class QuadraticObjective:
 
     @cached_property
     def eig(self) -> SymEig:
-        """Spectral decomposition of Q (stored symmetrized), computed once."""
-        return sym_eig(self.Q)
+        """Spectral decomposition of Q, computed once; Q is stored exactly symmetric."""
+        return SymEig(*np.linalg.eigh(self.Q))
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)

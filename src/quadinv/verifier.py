@@ -136,14 +136,17 @@ def optimize(
     The maximizer is reported in original coordinates.  Propagates
     :class:`Unstable` and :class:`AssumptionViolated` from the pipeline.
     """
+    staged = _stage(task, tol)
+    bounds = _evaluate(*staged, strategy, user_P, epsilon, kstrict_cap, tol)
+    return _optimum(task, staged[0], min(bounds, key=lambda bound: bound.K))
+
+
+def _stage(task: VerificationTask, tol: Tolerances):
+    """What verify, optimize and the bound command build before the cutoff: the
+    certificate of A, a scan of the homogenized task and the certificate's envelope."""
     cert = stability_certificate(task.system.A, tol)
-    hom = homogenize(task, tol)
-    scan = _StepScan(hom)
-    envelope = _envelope(hom, cert, tol)
-    bounds = _evaluate(
-        scan, None, None, strategy, user_P, epsilon, kstrict_cap, tol, cert, envelope
-    )
-    return _optimum(task, scan, min(bounds, key=lambda bound: bound.K))
+    scan = _StepScan(homogenize(task, tol))
+    return scan, cert, _envelope(scan.task, cert, tol)
 
 
 def _optimum(task: VerificationTask, scan: _StepScan, bound: HorizonBound) -> Optimum:
@@ -180,17 +183,12 @@ def verify(
     alpha = task.objective.alpha if alpha is None else float(alpha)
     if alpha is None or not math.isfinite(alpha):
         raise ValueError(f"verify requires a finite level alpha, got {alpha}")
-    cert = stability_certificate(task.system.A, tol)
-    hom = homogenize(task, tol)
-    scan = _StepScan(hom)
-    envelope = _envelope(hom, cert, tol)
+    staged = _stage(task, tol)
     try:
-        bounds = _evaluate(
-            scan, None, None, strategy, user_P, epsilon, kstrict_cap, tol, cert, envelope
-        )
+        bounds = _evaluate(*staged, strategy, user_P, epsilon, kstrict_cap, tol)
     except AssumptionViolated:
-        return _tail_verdict(task, scan, cert, envelope, alpha, tail_cap, tol)
-    optimum = _optimum(task, scan, min(bounds, key=lambda bound: bound.K))
+        return _tail_verdict(task, *staged, alpha, tail_cap, tol)
+    optimum = _optimum(task, staged[0], min(bounds, key=lambda bound: bound.K))
     slack = tol.alpha_slack
     if optimum.value <= alpha:
         return Verdict(
@@ -199,13 +197,12 @@ def verify(
             optimum=optimum,
             message=f"supremum {optimum.value:.12g} <= {alpha:.12g}",
         )
-    witness = trajectory(task.system, optimum.arg_vertex, optimum.arg_k)
     if optimum.value > alpha + slack:
         return Verdict(
             status=VerdictStatus.DISPROVED,
             alpha=alpha,
             optimum=optimum,
-            witness=witness,
+            witness=trajectory(task.system, optimum.arg_vertex, optimum.arg_k),
             message=(
                 f"objective reaches {optimum.value:.12g} > {alpha:.12g} "
                 f"at step {optimum.arg_k}"
@@ -231,7 +228,7 @@ def _envelope(
     where that bound is not positive, t = strict_pos keeps V = |q|/(2 sqrt(t
     lmin)) finite.  U needs no S or k_strict.
     """
-    t = congruence_lmax(hom.objective.Q, cert.P_inv_sqrt, tol)
+    t = congruence_lmax(hom.objective.Q, cert.P_inv_sqrt)
     t = t if t > 0.0 else tol.strict_pos
     V, mu_val = _v_term(hom, t, cert.lmin_P), mu(cert.P, hom.init)
     return BoundScalars(t=t, S=0.0, V=V, mu=mu_val, k_strict=0)

@@ -50,6 +50,46 @@ def counterexample_task(alpha=None) -> VerificationTask:
     )
 
 
+def tail_style_task(d: int, alpha: float) -> VerificationTask:
+    """The counterexample in d dimensions: no step value is strictly positive."""
+    rng = np.random.default_rng(d)
+    return VerificationTask(
+        system=AffineSystem(A=np.diag(rng.uniform(0.3, 0.9, d)), b=np.zeros(d)),
+        init=InitialSet.from_vertices(rng.uniform(0.05, 0.95, (d + 2, d))),
+        objective=QuadraticObjective(Q=np.eye(d), q=-np.ones(d), alpha=alpha),
+    )
+
+
+def rotation_near_one_task(seed: int, d: int, proved: bool) -> VerificationTask:
+    """Rotation blocks at radius 0.99999 under a random orthogonal similarity.
+
+    A = rho U blockdiag(R(theta_i)) U^T is normal, so every reachable state
+    lies in the ball of radius |v| around 0 for the initial vertices v.  The
+    box is thin (half-width 0.1) along every other axis and Q = c c^T looks
+    only along those axes.  ``proved`` puts alpha above the ball's largest
+    objective value; otherwise alpha lies below the largest value at step 0.
+    """
+    rng = np.random.default_rng(seed)
+    rho, upper = 0.99999, np.where(np.arange(d) % 2 == 1, 0.1, 1.0)
+    blocks = np.zeros((d, d))
+    for i in range(0, d, 2):
+        theta = rng.uniform(0.05, np.pi - 0.05)
+        blocks[i : i + 2, i : i + 2] = [[np.cos(theta), np.sin(theta)],
+                                        [-np.sin(theta), np.cos(theta)]]
+    u, r = np.linalg.qr(rng.standard_normal((d, d)))
+    u = u * np.sign(np.diag(r))
+    c = np.where(upper < 1.0, rng.choice([-1.0, 1.0], d), 0.0)
+    Q = np.outer(c, c) / (c @ c)
+    init = box_to_vertices(-upper, upper)
+    start = float(np.max((init.vertices @ Q * init.vertices).sum(axis=1)))
+    alpha = 1.01 * float(upper @ upper) + 0.01 if proved else 0.9 * start - 0.01
+    return VerificationTask(
+        system=AffineSystem(A=rho * (u @ blocks @ u.T), b=np.zeros(d)),
+        init=init,
+        objective=QuadraticObjective(Q=Q, q=np.zeros(d), alpha=alpha),
+    )
+
+
 def spectral_radius_estimate(A: np.ndarray, iters: int = 120) -> float:
     """Power-iteration estimate of the spectral radius (geometric mean growth)."""
     d = A.shape[0]

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import quadinv
-from quadinv import horizon, matcore
+from quadinv import horizon
 from quadinv.cli import build_parser, main, parse_input, render_text
 from quadinv.errors import DimensionMismatch, ParseError
 from quadinv.model import linear_range_property
-from support import HARMONIC_A, ROTATION_A, ROTATION_B
+from support import HARMONIC_A, ROTATION_A, ROTATION_B, tail_style_task
 
 
 def write_json(path, doc):
@@ -234,6 +234,57 @@ class TestVerifyCommand:
         assert main(["verify", "/nonexistent.json"]) == 3
 
 
+def task_doc(task):
+    return {
+        "A": task.system.A.tolist(),
+        "b": task.system.b.tolist(),
+        "initial_set": {"vertices": task.init.vertices.tolist()},
+        "property": {
+            "Q": task.objective.Q.tolist(),
+            "q": task.objective.q.tolist(),
+            "alpha": task.objective.alpha,
+        },
+    }
+
+
+class TestBoundStaging:
+    """bound stages its cutoff as verify does: certificate, scan and envelope."""
+
+    def test_tail_task_scans_no_more_than_verify(self, tmp_path, monkeypatch):
+        path = write_json(tmp_path / "tail.json", task_doc(tail_style_task(3, 0.05)))
+        steps = []
+        original = horizon._step_value_blocks
+
+        def counting(task, bound):
+            for block in original(task, bound):
+                steps[-1] += len(block[1])
+                yield block
+
+        monkeypatch.setattr(horizon, "_step_value_blocks", counting)
+        for command, code in (("verify", 0), ("bound", 5)):
+            steps.append(0)
+            assert main([command, path]) == code
+        assert 0 < steps[1] <= steps[0]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            harmonic_doc(np.diag([1.0, 0.0]), alpha=1.0),
+            harmonic_doc(np.eye(2), alpha=2.0),
+            rotation_doc(np.diag([1.0, 0.0]), alpha=16.0),
+            rotation_doc(np.eye(2), alpha=16.0),
+        ],
+        ids=["harmonic-x1", "harmonic-norm", "rotation-x1", "rotation-norm"],
+    )
+    def test_best_cutoff_is_verify_cutoff(self, tmp_path, capsys, doc):
+        path = write_json(tmp_path / "paper.json", doc)
+        assert main(["bound", path, "--report", "json"]) == 0
+        best = json.loads(capsys.readouterr().out)["best"]
+        main(["verify", path, "--report", "json"])
+        bound = json.loads(capsys.readouterr().out)["optimum"]["bound"]
+        assert (best["K"], best["strategy"]) == (bound["K"], bound["strategy"])
+
+
 class TestBoundCommand:
     def test_candidate_table(self, tmp_path, capsys):
         path = write_json(tmp_path / "b.json", harmonic_doc(np.diag([1.0, 0.0])))
@@ -248,18 +299,19 @@ class TestBoundCommand:
 
     def test_scores_reuse_certificate_eigenvalues(self, tmp_path, monkeypatch):
         # F4 = lmax(P) comes from each shape's certificate, not from a sixth
-        # decomposition per shape: 25 sym_eig calls instead of 30, besides
-        # the objective's one eig(Q) in model
-        calls = []
-        for module in (matcore, horizon):
-            original = module.sym_eig
+        # decomposition per shape: 25 eigh/eigvalsh calls instead of 30,
+        # besides the objective's one eigh(Q)
+        q, calls = np.diag([1.0, 0.0]), []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
 
-            def counting(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
+            def counting(m, *args, _original=original, **kwargs):
+                if not np.array_equal(m, q):
+                    calls.append(1)
+                return _original(m, *args, **kwargs)
 
-            monkeypatch.setattr(module, "sym_eig", counting)
-        path = write_json(tmp_path / "b.json", harmonic_doc(np.diag([1.0, 0.0])))
+            monkeypatch.setattr(np.linalg, name, counting)
+        path = write_json(tmp_path / "b.json", harmonic_doc(q))
         assert main(["bound", path]) == 0
         assert len(calls) == 25
 

@@ -14,6 +14,7 @@ from quadinv.errors import (
     AssumptionViolated,
     InfeasiblePair,
     InvalidUserP,
+    NotSymmetric,
     NumeratorOutOfRange,
     Unstable,
 )
@@ -370,6 +371,11 @@ class TestKOf:
         with pytest.raises(InfeasiblePair):
             K_of(-1.0, p, task, S=2.0)
 
+    def test_rejects_asymmetric_p(self):
+        task = rotation_task(np.eye(2), translated=False)
+        with pytest.raises(NotSymmetric):
+            K_of(1.0, [[1.0, 0.5], [0.0, 1.0]], task, S=s_value(task, 0))
+
     def test_numerator_out_of_range(self):
         # an S above sup x^T Q x violates the threshold's definition
         task = scalar_demo_task()
@@ -512,6 +518,11 @@ class TestCandidates:
                 strategy="user",
                 user_P=[[1.0, 0.5], [0.0, 1.0]],
             )
+
+    def test_rejects_asymmetric_q(self):
+        task = harmonic_task(np.eye(2))
+        with pytest.raises(NotSymmetric):
+            candidate_Ps(task.system.A, [[1.0, 0.5], [0.0, 1.0]], q_eig=task.objective.eig)
 
     def test_user_rejected_when_indefinite(self):
         task = rotation_task(np.eye(2), translated=False)

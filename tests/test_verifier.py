@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from quadinv import horizon, matcore, model, verifier
+from quadinv import horizon, matcore, verifier
 from quadinv.config import DEFAULTS
 from quadinv.errors import AssumptionViolated, Unstable
 from quadinv.horizon import (
     DEFAULT_KSTRICT_CAP,
+    best_K,
+    evaluate_candidates,
     nu_sequence,
     stability_certificate,
     tail_bound,
@@ -34,6 +36,8 @@ from support import (
     random_psd,
     random_stable_matrix,
     rotation_task,
+    rotation_near_one_task,
+    tail_style_task,
 )
 
 
@@ -125,6 +129,16 @@ class TestVerify:
         assert verdict.status is VerdictStatus.INCONCLUSIVE
         assert "slack" in verdict.message
 
+    def test_witness_replayed_only_when_disproved(self, monkeypatch):
+        calls = []
+        original = verifier.trajectory
+        monkeypatch.setattr(verifier, "trajectory", lambda *a: calls.append(a) or original(*a))
+        task = harmonic_task(np.diag([0.0, 1.0]))
+        assert verify(task, alpha=1.0 - 5e-10).status is VerdictStatus.INCONCLUSIVE
+        assert len(calls) == 0
+        assert verify(task, alpha=0.5).status is VerdictStatus.DISPROVED
+        assert len(calls) == 1
+
     def test_alpha_required(self):
         with pytest.raises(ValueError):
             verify(harmonic_task(np.eye(2)))
@@ -196,16 +210,6 @@ class TestTailBoundMode:
             verdict = verify(task)
         assert verdict.status is VerdictStatus.PROVED_TAIL
         assert verdict.tail_info.bound <= 0.5
-
-
-def tail_style_task(d: int, alpha: float) -> VerificationTask:
-    """The counterexample in d dimensions: no step value is strictly positive."""
-    rng = np.random.default_rng(d)
-    return VerificationTask(
-        system=AffineSystem(A=np.diag(rng.uniform(0.3, 0.9, d)), b=np.zeros(d)),
-        init=InitialSet.from_vertices(rng.uniform(0.05, 0.95, (d + 2, d))),
-        objective=QuadraticObjective(Q=np.eye(d), q=-np.ones(d), alpha=alpha),
-    )
 
 
 class TestEnvelopeStop:
@@ -363,10 +367,10 @@ class TestSharedWork:
         task = harmonic_task(np.diag([1.0, 0.0]), alpha=1.0)
         calls = []
         of_q = lambda m, *rest: np.array_equal(m, task.objective.Q)
-        self._count(monkeypatch, horizon, "sym_eig", calls, of_q)
-        self._count(monkeypatch, model, "sym_eig", calls, of_q)
+        for name in ("eigh", "eigvalsh"):
+            self._count(monkeypatch, np.linalg, name, calls, of_q)
         verify(task)
-        assert calls == ["sym_eig"]
+        assert calls == ["eigh"]
 
     def test_each_shape_certified_once(self, monkeypatch):
         shapes = []
@@ -394,8 +398,8 @@ class TestSharedWork:
             monkeypatch.setattr(module, name, record)
 
         recording(horizon, "_certificate_for", shapes, 1)
-        for module in (horizon, matcore):
-            recording(module, "sym_eig", decomposed, 0)
+        for name in ("eigh", "eigvalsh"):
+            recording(np.linalg, name, decomposed, 0)
         for module in (horizon, matcore, verifier):
             for name in ("inv_sqrt", "generalized_lmax", "weighted_opnorm"):
                 if hasattr(module, name):
@@ -458,6 +462,15 @@ class TestSharedWork:
         if verdict.optimum is not None:
             assert (verdict.optimum.bound.K, verdict.optimum.stop) == (188, 96)
 
+    @pytest.mark.parametrize("run", [verify, optimize, evaluate_candidates, best_K],
+                             ids=lambda run: run.__name__)
+    def test_unknown_strategy_rejected_before_any_scan(self, monkeypatch, run):
+        # the counterexample takes the tail path, which never reaches the shapes
+        ranges = self._record_blocks(monkeypatch)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            run(counterexample_task(alpha=0.1), strategy="bogus")
+        assert ranges == []
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("alpha", [0.05, 0.0, -1e-3])
     def test_small_task_scanned_in_few_blocks(self, monkeypatch, d, alpha):
@@ -485,6 +498,21 @@ class TestSharedWork:
         verdict = verify(counterexample_task(alpha=0.1), kstrict_cap=100)
         assert verdict.status is VerdictStatus.PROVED_TAIL
         assert sorted(calls) == ["homogenize", "stability_certificate"]
+
+
+class TestBuiltMatricesUnchecked:
+    """The engine's own matrices are symmetric by construction and go unchecked."""
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    @pytest.mark.parametrize("proved", [False, True], ids=["disproved", "proved"])
+    def test_rotation_at_radius_near_one_decided(self, d, proved):
+        # the rounding asymmetry of A^T P A here, some 1e-11 against |P| of
+        # about 1e5, is past symmetry_rel, so no check may see that product
+        task = rotation_near_one_task(2, d, proved)
+        assert stability_certificate(task.system.A).norm_A_P < 1.0
+        verdict = verify(task)
+        assert verdict.status is (VerdictStatus.PROVED if proved else VerdictStatus.DISPROVED)
+        assert verdict.optimum.stop <= verdict.optimum.bound.K
 
 
 def parity_task(seed: int, d: int) -> VerificationTask:

@@ -9,8 +9,8 @@ Usage, from the root of a source checkout:
 ``dump`` runs ``quadinv.verify`` on seeds 1-3 of every workload in
 ``bench/workloads.py``, the known-defect probes included, and writes one
 record per task: status, optimum value, K, the enumeration's stopping step,
-strategy, tail horizon, the tail fallback's last sampled step, witness length
-and, when verify raises, the error type.  quadinv and the workload generators
+strategy, the winning pair's t and |A|_P, tail horizon, the tail fallback's
+last sampled step, witness length and, when verify raises, the error type.  quadinv and the workload generators
 are imported from the checkout at ``--repo`` (default: the one holding this
 script), so one copy of the script can record an older checkout.  The
 generators are only read.
@@ -54,6 +54,8 @@ def _record(verifier, task) -> dict:
         "K": None if opt is None else opt.bound.K,
         "stop": None if opt is None else opt.stop,
         "strategy": None if opt is None else opt.bound.strategy_id,
+        "t": None if opt is None else opt.bound.scalars.t,
+        "norm_A_P": None if opt is None else opt.bound.certificate.norm_A_P,
         "tail_horizon": None if tail is None else tail.horizon,
         "tail_stop": None if tail is None else tail.stop,
         "witness_len": None if verdict.witness is None else len(verdict.witness),
