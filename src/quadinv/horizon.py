@@ -25,18 +25,26 @@ scan, so each step is computed once.  :func:`_walk` holds the one stopping
 rule: a walk ends at the first m with U(m + 1) at most the larger of the
 running maximum and a floor, where U is the decreasing envelope of
 :func:`tail_bound` (no later step can exceed that), at the first value above
-a level, or at the reader's bound k_max.  Block lengths double from the
-smallest block up to the larger of that and ceil(sqrt(k_max + 1)) of the
-bound the current reader holds: a walk that stops early does little work,
-and a long one takes O(sqrt(k_max)) array operations.  The smallest block
-holds SCAN_MIN_ELEMENTS entries of its (vertices, steps, d) image array (at
-least one step); below that a block costs about its fixed overhead of some
-ten array operations, so for a few vertices in low dimension a walk of a few
-hundred steps is one or two blocks and its time barely depends on where it
-stops.  SCAN_BLOCK_ELEMENTS caps a block's entries, which bounds the scan's
-memory.  The k_strict search is bounded where the identity shape's U falls
-below strict_pos, the enumeration by K, the tail fallback by the step where
-U certifies the level; no block runs past the bound of its reader.
+a level, or at the reader's bound k_max.  The k_strict search is bounded
+where the identity shape's U falls below strict_pos, the enumeration by K,
+the tail fallback by the step where U certifies the level.
+
+The scan never forms the states A^k v.  Of Q = W diag(lam) W^T it keeps the
+r eigenpairs with |lam_j| > d eps max|lam|; a dropped term moves x^T Q x by
+at most d eps max|lam| |x|^2, within the rounding error of evaluating it.  A
+block projects its start states on a table of (A^j)^T [W_r | q], c = r (+1
+when q is nonzero) columns per step, in one matrix product, and a step value
+is sum_j lam_j y_j^2 + y_q: a rank-1 property costs one column per step.
+Block lengths double from the smallest block up to the larger of that and
+ceil(sqrt(k_max + 1)) of the current reader's bound, and no block runs past
+that bound: a walk that stops early does little work, and a long one takes
+O(sqrt(k_max)) array operations.  SCAN_MIN_ELEMENTS and SCAN_BLOCK_ELEMENTS
+count entries of a block's (vertices, steps * c) projection array.  The
+smallest block holds SCAN_MIN_ELEMENTS (at least one step): a smaller block
+costs about its fixed overhead of some ten array operations, so a walk of a
+few hundred steps over few vertices and columns is one or two blocks.
+SCAN_BLOCK_ELEMENTS caps a block's entries and, as the table holds fewer
+than twice the longest block's steps, the scan's memory.
 
 At each block start, coordinates below SCAN_FLOOR times the largest initial
 coordinate are set to zero.  The states of a contracting system otherwise
@@ -79,9 +87,8 @@ from .matcore import (
     lyapunov_solve,
     mat_pow,
     quad_forms,
-    sym_eig,
 )
-from .model import InitialSet, VerificationTask
+from .model import InitialSet, QuadraticObjective, VerificationTask
 
 __all__ = [
     "StabilityCertificate",
@@ -111,7 +118,7 @@ SHAPES = {"identity": 1.0, "blend-0.25": 0.25, "blend-0.5": 0.5, "blend-0.75": 0
           "q-augmented": 0.0}
 DEFAULT_KSTRICT_CAP = 10_000
 DEFAULT_EPSILON = 0.01
-SCAN_BLOCK_ELEMENTS = 1 << 16  # 512 KiB of float64 per block image array
+SCAN_BLOCK_ELEMENTS = 1 << 16  # 512 KiB of float64 per block projection array
 SCAN_MIN_ELEMENTS = 1 << 12  # a smaller block costs about its fixed overhead
 SCAN_FLOOR = 2.0**-511  # relative to the largest initial coordinate
 
@@ -244,37 +251,51 @@ def _warn_if_indefinite(task: VerificationTask, tol: Tolerances) -> None:
         )
 
 
+def _scan_basis(objective: QuadraticObjective) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's weights lam_r and projection columns [W_r | q] (module docstring)."""
+    lam, vectors = objective.eig.values, objective.eig.vectors
+    keep = np.abs(lam) > lam.size * np.finfo(float).eps * np.abs(lam).max()
+    basis = vectors[:, keep]
+    return lam[keep], np.column_stack([basis, objective.q]) if objective.q.any() else basis
+
+
 def _step_value_blocks(task: VerificationTask, bound: list[int]):
     """Constant-free step values from step 0 on, one block at a time.
 
     Yields ``(k0, values, argmax)``: the max over vertices of
     (A^k v)^T Q (A^k v) + q^T (A^k v) and its arg-max vertex index, for
     k = k0 .. k0 + len(values) - 1.  ``bound[0]`` is the k_max of the reader
-    asking for the next block, which ends by it.  Each block propagates the
-    previous block's last images by one step and applies a table of powers
-    A^r in one matrix product.
+    asking for the next block, which ends by it.
     """
-    A, obj, x = task.system.A, task.objective, task.init.vertices
-    n, d = x.shape
+    A, x = task.system.A, task.init.vertices
+    lam, basis = _scan_basis(task.objective)
+    r, c = lam.size, basis.shape[1]
+    width = len(x) * max(c, 1)  # entries of a block's projections per step
     floor = SCAN_FLOOR * float(np.abs(x).max())
-    cap = max(1, SCAN_BLOCK_ELEMENTS // (n * d))
-    shortest = size = min(max(1, SCAN_MIN_ELEMENTS // (n * d)), cap)
-    table = np.eye(d)  # (d, steps * d): column block r is (A^r)^T
-    k0 = 0
+    cap = max(1, SCAN_BLOCK_ELEMENTS // width)
+    shortest = size = min(max(1, SCAN_MIN_ELEMENTS // width), cap)
+    # column block j of the table is (A^j)^T [W_r | q], j < steps; powers[i] is
+    # (A^(2^i))^T, the last one (A^steps)^T
+    table, powers, steps, k0 = basis, [A.T], 1, 0
     while True:
         k_max = bound[0]
         longest = min(max(math.isqrt(k_max) + 1, shortest), cap)
         length = min(size, longest, k_max + 1 - k0)
-        while table.shape[1] < length * d:
-            grow = min(table.shape[1], length * d - table.shape[1])
-            power = table[:, -d:] @ A.T  # (A^steps)^T
-            table = np.hstack([table, (table[:, :grow].reshape(-1, d) @ power).reshape(d, grow)])
-        # one product for the block; row i * length + r is A^(k0 + r) v_i
-        images = (x @ table[:, : length * d]).reshape(n * length, d)
-        vals = (quad_forms(images, obj.Q) + images @ obj.q).reshape(n, length)
+        while steps < length:
+            table = np.hstack([table, powers[-1] @ table])
+            powers.append(powers[-1] @ powers[-1])
+            steps *= 2
+        # one product for the block; row i * length + j projects A^(k0 + j) v_i
+        y = (x @ table[:, : length * c]).reshape(len(x) * length, c)
+        vals = np.dot(y[:, :r] ** 2, lam)  # matmul's matrix-vector path is slower
+        if c > r:
+            vals += y[:, r]
+        vals = vals.reshape(len(x), length)
         yield k0, vals.max(axis=0), vals.argmax(axis=0)
         k0 += length
-        x = images[length - 1 :: length] @ A.T
+        for i, power in enumerate(powers):  # x (A^length)^T, by the bits of length
+            if length >> i & 1:
+                x = x @ power
         x[np.abs(x) < floor] = 0.0
         size = min(2 * size, longest)
 
@@ -528,14 +549,15 @@ def objective_scores(
 
     F0/F2 are the max/sum of vertex P-energies, F1/F3 the same on P - Q, and
     F4 lmax(P), read from ``lmax_P`` when given.  Scores only rank and
-    report candidates; they never affect soundness.
+    report candidates; they never affect soundness.  P must be symmetric
+    (:class:`NotSymmetric`) either way.
     """
-    p = as_matrix(p_matrix, "P")
+    p = _check_symmetric(as_matrix(p_matrix, "P"), DEFAULTS, "P")
     q = as_matrix(q_matrix, "Q")
     verts = init.vertices
     energies_p = quad_forms(verts, p)
     energies_pq = quad_forms(verts, p - q)
-    f4 = sym_eig(0.5 * (p + p.T)).lmax if lmax_P is None else lmax_P
+    f4 = np.linalg.eigh(p)[0][-1] if lmax_P is None else lmax_P
     return (
         float(energies_p.max()),
         float(energies_pq.max()),

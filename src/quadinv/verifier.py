@@ -112,14 +112,17 @@ class OracleReport:
 
 
 def trajectory(system: AffineSystem, x0, k: int) -> np.ndarray:
-    """States x_0..x_k of the iterated map, as rows of a (k+1, d) array."""
+    """States x_0..x_k of the iterated map, as rows of a (k+1, d) array, in
+    O(log k) products: x_{j+m} = A^m x_j + c_m for j < m, c_m = sum_{i<m} A^i b."""
     if k < 0:
         raise ValueError("trajectory length must be nonnegative")
-    x = np.asarray(x0, dtype=float)
     out = np.empty((k + 1, system.dim))
-    out[0] = x
-    for i in range(k):
-        out[i + 1] = system.step(out[i])
+    out[0] = x0
+    power, shift, m = system.A.T, system.b, 1  # (A^m)^T and c_m
+    while m <= k:
+        grow = min(m, k + 1 - m)
+        out[m : m + grow] = out[:grow] @ power + shift
+        power, shift, m = power @ power, shift @ power + shift, 2 * m
     return out
 
 

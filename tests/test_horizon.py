@@ -199,7 +199,10 @@ class TestScanMatchesStepLoop:
         k_max=st.integers(0, 300),
     )
     def test_blocked_scan_matches_plain_loop(self, seed, d, n, k_max):
-        task = _random_scan_task(seed, d, n)
+        self._assert_scan_matches_loop(_random_scan_task(seed, d, n), k_max)
+
+    @staticmethod
+    def _assert_scan_matches_loop(task: VerificationTask, k_max: int) -> np.ndarray:
         x = task.init.vertices
         loop = []
         for _ in range(k_max + 1):
@@ -209,6 +212,60 @@ class TestScanMatchesStepLoop:
         np.testing.assert_allclose(values, loop, rtol=0.0, atol=1e-9)
         hits = np.flatnonzero(np.array(loop) > DEFAULTS.strict_pos)
         assert find_k_strict(task, cap=k_max) == (int(hits[0]) if hits.size else None)
+        return values
+
+    @pytest.mark.parametrize(
+        "kind", ["rank-1", "rank-1-q", "deficient-psd", "indefinite-low-rank", "zero-Q", "zero"]
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 5),
+        n=st.integers(1, 6),
+        k_max=st.integers(0, 300),
+    )
+    def test_low_rank_scan_matches_plain_loop(self, kind, seed, d, n, k_max):
+        rng = np.random.default_rng(seed)
+        c, e, q = rng.standard_normal((3, d))
+        g = rng.standard_normal((d, max(d - 1, 1)))
+        Q = {
+            "rank-1": np.outer(c, c), "rank-1-q": np.outer(c, c), "deficient-psd": g @ g.T,
+            "indefinite-low-rank": np.outer(c, c) - np.outer(e, e),
+        }.get(kind, np.zeros((d, d)))
+        if kind in ("rank-1", "zero"):
+            q = np.zeros(d)
+        task = VerificationTask(
+            system=AffineSystem(A=random_stable_matrix(rng, d), b=np.zeros(d)),
+            init=InitialSet(vertices=rng.uniform(-1.0, 1.0, (n, d))),
+            objective=QuadraticObjective(Q=Q, q=q),
+        )
+        values = self._assert_scan_matches_loop(task, k_max)
+        lam, basis = horizon._scan_basis(task.objective)
+        assert lam.size == np.linalg.matrix_rank(Q)
+        assert basis.shape[1] == lam.size + bool(q.any())
+        if kind == "zero":
+            assert not values.any()
+
+    # the Frobenius norms of the symmetry check on Q overflow at 2^600
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+    def test_scaled_objective_keeps_rank_cut_and_scales_values(self, scale):
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((4, 2))
+        task = VerificationTask(
+            system=AffineSystem(A=random_stable_matrix(rng, 4), b=np.zeros(4)),
+            init=box_to_vertices(-np.ones(4), np.ones(4)),
+            objective=QuadraticObjective(Q=g @ g.T, q=rng.standard_normal(4)),
+        )
+        scaled = VerificationTask(
+            system=task.system, init=task.init,
+            objective=QuadraticObjective(Q=scale * task.objective.Q, q=scale * task.objective.q),
+        )
+        assert horizon._scan_basis(task.objective)[0].size == 2
+        assert horizon._scan_basis(scaled.objective)[0].size == 2
+        values = nu_sequence(task, 200)[0]
+        np.testing.assert_allclose(nu_sequence(scaled, 200)[0] / scale, values,
+                                   rtol=1e-12, atol=1e-12 * np.abs(values).max())
 
     def test_contracting_states_stay_out_of_subnormal_range(self):
         # both coordinates contract to 0 within the cap; the plain loop's step
@@ -586,6 +643,12 @@ class TestObjectiveScores:
         assert objective_scores(np.diag([1.0, 3.0]), np.zeros((2, 2)), init)[
             4
         ] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("lmax_P", [None, 1.0])
+    def test_asymmetric_P_rejected(self, lmax_P):
+        init = box_to_vertices([-1, -1], [1, 1])
+        with pytest.raises(NotSymmetric):
+            objective_scores([[1.0, 0.5], [0.0, 1.0]], np.eye(2), init, lmax_P)
 
     def test_matched_pair_zeroes_differences(self):
         init = box_to_vertices([-1, -1], [1, 1])

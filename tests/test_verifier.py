@@ -52,6 +52,18 @@ class TestTrajectory:
         out = trajectory(system, [0.0], 3)
         np.testing.assert_allclose(out, [[0.0], [1.0], [2.0], [3.0]])
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 1_000])
+    @pytest.mark.parametrize("task", [rotation_task(np.eye(2)), harmonic_task(np.eye(2))],
+                             ids=["affine-rotation", "harmonic"])
+    def test_doubling_matches_stepping(self, task, k):
+        x, steps = np.array([2.0, -1.0]), []
+        for _ in range(k + 1):
+            steps.append(x)
+            x = task.system.step(x)
+        steps = np.array(steps)
+        np.testing.assert_allclose(trajectory(task.system, [2.0, -1.0], k), steps,
+                                   rtol=0.0, atol=1e-12 * np.abs(steps).max())
+
     def test_endpoint_matches_matrix_power(self):
         task = harmonic_task(np.eye(2))
         out = trajectory(task.system, [1.0, 1.0], 61)

@@ -15,19 +15,26 @@ are imported from the checkout at ``--repo`` (default: the one holding this
 script), so one copy of the script can record an older checkout.  The
 generators are only read.
 
-``diff`` prints every field that differs between two records, one line per
-field, and exits 1 when any does.
+``diff`` compares two records field by field.  It prints every differing
+exact field (status, K, stop, strategy, tail horizon and stop, witness
+length, error), one line each, and exits 1 when any differs.  For each float
+field (value, t, norm_A_P) it prints the number of tasks where it differs and
+the largest relative difference, and exits 1 when that exceeds
+``FLOAT_REL`` (1e-12), or when a value is present in one record only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
+FLOAT_FIELDS = ("value", "t", "norm_A_P")
+FLOAT_REL = 1e-12  # last-bit differences of a reordered sum stay far below this
 
 
 def _task(model, spec):
@@ -84,18 +91,33 @@ def dump(out: str, repo: Path) -> None:
     print(f"{len(records)} tasks written to {out}")
 
 
+def _relative(x, y) -> float:
+    """|x - y| relative to the larger magnitude; inf when only one is None."""
+    if x is None or y is None:
+        return 0.0 if x is y else math.inf
+    return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+
+
 def diff(path_a: str, path_b: str) -> int:
     a = json.loads(Path(path_a).read_text(encoding="utf-8"))
     b = json.loads(Path(path_b).read_text(encoding="utf-8"))
-    differing = 0
+    exact, floats = 0, {field: [] for field in FLOAT_FIELDS}
     for key in sorted(a.keys() | b.keys()):
         ra, rb = a.get(key, {}), b.get(key, {})
         for field in sorted(ra.keys() | rb.keys()):
-            if ra.get(field) != rb.get(field):
-                differing += 1
+            if field in floats:
+                rel = _relative(ra.get(field), rb.get(field))
+                if rel:
+                    floats[field].append(rel)
+            elif ra.get(field) != rb.get(field):
+                exact += 1
                 print(f"{key} {field}: {ra.get(field)!r} -> {rb.get(field)!r}")
-    print(f"{len(a.keys() | b.keys())} tasks, {differing} differing fields")
-    return 1 if differing else 0
+    for field, rels in floats.items():
+        print(f"{field}: {len(rels)} differing, largest relative difference "
+              f"{max(rels, default=0.0):.3g}")
+    print(f"{len(a.keys() | b.keys())} tasks, {exact} differing exact fields")
+    beyond = any(rel > FLOAT_REL for rels in floats.values() for rel in rels)
+    return 1 if exact or beyond else 0
 
 
 def main(argv=None) -> int:
@@ -105,7 +127,7 @@ def main(argv=None) -> int:
     p_dump.add_argument("out")
     p_dump.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout whose src/ and bench/ are used")
-    p_diff = sub.add_parser("diff", help="print the fields that differ in two records")
+    p_diff = sub.add_parser("diff", help="compare two records: exact fields, then float fields")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
     args = parser.parse_args(argv)
