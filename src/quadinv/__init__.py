@@ -30,7 +30,6 @@ from .errors import (
 from .horizon import (
     BoundScalars,
     Candidate,
-    CandidateBound,
     HorizonBound,
     StabilityCertificate,
     K_of,

@@ -19,6 +19,8 @@ add ``--kstrict-cap``, ``--strategy``, ``--user-P`` and ``--epsilon``,
 ``verify`` also ``--horizon-cap`` and ``--alpha-override``, ``simulate``
 ``--oracle-horizon``, and ``export`` ``--epsilon``.  Any other flag is a
 usage error.  The parsed arguments are the run's configuration.
+``--strategy`` defaults to ``identity`` for ``verify``, which cuts off with
+the identity shape (plus ``--user-P``), and to ``auto``, every shape, for ``bound``.
 
 Exit codes: 0 proved (directly or by tail bound), 1 disproved,
 2 inconclusive, 3 bad input, 4 unstable system, 5 other engine errors.
@@ -47,9 +49,9 @@ from .horizon import (
     DEFAULT_EPSILON,
     DEFAULT_KSTRICT_CAP,
     STRATEGIES,
-    CandidateBound,
     HorizonBound,
     _evaluate,
+    objective_scores,
 )
 from .model import (
     AffineSystem,
@@ -224,9 +226,10 @@ def _verdict_dict(verdict: Verdict) -> dict:
     return out
 
 
-def _candidate_dict(cb: CandidateBound) -> dict:
-    entry = _bound_dict(cb.bound)
-    entry["scores"] = {f"F{i}": cb.scores[i] for i in range(5)}
+def _candidate_dict(bound: HorizonBound, hom: VerificationTask) -> dict:
+    cert, entry = bound.certificate, _bound_dict(bound)
+    scores = objective_scores(cert.P, hom.objective.Q, hom.init, cert.lmax_P)
+    entry["scores"] = {f"F{i}": score for i, score in enumerate(scores)}
     return entry
 
 
@@ -248,12 +251,11 @@ def _run_bound(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict
     user_p = load_user_matrix(args.user_p)
     staged = _stage(task, tol)
     bounds = _evaluate(*staged, args.strategy, user_p, args.epsilon, args.kstrict_cap, tol)
-    candidates = [CandidateBound(bound, staged[0].task) for bound in bounds]
-    best = min(candidates, key=lambda cb: cb.bound.K)
+    hom = staged[0].task
     return 0, {
         "command": "bound",
-        "best": _candidate_dict(best),
-        "candidates": [_candidate_dict(cb) for cb in candidates],
+        "best": _candidate_dict(min(bounds, key=lambda bound: bound.K), hom),
+        "candidates": [_candidate_dict(bound, hom) for bound in bounds],
     }
 
 
@@ -416,10 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="override a tolerance field (repeatable)",
     )
-    cutoff = argparse.ArgumentParser(add_help=False)
-    cutoff.add_argument("--kstrict-cap", type=int, default=DEFAULT_KSTRICT_CAP)
-    cutoff.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    cutoff.add_argument("--user-P", dest="user_p", default=None, metavar="PATH")
+
+    def cutoff(strategy: str) -> argparse.ArgumentParser:
+        flags = argparse.ArgumentParser(add_help=False)
+        flags.add_argument("--kstrict-cap", type=int, default=DEFAULT_KSTRICT_CAP)
+        flags.add_argument("--strategy", choices=STRATEGIES, default=strategy)
+        flags.add_argument("--user-P", dest="user_p", default=None, metavar="PATH")
+        return flags
+
     margin = argparse.ArgumentParser(add_help=False)
     margin.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     decide = argparse.ArgumentParser(add_help=False)
@@ -437,9 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, parents, handler, help_text in [
-        ("verify", [common, cutoff, margin, decide], _run_verify,
+        ("verify", [common, cutoff("identity"), margin, decide], _run_verify,
          "decide the property; exit 0 proved, 1 disproved, 2 inconclusive"),
-        ("bound", [common, cutoff, margin], _run_bound,
+        ("bound", [common, cutoff("auto"), margin], _run_bound,
          "report the certified cutoff K for every candidate strategy"),
         ("simulate", [common, oracle], _run_simulate,
          "scan raw step values and report empirical stopping ranks"),

@@ -63,7 +63,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -95,7 +94,6 @@ __all__ = [
     "BoundScalars",
     "HorizonBound",
     "Candidate",
-    "CandidateBound",
     "NuResult",
     "stability_certificate",
     "nu",
@@ -172,23 +170,6 @@ class Candidate:
     @property
     def P(self) -> np.ndarray:
         return self.certificate.P
-
-
-@dataclass(frozen=True)
-class CandidateBound:
-    """An evaluated candidate on a homogenized task, kept for reporting.
-
-    The ranking scores are computed on first access, so choosing the
-    smallest cutoff never pays for them.
-    """
-
-    bound: HorizonBound
-    task: VerificationTask
-
-    @cached_property
-    def scores(self) -> tuple[float, float, float, float, float]:
-        cert = self.bound.certificate
-        return objective_scores(cert.P, self.task.objective.Q, self.task.init, cert.lmax_P)
 
 
 class NuResult(NamedTuple):
@@ -575,7 +556,6 @@ def candidate_Ps(
     epsilon: float = DEFAULT_EPSILON,
     tol: Tolerances = DEFAULTS,
     *,
-    certificate: StabilityCertificate | None = None,
     q_eig: SymEig | None = None,
 ) -> list[Candidate]:
     """Certified shapes P at their smallest feasible scaling t = lmax(P^-1/2 Q P^-1/2).
@@ -584,18 +564,16 @@ def candidate_Ps(
     P - A^T P A = Id and P1 (Q >= 0 only) solves P - A^T P A = Id + Q:
     ``identity`` is theta = 1, ``q-augmented`` theta = 0 and ``blend-*`` the
     weights in between (:data:`SHAPES`).  A strategy selects the shapes whose
-    id it begins, ``auto`` every one; a built-in shape that fails its
-    certificate is left out.  ``user`` (and ``auto`` with ``user_P``) adds the
-    supplied P, which must pass the same certificate and
-    P - A^T P A >= epsilon*Id, or :class:`InvalidUserP` is raised.
-
-    ``certificate`` (from :func:`stability_certificate`) is P0's certificate
-    and ``q_eig`` the spectrum of Q, when the caller already holds them.
+    id it begins, ``auto`` every one and ``user`` none; a built-in shape that
+    fails its certificate is left out.  A supplied ``user_P`` is added under
+    every strategy and must pass the same certificate and
+    P - A^T P A >= epsilon*Id, or :class:`InvalidUserP` is raised; ``user``
+    requires one.  ``q_eig`` is the spectrum of Q, when the caller holds it.
     """
     _check_strategy(strategy)
     a, q = as_matrix(a_matrix, "A"), _check_symmetric(as_matrix(q_matrix, "Q"), tol, "Q")
     q_eig = q_eig or SymEig(*np.linalg.eigh(q))
-    shapes = _shapes(a, q, strategy, user_P, epsilon, tol, certificate, q_eig)
+    shapes = _shapes(a, q, strategy, user_P, epsilon, tol, None, q_eig)
     return [Candidate(sid, congruence_lmax(q, cert.P_inv_sqrt), cert) for sid, cert in shapes]
 
 
@@ -631,7 +609,7 @@ def _shapes(
             continue
         out.append((sid, cert))
 
-    if user_P is not None and strategy in ("auto", "user"):
+    if user_P is not None:
         out.append(("user-min-scale", _user_certificate(a, user_P, epsilon, tol)))
     elif strategy == "user":
         raise InvalidUserP("strategy 'user' requires a supplied P matrix")
@@ -664,19 +642,16 @@ def evaluate_candidates(
     epsilon: float = DEFAULT_EPSILON,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
     tol: Tolerances = DEFAULTS,
-    *,
-    certificate: StabilityCertificate | None = None,
-) -> list[CandidateBound]:
+) -> list[HorizonBound]:
     """Evaluate the cutoff for every applicable candidate pair.
 
-    ``k_strict``, ``S`` and the ``certificate`` of A are computed from the
-    task when not supplied.  Raises :class:`AssumptionViolated` when no
-    strictly positive step value exists within the scan cap.
+    ``k_strict`` and ``S`` are computed from the task when not supplied.
+    Raises :class:`AssumptionViolated` when no strictly positive step value
+    exists within the scan cap.
     """
     _require_linear(task)
-    bounds = _evaluate(_StepScan(task), certificate, None, strategy, user_P, epsilon,
-                       kstrict_cap, tol, k_strict, S)
-    return [CandidateBound(bound, task) for bound in bounds]
+    return _evaluate(_StepScan(task), None, None, strategy, user_P, epsilon,
+                     kstrict_cap, tol, k_strict, S)
 
 
 def _evaluate(
@@ -730,12 +705,7 @@ def best_K(
     epsilon: float = DEFAULT_EPSILON,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
     tol: Tolerances = DEFAULTS,
-    *,
-    certificate: StabilityCertificate | None = None,
 ) -> HorizonBound:
     """Smallest cutoff over all candidate pairs, with full provenance."""
-    evaluated = evaluate_candidates(
-        task, k_strict, S, strategy, user_P, epsilon, kstrict_cap, tol,
-        certificate=certificate,
-    )
-    return min(evaluated, key=lambda cb: cb.bound.K).bound
+    evaluated = evaluate_candidates(task, k_strict, S, strategy, user_P, epsilon, kstrict_cap, tol)
+    return min(evaluated, key=lambda bound: bound.K)

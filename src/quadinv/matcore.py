@@ -66,7 +66,9 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.asarray(m, dtype=float) ** 2)))
+    """``|M|_F`` by ``math.hypot``, which scales its arguments: entries past
+    1e154, whose squares overflow, still give a finite norm."""
+    return math.hypot(*np.asarray(m, dtype=float).ravel().tolist())
 
 
 def quad_forms(points: np.ndarray, m: np.ndarray) -> np.ndarray:

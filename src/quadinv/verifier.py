@@ -129,13 +129,14 @@ def trajectory(system: AffineSystem, x0, k: int) -> np.ndarray:
 def optimize(
     task: VerificationTask,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
-    strategy: str = "auto",
+    strategy: str = "identity",
     user_P=None,
     epsilon: float = DEFAULT_EPSILON,
     tol: Tolerances = DEFAULTS,
 ) -> Optimum:
     """Exact supremum of the objective over all reachable states.
 
+    The cutoff comes from the shapes of ``strategy`` (see :func:`verify`).
     The maximizer is reported in original coordinates.  Propagates
     :class:`Unstable` and :class:`AssumptionViolated` from the pipeline.
     """
@@ -164,7 +165,7 @@ def verify(
     alpha: float | None = None,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
     tail_cap: int = DEFAULT_TAIL_CAP,
-    strategy: str = "auto",
+    strategy: str = "identity",
     user_P=None,
     epsilon: float = DEFAULT_EPSILON,
     tol: Tolerances = DEFAULTS,
@@ -176,6 +177,11 @@ def verify(
     decision slack.  Values inside the slack band are reported Inconclusive
     with both numbers.  When the horizon bound is unavailable the tail-bound
     fallback samples at most ``tail_cap`` steps.
+
+    The default ``strategy`` cuts off with the identity shape P0 that certifies
+    A (plus ``user_P``): any certified cutoff gives the same supremum, and the
+    stop below, not K, sets the scan's length.  ``auto`` takes the smallest K
+    over every shape of :func:`candidate_Ps`.
 
     The homogenized task's step values are walked once: the k_strict search
     (bounded where the identity shape's envelope U falls below

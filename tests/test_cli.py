@@ -12,7 +12,8 @@ import quadinv
 from quadinv import horizon
 from quadinv.cli import build_parser, main, parse_input, render_text
 from quadinv.errors import DimensionMismatch, ParseError
-from quadinv.model import linear_range_property
+from quadinv.horizon import evaluate_candidates, objective_scores
+from quadinv.model import homogenize, linear_range_property
 from support import HARMONIC_A, ROTATION_A, ROTATION_B, tail_style_task
 
 
@@ -279,10 +280,11 @@ class TestBoundStaging:
     def test_best_cutoff_is_verify_cutoff(self, tmp_path, capsys, doc):
         path = write_json(tmp_path / "paper.json", doc)
         assert main(["bound", path, "--report", "json"]) == 0
-        best = json.loads(capsys.readouterr().out)["best"]
+        candidates = json.loads(capsys.readouterr().out)["candidates"]
+        [identity] = [c for c in candidates if c["strategy"] == "identity"]
         main(["verify", path, "--report", "json"])
         bound = json.loads(capsys.readouterr().out)["optimum"]["bound"]
-        assert (best["K"], best["strategy"]) == (bound["K"], bound["strategy"])
+        assert (identity["K"], identity["strategy"]) == (bound["K"], bound["strategy"])
 
 
 class TestBoundCommand:
@@ -296,6 +298,17 @@ class TestBoundCommand:
         assert "identity" in strategies and "q-augmented" in strategies
         for cand in report["candidates"]:
             assert set(cand["scores"]) == {"F0", "F1", "F2", "F3", "F4"}
+
+    def test_scores_are_objective_scores(self, tmp_path, capsys):
+        path = write_json(tmp_path / "b.json", rotation_doc(np.eye(2)))
+        assert main(["bound", path, "--report", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        hom = homogenize(parse_input(path))
+        shapes = {bound.strategy_id: bound.certificate.P for bound in evaluate_candidates(hom)}
+        assert [c["strategy"] for c in report["candidates"]] == list(shapes)
+        for cand in report["candidates"]:
+            scores = objective_scores(shapes[cand["strategy"]], hom.objective.Q, hom.init)
+            assert [cand["scores"][f"F{i}"] for i in range(5)] == list(scores)
 
     def test_scores_reuse_certificate_eigenvalues(self, tmp_path, monkeypatch):
         # F4 = lmax(P) comes from each shape's certificate, not from a sixth
@@ -483,6 +496,11 @@ class TestSurface:
             for name, cmd in sub.choices.items()
         }
         assert registered == self.FLAGS
+
+    def test_strategy_defaults_per_command(self):
+        parser = build_parser()
+        assert parser.parse_args(["verify", "t.json"]).strategy == "identity"
+        assert parser.parse_args(["bound", "t.json"]).strategy == "auto"
 
     @pytest.mark.parametrize(
         "argv",

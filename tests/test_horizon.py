@@ -246,8 +246,6 @@ class TestScanMatchesStepLoop:
         if kind == "zero":
             assert not values.any()
 
-    # the Frobenius norms of the symmetry check on Q overflow at 2^600
-    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
     @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
     def test_scaled_objective_keeps_rank_cut_and_scales_values(self, scale):
         rng = np.random.default_rng(7)
@@ -681,11 +679,18 @@ class TestBestK:
     def test_user_strategy_only_uses_user_candidates(self):
         task = rotation_task(np.eye(2), translated=False)
         evaluated = evaluate_candidates(task, strategy="user", user_P=np.eye(2))
-        assert {cb.bound.strategy_id for cb in evaluated} <= {
-            "user-unit-scale",
-            "user-min-scale",
-        }
-        assert min(cb.bound.K for cb in evaluated) == 1
+        assert {bound.strategy_id for bound in evaluated} == {"user-min-scale"}
+        assert min(bound.K for bound in evaluated) == 1
+
+    def test_user_p_competes_under_identity(self):
+        task = rotation_task(np.eye(2), translated=False)
+        evaluated = evaluate_candidates(task, strategy="identity", user_P=np.eye(2))
+        assert [bound.strategy_id for bound in evaluated] == ["identity", "user-min-scale"]
+
+    def test_asymmetric_user_p_rejected_under_identity(self):
+        task = rotation_task(np.eye(2), translated=False)
+        with pytest.raises(InvalidUserP):
+            evaluate_candidates(task, strategy="identity", user_P=[[1.0, 0.5], [0.0, 1.0]])
 
     def test_never_above_unit_scale_pairs(self):
         # (1, P) with P - Q >= 0 is feasible, and K is monotone in t, so the
@@ -702,26 +707,6 @@ class TestBestK:
             assert np.linalg.eigvalsh(user_P - Q).min() >= 0.0
             user = best_K(task, strategy="user", user_P=user_P)
             assert user.K <= K_of(1.0, user_P, task, S)
-
-    def test_scores_computed_only_on_request(self, monkeypatch):
-        calls = []
-
-        def counting_scores(*args):
-            calls.append(args)
-            return objective_scores(*args)
-
-        monkeypatch.setattr(horizon, "objective_scores", counting_scores)
-        task = harmonic_task(np.diag([1.0, 0.0]))
-        best_K(task)
-        assert calls == []
-        evaluated = evaluate_candidates(task)
-        assert calls == []
-        first = [cb.scores for cb in evaluated]
-        assert [cb.scores for cb in evaluated] == first
-        assert len(calls) == len(evaluated)
-        for cb, scores in zip(evaluated, first):
-            P = cb.bound.certificate.P
-            assert scores == objective_scores(P, task.objective.Q, task.init)
 
     def test_indefinite_objective_warns(self):
         task = VerificationTask(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,20 @@ class TestQuadraticObjective:
     def test_rejects_asymmetric_q(self):
         with pytest.raises(NotSymmetric):
             QuadraticObjective(Q=[[1.0, 1.0], [0.0, 1.0]], q=[0.0, 0.0])
+
+    def test_rejects_asymmetric_q_past_square_overflow(self):
+        # the entries' squares overflow; the check must still see the asymmetry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotSymmetric):
+                QuadraticObjective(Q=[[1e200, 5e199], [0.0, 1e200]], q=[0.0, 0.0])
+
+    def test_accepts_symmetric_q_past_square_overflow(self):
+        Q = [[1e200, -3e199], [-3e199, 2e200]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obj = QuadraticObjective(Q=Q, q=[0.0, 0.0])
+        np.testing.assert_array_equal(obj.Q, Q)
 
     def test_vectorized_values_match_scalar(self):
         obj = QuadraticObjective(

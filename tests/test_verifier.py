@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadinv import horizon, matcore, verifier
 from quadinv.config import DEFAULTS
@@ -385,7 +387,7 @@ class TestSharedWork:
         assert calls == ["eigh"]
 
     def test_each_shape_certified_once(self, monkeypatch):
-        shapes = []
+        shapes, solves = [], []
         original = horizon._certificate_for
 
         def recording(a, p, *rest, **kwargs):
@@ -393,12 +395,17 @@ class TestSharedWork:
             return original(a, p, *rest, **kwargs)
 
         monkeypatch.setattr(horizon, "_certificate_for", recording)
+        self._count(monkeypatch, horizon, "lyapunov_solve", solves)
         verify(parity_task(1005, 5))
+        # the default certifies only the identity shape P0 of the stage
+        assert len(shapes) == 1 and solves == ["lyapunov_solve"]
+        shapes.clear()
+        verify(parity_task(1005, 5), strategy="auto")
         # identity, q-augmented and three blends
         assert len(shapes) == len(set(shapes)) == 5
 
     def test_each_shape_decomposed_once(self, monkeypatch):
-        shapes, decomposed, forbidden = [], [], []
+        shapes, decomposed, forbidden, solves = [], [], [], []
 
         def recording(module, name, log, arg):
             original = getattr(module, name)
@@ -416,7 +423,13 @@ class TestSharedWork:
             for name in ("inv_sqrt", "generalized_lmax", "weighted_opnorm"):
                 if hasattr(module, name):
                     self._count(monkeypatch, module, name, forbidden)
+        self._count(monkeypatch, horizon, "lyapunov_solve", solves)
         verify(parity_task(1005, 5))
+        assert len(shapes) == 1 and solves == ["lyapunov_solve"]
+        assert sum(np.array_equal(m, shapes[0]) for m in decomposed) == 1
+        shapes.clear()
+        decomposed.clear()
+        verify(parity_task(1005, 5), strategy="auto")
         assert len(shapes) == 5  # identity, three blends and q-augmented
         for p in shapes:
             assert sum(np.array_equal(m, p) for m in decomposed) == 1
@@ -539,12 +552,14 @@ def parity_task(seed: int, d: int) -> VerificationTask:
     )
 
 
-# (seed, d, verdict, optimum value, K, winning strategy), recorded with the
-# earlier pure-Python Jacobi and elimination kernels; the LAPACK kernels must
-# reproduce them
+# (seed, d, verdict, optimum value, K, winning strategy) of the default
+# verify; verdicts and values were recorded with the earlier pure-Python Jacobi
+# and elimination kernels, and the LAPACK kernels must reproduce them.  Under
+# strategy "auto", seeds 2002, 1007, 1008, 2008 and 2009 win with blend-0.25 at
+# K = 3, 2, 1, 13 and 1, with the same verdicts and values
 PARITY_CASES = [
     (1002, 2, "Proved", 2.197119786310762, 2, "identity"),
-    (2002, 2, "Proved", 1.863051946954071, 3, "blend-0.25"),
+    (2002, 2, "Proved", 1.863051946954071, 4, "identity"),
     (1003, 3, "Proved", 4.230247788123474, 1, "identity"),
     (2003, 3, "Disproved", 7.643794476814022, 1, "identity"),
     (1004, 4, "Proved", 7.73438616912062, 3, "identity"),
@@ -553,12 +568,12 @@ PARITY_CASES = [
     (2005, 5, "Disproved", 10.487302989735651, 9, "identity"),
     (1006, 6, "Proved", 11.719870401587192, 4, "identity"),
     (2006, 6, "Proved", 4.617620407628767, 1, "identity"),
-    (1007, 7, "Disproved", 25.096555360734325, 2, "blend-0.25"),
+    (1007, 7, "Disproved", 25.096555360734325, 3, "identity"),
     (2007, 7, "Disproved", 14.763813900876904, 1, "identity"),
-    (1008, 8, "Disproved", 20.232508960292748, 1, "blend-0.25"),
-    (2008, 8, "Disproved", 24.711105976847396, 13, "blend-0.25"),
+    (1008, 8, "Disproved", 20.232508960292748, 2, "identity"),
+    (2008, 8, "Disproved", 24.711105976847396, 15, "identity"),
     (1009, 9, "Proved", 17.45719730603381, 1, "identity"),
-    (2009, 9, "Disproved", 28.894588745144542, 1, "blend-0.25"),
+    (2009, 9, "Disproved", 28.894588745144542, 2, "identity"),
     (1010, 10, "Disproved", 27.541892173421953, 1, "identity"),
     (2010, 10, "Proved", 9.939714029758203, 3, "identity"),
     (1011, 11, "Disproved", 25.446750369432056, 2, "identity"),
@@ -576,3 +591,31 @@ class TestOutputParity:
         assert verdict.optimum.value == pytest.approx(value, rel=1e-9)
         assert verdict.optimum.bound.K == K
         assert verdict.optimum.bound.strategy_id == strategy
+
+
+class TestIdentityDefault:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), affine=st.booleans())
+    def test_default_agrees_with_auto(self, seed, d, affine):
+        # any certified cutoff bounds the same exact supremum: the identity
+        # shape alone decides as all built-in shapes do
+        rng = np.random.default_rng(seed)
+        lower, upper = random_box(rng, d, straddle=bool(seed % 2))
+        task = VerificationTask(
+            system=AffineSystem(A=random_stable_matrix(rng, d),
+                                b=rng.normal(0.0, 0.5, d) if affine else np.zeros(d)),
+            init=box_to_vertices(lower, upper),
+            objective=QuadraticObjective(Q=random_psd(rng, d), q=rng.normal(0.0, 0.5, d),
+                                         alpha=rng.uniform(0.5, 2.0) * d),
+        )
+        default, auto = verify(task), verify(task, strategy="auto")
+        assert default.status is auto.status
+        assert (default.optimum is None) == (auto.optimum is None)
+        if default.optimum is not None:
+            assert default.optimum.bound.strategy_id == "identity"
+            assert default.optimum.value == auto.optimum.value
+            assert default.optimum.arg_k == auto.optimum.arg_k
+            assert default.optimum.stop <= default.optimum.bound.K
+        assert (default.witness is None) == (auto.witness is None)
+        if default.witness is not None:
+            np.testing.assert_array_equal(default.witness, auto.witness)
