@@ -29,12 +29,10 @@ from .errors import (
 )
 from .horizon import (
     BoundScalars,
-    Candidate,
     HorizonBound,
     StabilityCertificate,
     K_of,
     best_K,
-    candidate_Ps,
     evaluate_candidates,
     find_k_strict,
     mu,

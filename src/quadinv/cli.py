@@ -15,12 +15,12 @@ Input is a single JSON document:
 ``{"linear_range": {"c": [...], "lower": a, "upper": b}}``.
 
 Every subcommand takes ``--report`` and ``--tol``; ``verify`` and ``bound``
-add ``--kstrict-cap``, ``--strategy``, ``--user-P`` and ``--epsilon``,
-``verify`` also ``--horizon-cap`` and ``--alpha-override``, ``simulate``
+add ``--kstrict-cap``, ``--user-P`` and ``--epsilon``, ``verify`` also
+``--horizon-cap`` and ``--alpha-override``, ``simulate``
 ``--oracle-horizon``, and ``export`` ``--epsilon``.  Any other flag is a
 usage error.  The parsed arguments are the run's configuration.
-``--strategy`` defaults to ``identity`` for ``verify``, which cuts off with
-the identity shape (plus ``--user-P``), and to ``auto``, every shape, for ``bound``.
+``verify`` cuts off with the identity shape (plus ``--user-P``), and
+``bound`` lists the cutoff of every built-in shape (plus ``--user-P``).
 
 Exit codes: 0 proved (directly or by tail bound), 1 disproved,
 2 inconclusive, 3 bad input, 4 unstable system, 5 other engine errors.
@@ -48,9 +48,10 @@ from .errors import (
 from .horizon import (
     DEFAULT_EPSILON,
     DEFAULT_KSTRICT_CAP,
-    STRATEGIES,
     HorizonBound,
-    _evaluate,
+    _cutoffs,
+    _positive_step,
+    _shapes,
     objective_scores,
 )
 from .model import (
@@ -239,7 +240,6 @@ def _run_verify(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dic
         alpha=args.alpha_override,
         kstrict_cap=args.kstrict_cap,
         tail_cap=args.horizon_cap,
-        strategy=args.strategy,
         user_P=load_user_matrix(args.user_p),
         epsilon=args.epsilon,
         tol=tol,
@@ -248,10 +248,10 @@ def _run_verify(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dic
 
 
 def _run_bound(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict]:
-    user_p = load_user_matrix(args.user_p)
-    staged = _stage(task, tol)
-    bounds = _evaluate(*staged, args.strategy, user_p, args.epsilon, args.kstrict_cap, tol)
-    hom = staged[0].task
+    scan, cert, envelope, user = _stage(task, load_user_matrix(args.user_p), args.epsilon, tol)
+    hom = scan.task
+    k_strict, S = _positive_step(scan, args.kstrict_cap, tol, (envelope, cert.norm_A_P))
+    bounds = _cutoffs(hom, _shapes(hom, tol, cert) + user, k_strict, S, tol, cert, envelope)
     return 0, {
         "command": "bound",
         "best": _candidate_dict(min(bounds, key=lambda bound: bound.K), hom),
@@ -419,13 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a tolerance field (repeatable)",
     )
 
-    def cutoff(strategy: str) -> argparse.ArgumentParser:
-        flags = argparse.ArgumentParser(add_help=False)
-        flags.add_argument("--kstrict-cap", type=int, default=DEFAULT_KSTRICT_CAP)
-        flags.add_argument("--strategy", choices=STRATEGIES, default=strategy)
-        flags.add_argument("--user-P", dest="user_p", default=None, metavar="PATH")
-        return flags
-
+    cutoff = argparse.ArgumentParser(add_help=False)
+    cutoff.add_argument("--kstrict-cap", type=int, default=DEFAULT_KSTRICT_CAP)
+    cutoff.add_argument("--user-P", dest="user_p", default=None, metavar="PATH")
     margin = argparse.ArgumentParser(add_help=False)
     margin.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     decide = argparse.ArgumentParser(add_help=False)
@@ -443,10 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, parents, handler, help_text in [
-        ("verify", [common, cutoff("identity"), margin, decide], _run_verify,
+        ("verify", [common, cutoff, margin, decide], _run_verify,
          "decide the property; exit 0 proved, 1 disproved, 2 inconclusive"),
-        ("bound", [common, cutoff("auto"), margin], _run_bound,
-         "report the certified cutoff K for every candidate strategy"),
+        ("bound", [common, cutoff, margin], _run_bound,
+         "report the certified cutoff K of every candidate shape"),
         ("simulate", [common, oracle], _run_simulate,
          "scan raw step values and report empirical stopping ranks"),
         ("export", [common, margin], _run_export,

@@ -78,7 +78,6 @@ from .errors import (
     Unstable,
 )
 from .matcore import (
-    SymEig,
     _check_symmetric,
     as_matrix,
     congruence_lmax,
@@ -93,7 +92,6 @@ __all__ = [
     "StabilityCertificate",
     "BoundScalars",
     "HorizonBound",
-    "Candidate",
     "NuResult",
     "stability_certificate",
     "nu",
@@ -103,13 +101,11 @@ __all__ = [
     "mu",
     "K_of",
     "tail_bound",
-    "candidate_Ps",
     "objective_scores",
     "evaluate_candidates",
     "best_K",
 ]
 
-STRATEGIES = ("auto", "identity", "q-augmented", "blend", "user")
 # theta of each built-in shape theta P0 + (1 - theta) P1 by id, in evaluation
 # order: the first of equal cutoffs wins
 SHAPES = {"identity": 1.0, "blend-0.25": 0.25, "blend-0.5": 0.5, "blend-0.75": 0.75,
@@ -157,19 +153,6 @@ class HorizonBound:
     scalars: BoundScalars
     certificate: StabilityCertificate
     strategy_id: str
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """A certified shape paired with its smallest feasible scaling t."""
-
-    strategy_id: str
-    t: float
-    certificate: StabilityCertificate
-
-    @property
-    def P(self) -> np.ndarray:
-        return self.certificate.P
 
 
 class NuResult(NamedTuple):
@@ -353,7 +336,6 @@ def _walk(
 def nu(
     task: VerificationTask,
     k: int,
-    tol: Tolerances = DEFAULTS,
     include_constant: bool = True,
 ) -> NuResult:
     """Largest objective value over initial vertices propagated k steps.
@@ -530,11 +512,11 @@ def objective_scores(
 
     F0/F2 are the max/sum of vertex P-energies, F1/F3 the same on P - Q, and
     F4 lmax(P), read from ``lmax_P`` when given.  Scores only rank and
-    report candidates; they never affect soundness.  P must be symmetric
-    (:class:`NotSymmetric`) either way.
+    report candidates; they never affect soundness.  P and Q must be
+    symmetric (:class:`NotSymmetric`) either way.
     """
     p = _check_symmetric(as_matrix(p_matrix, "P"), DEFAULTS, "P")
-    q = as_matrix(q_matrix, "Q")
+    q = _check_symmetric(as_matrix(q_matrix, "Q"), DEFAULTS, "Q")
     verts = init.vertices
     energies_p = quad_forms(verts, p)
     energies_pq = quad_forms(verts, p - q)
@@ -548,57 +530,21 @@ def objective_scores(
     )
 
 
-def candidate_Ps(
-    a_matrix,
-    q_matrix,
-    strategy: str = "auto",
-    user_P=None,
-    epsilon: float = DEFAULT_EPSILON,
-    tol: Tolerances = DEFAULTS,
-    *,
-    q_eig: SymEig | None = None,
-) -> list[Candidate]:
-    """Certified shapes P at their smallest feasible scaling t = lmax(P^-1/2 Q P^-1/2).
+def _shapes(
+    task: VerificationTask, tol: Tolerances, certificate: StabilityCertificate | None = None
+) -> list[tuple[str, StabilityCertificate]]:
+    """Every built-in shape that passes its certificate, in evaluation order.
 
     The built-in shapes are theta P0 + (1 - theta) P1, where P0 solves
     P - A^T P A = Id and P1 (Q >= 0 only) solves P - A^T P A = Id + Q:
     ``identity`` is theta = 1, ``q-augmented`` theta = 0 and ``blend-*`` the
-    weights in between (:data:`SHAPES`).  A strategy selects the shapes whose
-    id it begins, ``auto`` every one and ``user`` none; a built-in shape that
-    fails its certificate is left out.  A supplied ``user_P`` is added under
-    every strategy and must pass the same certificate and
-    P - A^T P A >= epsilon*Id, or :class:`InvalidUserP` is raised; ``user``
-    requires one.  ``q_eig`` is the spectrum of Q, when the caller holds it.
+    weights in between (:data:`SHAPES`).  ``certificate``, when given, is
+    P0's, and the identity shape reuses it.
     """
-    _check_strategy(strategy)
-    a, q = as_matrix(a_matrix, "A"), _check_symmetric(as_matrix(q_matrix, "Q"), tol, "Q")
-    q_eig = q_eig or SymEig(*np.linalg.eigh(q))
-    shapes = _shapes(a, q, strategy, user_P, epsilon, tol, None, q_eig)
-    return [Candidate(sid, congruence_lmax(q, cert.P_inv_sqrt), cert) for sid, cert in shapes]
-
-
-def _check_strategy(strategy: str) -> None:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-
-
-def _shapes(
-    a: np.ndarray, q: np.ndarray, strategy: str, user_P, epsilon: float, tol: Tolerances,
-    certificate: StabilityCertificate | None, q_eig: SymEig,
-) -> list[tuple[str, StabilityCertificate]]:
-    """The certified shapes of :func:`candidate_Ps`, in evaluation order, for checked A, Q."""
-    d = a.shape[0]
-    q_is_psd = q_eig.lmin >= -tol.psd_eig_floor
-    shapes = {
-        sid: w for sid, w in SHAPES.items()
-        if (strategy == "auto" or sid.startswith(strategy)) and (w == 1.0 or q_is_psd)
-    }
-    p0 = certificate.P if certificate else None
-    if p0 is None and any(w > 0.0 for w in shapes.values()):
-        p0 = lyapunov_solve(a, np.eye(d), tol)
-    p1 = None
-    if any(w < 1.0 for w in shapes.values()):
-        p1 = lyapunov_solve(a, np.eye(d) + q, tol)
+    a, q, d = task.system.A, task.objective.Q, task.dim
+    shapes = SHAPES if task.objective.eig.lmin >= -tol.psd_eig_floor else {"identity": 1.0}
+    p0 = lyapunov_solve(a, np.eye(d), tol) if certificate is None else certificate.P
+    p1 = lyapunov_solve(a, np.eye(d) + q, tol) if len(shapes) > 1 else None
     out: list[tuple[str, StabilityCertificate]] = []
     for sid, w in shapes.items():
         shape = p0 if w == 1.0 else p1 if w == 0.0 else w * p0 + (1.0 - w) * p1
@@ -608,17 +554,19 @@ def _shapes(
         except InfeasiblePair:
             continue
         out.append((sid, cert))
-
-    if user_P is not None:
-        out.append(("user-min-scale", _user_certificate(a, user_P, epsilon, tol)))
-    elif strategy == "user":
-        raise InvalidUserP("strategy 'user' requires a supplied P matrix")
     return out
 
 
-def _user_certificate(
+def _user_shapes(
     a: np.ndarray, user_P, epsilon: float, tol: Tolerances
-) -> StabilityCertificate:
+) -> list[tuple[str, StabilityCertificate]]:
+    """The supplied ``user_P`` as the shape ``user-min-scale``, none without one.
+
+    It must pass the built-in shapes' certificate and P - A^T P A >= epsilon*Id,
+    or :class:`InvalidUserP` is raised.
+    """
+    if user_P is None:
+        return []
     try:
         p = _check_symmetric(as_matrix(user_P, "user P"), tol, "user P")
         cert = _certificate_for(a, p, tol)
@@ -630,59 +578,51 @@ def _user_certificate(
             f"user P violates P - A^T P A >= {epsilon}*Id by "
             f"{epsilon - cert.residual_margin:.3e}"
         )
-    return cert
+    return [("user-min-scale", cert)]
 
 
-def evaluate_candidates(
-    task: VerificationTask,
-    k_strict: int | None = None,
-    S: float | None = None,
-    strategy: str = "auto",
-    user_P=None,
-    epsilon: float = DEFAULT_EPSILON,
-    kstrict_cap: int = DEFAULT_KSTRICT_CAP,
-    tol: Tolerances = DEFAULTS,
-) -> list[HorizonBound]:
-    """Evaluate the cutoff for every applicable candidate pair.
-
-    ``k_strict`` and ``S`` are computed from the task when not supplied.
-    Raises :class:`AssumptionViolated` when no strictly positive step value
-    exists within the scan cap.
-    """
-    _require_linear(task)
-    return _evaluate(_StepScan(task), None, None, strategy, user_P, epsilon,
-                     kstrict_cap, tol, k_strict, S)
-
-
-def _evaluate(
-    scan: _StepScan, certificate: StabilityCertificate | None, envelope: BoundScalars | None,
-    strategy: str, user_P, epsilon: float, kstrict_cap: int, tol: Tolerances,
+def _positive_step(
+    scan: _StepScan, kstrict_cap: int, tol: Tolerances,
+    envelope: tuple[BoundScalars, float] | None = None,
     k_strict: int | None = None, S: float | None = None,
-) -> list[HorizonBound]:
-    """:func:`evaluate_candidates` on a scan of its task.
+) -> tuple[int, float]:
+    """k_strict and S of a scan's task, each computed when not supplied.
 
-    ``envelope`` holds the t, V and mu of ``certificate``'s shape P0, which
-    the identity shape then reuses; the k_strict search also ends where its
-    U falls below strict_pos, as no later value can exceed it.
+    The k_strict search scans at most ``kstrict_cap`` steps, and with
+    ``envelope = (scalars, |A|_P)`` ends where its U falls below strict_pos,
+    as no later value can exceed it.  Raises :class:`AssumptionViolated` when
+    no strictly positive step value is found.
     """
-    _check_strategy(strategy)
     task = scan.task
     _warn_if_indefinite(task, tol)
-    if envelope is not None:
-        last = _envelope_horizon(envelope, certificate.norm_A_P, tol.strict_pos, kstrict_cap + 1)
-        kstrict_cap = max(last - 1, 0)
     if k_strict is None:
-        _, nu_k, k_strict, _ = _walk(scan, kstrict_cap, level=tol.strict_pos)
+        last = kstrict_cap
+        if envelope is not None:
+            last = max(_envelope_horizon(*envelope, tol.strict_pos, kstrict_cap + 1) - 1, 0)
+        _, nu_k, k_strict, _ = _walk(scan, last, level=tol.strict_pos)
         if not nu_k > tol.strict_pos:
+            after = f"; the envelope rules one out after step {last}" if last < kstrict_cap else ""
             raise AssumptionViolated(
-                f"no strictly positive step value within cap {kstrict_cap}"
+                f"no strictly positive step value within cap {kstrict_cap}{after}"
             )
     if S is None:
         S = _threshold(task, scan.value(k_strict), tol)
+    return k_strict, S
+
+
+def _cutoffs(
+    task: VerificationTask, shapes: list[tuple[str, StabilityCertificate]], k_strict: int,
+    S: float, tol: Tolerances, certificate: StabilityCertificate | None = None,
+    envelope: BoundScalars | None = None,
+) -> list[HorizonBound]:
+    """The cutoff of each certified shape at its smallest t, in order.
+
+    Infeasible pairs are left out; :class:`InfeasiblePair` when none is left.
+    ``envelope`` holds the t, V and mu of ``certificate``'s shape, which that
+    shape then reuses.
+    """
     Q, bounds = task.objective.Q, []
-    for sid, cert in _shapes(
-        task.system.A, Q, strategy, user_P, epsilon, tol, certificate, task.objective.eig
-    ):
+    for sid, cert in shapes:
         known = envelope if cert is certificate else None
         t = known.t if known else congruence_lmax(Q, cert.P_inv_sqrt)
         try:
@@ -696,16 +636,37 @@ def _evaluate(
     return bounds
 
 
+def evaluate_candidates(
+    task: VerificationTask,
+    k_strict: int | None = None,
+    S: float | None = None,
+    user_P=None,
+    epsilon: float = DEFAULT_EPSILON,
+    kstrict_cap: int = DEFAULT_KSTRICT_CAP,
+    tol: Tolerances = DEFAULTS,
+) -> list[HorizonBound]:
+    """The cutoff of every built-in shape (:func:`_shapes`), then of ``user_P``.
+
+    ``k_strict`` and ``S`` are computed from the task when not supplied.  A
+    supplied ``user_P`` is checked before any step is scanned.  Raises
+    :class:`AssumptionViolated` when no strictly positive step value exists
+    within the scan cap.
+    """
+    _require_linear(task)
+    user = _user_shapes(task.system.A, user_P, epsilon, tol)
+    k_strict, S = _positive_step(_StepScan(task), kstrict_cap, tol, k_strict=k_strict, S=S)
+    return _cutoffs(task, _shapes(task, tol) + user, k_strict, S, tol)
+
+
 def best_K(
     task: VerificationTask,
     k_strict: int | None = None,
     S: float | None = None,
-    strategy: str = "auto",
     user_P=None,
     epsilon: float = DEFAULT_EPSILON,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
     tol: Tolerances = DEFAULTS,
 ) -> HorizonBound:
     """Smallest cutoff over all candidate pairs, with full provenance."""
-    evaluated = evaluate_candidates(task, k_strict, S, strategy, user_P, epsilon, kstrict_cap, tol)
+    evaluated = evaluate_candidates(task, k_strict, S, user_P, epsilon, kstrict_cap, tol)
     return min(evaluated, key=lambda bound: bound.K)

@@ -26,9 +26,11 @@ from .horizon import (
     BoundScalars,
     HorizonBound,
     StabilityCertificate,
+    _cutoffs,
     _envelope_horizon,
-    _evaluate,
+    _positive_step,
     _StepScan,
+    _user_shapes,
     _v_term,
     _walk,
     _warn_if_indefinite,
@@ -129,34 +131,40 @@ def trajectory(system: AffineSystem, x0, k: int) -> np.ndarray:
 def optimize(
     task: VerificationTask,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
-    strategy: str = "identity",
     user_P=None,
     epsilon: float = DEFAULT_EPSILON,
     tol: Tolerances = DEFAULTS,
 ) -> Optimum:
     """Exact supremum of the objective over all reachable states.
 
-    The cutoff comes from the shapes of ``strategy`` (see :func:`verify`).
-    The maximizer is reported in original coordinates.  Propagates
-    :class:`Unstable` and :class:`AssumptionViolated` from the pipeline.
+    The cutoff comes from the identity shape and ``user_P`` (see
+    :func:`verify`).  The maximizer is reported in original coordinates.
+    Propagates :class:`Unstable`, :class:`InvalidUserP` and
+    :class:`AssumptionViolated` from the pipeline.
     """
-    staged = _stage(task, tol)
-    bounds = _evaluate(*staged, strategy, user_P, epsilon, kstrict_cap, tol)
-    return _optimum(task, staged[0], min(bounds, key=lambda bound: bound.K))
+    return _optimum(task, _stage(task, user_P, epsilon, tol), kstrict_cap, tol)
 
 
-def _stage(task: VerificationTask, tol: Tolerances):
+def _stage(task: VerificationTask, user_P, epsilon: float, tol: Tolerances):
     """What verify, optimize and the bound command build before the cutoff: the
-    certificate of A, a scan of the homogenized task and the certificate's envelope."""
+    certificate of A, the user shapes of ``user_P`` (checked before any step is
+    scanned), a scan of the homogenized task and the certificate's envelope."""
     cert = stability_certificate(task.system.A, tol)
+    user = _user_shapes(task.system.A, user_P, epsilon, tol)
     scan = _StepScan(homogenize(task, tol))
-    return scan, cert, _envelope(scan.task, cert, tol)
+    return scan, cert, _envelope(scan.task, cert, tol), user
 
 
-def _optimum(task: VerificationTask, scan: _StepScan, bound: HorizonBound) -> Optimum:
-    """The supremum over the homogenized task's steps, walked under ``bound``'s envelope."""
-    envelope = (bound.scalars, bound.certificate.norm_A_P)
-    stop, value, arg_k, index = _walk(scan, bound.K, envelope, scan.task.objective.constant)
+def _optimum(task: VerificationTask, staged, kstrict_cap: int, tol: Tolerances) -> Optimum:
+    """The supremum over the homogenized task's steps, walked under the envelope of
+    the smallest cutoff of the identity shape and the user shapes."""
+    scan, cert, envelope, user = staged
+    k_strict, S = _positive_step(scan, kstrict_cap, tol, (envelope, cert.norm_A_P))
+    bounds = _cutoffs(scan.task, [("identity", cert), *user], k_strict, S, tol, cert, envelope)
+    bound = min(bounds, key=lambda bound: bound.K)
+    stop, value, arg_k, index = _walk(
+        scan, bound.K, (bound.scalars, bound.certificate.norm_A_P), scan.task.objective.constant
+    )
     return Optimum(value, arg_k, task.init.vertices[index], bound, stop)
 
 
@@ -165,7 +173,6 @@ def verify(
     alpha: float | None = None,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
     tail_cap: int = DEFAULT_TAIL_CAP,
-    strategy: str = "identity",
     user_P=None,
     epsilon: float = DEFAULT_EPSILON,
     tol: Tolerances = DEFAULTS,
@@ -178,10 +185,10 @@ def verify(
     with both numbers.  When the horizon bound is unavailable the tail-bound
     fallback samples at most ``tail_cap`` steps.
 
-    The default ``strategy`` cuts off with the identity shape P0 that certifies
-    A (plus ``user_P``): any certified cutoff gives the same supremum, and the
-    stop below, not K, sets the scan's length.  ``auto`` takes the smallest K
-    over every shape of :func:`candidate_Ps`.
+    The cutoff comes from the identity shape P0 that certifies A, and from
+    ``user_P`` when one is supplied (the smaller K wins): any certified cutoff
+    gives the same supremum, and the stop below, not K, sets the scan's
+    length.  ``user_P`` is checked before any step is scanned.
 
     The homogenized task's step values are walked once: the k_strict search
     (bounded where the identity shape's envelope U falls below
@@ -192,12 +199,11 @@ def verify(
     alpha = task.objective.alpha if alpha is None else float(alpha)
     if alpha is None or not math.isfinite(alpha):
         raise ValueError(f"verify requires a finite level alpha, got {alpha}")
-    staged = _stage(task, tol)
+    staged = _stage(task, user_P, epsilon, tol)
     try:
-        bounds = _evaluate(*staged, strategy, user_P, epsilon, kstrict_cap, tol)
+        optimum = _optimum(task, staged, kstrict_cap, tol)
     except AssumptionViolated:
-        return _tail_verdict(task, *staged, alpha, tail_cap, tol)
-    optimum = _optimum(task, staged[0], min(bounds, key=lambda bound: bound.K))
+        return _tail_verdict(task, *staged[:3], alpha, tail_cap, tol)
     slack = tol.alpha_slack
     if optimum.value <= alpha:
         return Verdict(

@@ -14,7 +14,7 @@ import pytest
 from quadinv.errors import AssumptionViolated
 from quadinv.horizon import (
     K_of,
-    best_K,
+    evaluate_candidates,
     find_k_strict,
     nu_sequence,
     s_value,
@@ -126,8 +126,11 @@ def test_criterion_4_unit_cutoff_for_identity_shape():
     k_strict = find_k_strict(task)
     s = s_value(task, k_strict)
     assert K_of(1.0, np.eye(2), task, S=s) == 1
-    bound = best_K(task, strategy="user", user_P=np.eye(2))
-    assert bound.K == 1
+    [user] = [
+        bound for bound in evaluate_candidates(task, user_P=np.eye(2))
+        if bound.strategy_id == "user-min-scale"
+    ]
+    assert user.K == 1
     _passed(4, "pure rotation with user P = Id: K(1, Id) = 1 exactly")
 
 

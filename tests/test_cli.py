@@ -333,27 +333,38 @@ class TestBoundCommand:
             tmp_path / "rot.json", rotation_doc(np.eye(2), translated=False)
         )
         p_path = write_json(tmp_path / "p.json", {"P": [[1.0, 0.0], [0.0, 1.0]]})
-        code = main(
-            ["bound", task_path, "--strategy", "user", "--user-P", p_path,
-             "--report", "json"]
-        )
+        code = main(["bound", task_path, "--user-P", p_path, "--report", "json"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["best"]["K"] == 1
-        assert report["best"]["strategy"].startswith("user")
+        assert report["candidates"][-1]["strategy"] == "user-min-scale"
+        assert report["candidates"][-1]["K"] == 1
 
     def test_invalid_user_p_exit_three(self, tmp_path):
         task_path = write_json(tmp_path / "h.json", harmonic_doc(np.eye(2)))
         p_path = write_json(tmp_path / "p.json", [[1.0, 0.0], [0.0, 1.0]])
-        assert main(["bound", task_path, "--strategy", "user", "--user-P", p_path]) == 3
+        assert main(["bound", task_path, "--user-P", p_path]) == 3
 
     def test_asymmetric_user_p_is_invalid_user_p(self, tmp_path, capsys):
         task_path = write_json(tmp_path / "h.json", harmonic_doc(np.eye(2), alpha=2.0))
         p_path = write_json(tmp_path / "p.json", [[1.0, 0.5], [0.0, 1.0]])
-        code = main(
-            ["verify", task_path, "--strategy", "user", "--user-P", p_path,
-             "--report", "json"]
-        )
+        code = main(["verify", task_path, "--user-P", p_path, "--report", "json"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "InvalidUserP"
+
+    def test_user_p_checked_on_tail_path(self, tmp_path, capsys):
+        # the tail path never evaluates a cutoff; a 2x2 P on a 1-D system is
+        # still rejected before any step is scanned
+        doc = {
+            "A": [[0.5]],
+            "initial_set": {"vertices": [[0.25], [0.5]]},
+            "property": {"Q": [[1.0]], "q": [-1.0], "alpha": 0.1},
+        }
+        task_path = write_json(tmp_path / "c.json", doc)
+        assert main(["verify", task_path]) == 0
+        capsys.readouterr()
+        p_path = write_json(tmp_path / "p.json", [[1.0, 0.5], [0.0, 1.0]])
+        code = main(["verify", task_path, "--user-P", p_path, "--report", "json"])
         assert code == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "InvalidUserP"
 
@@ -366,8 +377,7 @@ class TestBoundCommand:
         task_path = write_json(tmp_path / "half.json", doc)
         p_path = write_json(tmp_path / "p.json", [[1.0, 0.0], [0.0, 0.0]])
         code = main(
-            ["verify", task_path, "--strategy", "user", "--user-P", p_path,
-             "--epsilon", "1e-13", "--report", "json"]
+            ["verify", task_path, "--user-P", p_path, "--epsilon", "1e-13", "--report", "json"]
         )
         assert code == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "InvalidUserP"
@@ -380,6 +390,23 @@ class TestBoundCommand:
         }
         path = write_json(tmp_path / "c.json", doc)
         assert main(["bound", path, "--kstrict-cap", "100"]) == 5
+
+    def test_no_positive_step_names_the_cap(self, tmp_path, capsys):
+        # with Q = 0 the identity shape's envelope rules out a positive step
+        # value at once; the message gives the cap the caller asked for
+        doc = {
+            "A": [[0.5, 0.1], [0.0, 0.5]],
+            "initial_set": {"box": {"lower": [-1, -1], "upper": [1, 1]}},
+            "property": {"Q": [[0.0, 0.0], [0.0, 0.0]]},
+        }
+        path = write_json(tmp_path / "zero.json", doc)
+        assert main(["bound", path, "--report", "json"]) == 5
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "AssumptionViolated"
+        assert error["message"] == (
+            "no strictly positive step value within cap 10000; "
+            "the envelope rules one out after step 0"
+        )
 
 
 class TestSimulateCommand:
@@ -480,10 +507,9 @@ class TestReports:
 
 class TestSurface:
     FLAGS = {
-        "verify": {"--report", "--tol", "--kstrict-cap", "--strategy", "--user-P",
-                   "--epsilon", "--horizon-cap", "--alpha-override"},
-        "bound": {"--report", "--tol", "--kstrict-cap", "--strategy", "--user-P",
-                  "--epsilon"},
+        "verify": {"--report", "--tol", "--kstrict-cap", "--user-P", "--epsilon",
+                   "--horizon-cap", "--alpha-override"},
+        "bound": {"--report", "--tol", "--kstrict-cap", "--user-P", "--epsilon"},
         "simulate": {"--report", "--tol", "--oracle-horizon"},
         "export": {"--report", "--tol", "--epsilon"},
     }
@@ -497,18 +523,25 @@ class TestSurface:
         }
         assert registered == self.FLAGS
 
-    def test_strategy_defaults_per_command(self):
-        parser = build_parser()
-        assert parser.parse_args(["verify", "t.json"]).strategy == "identity"
-        assert parser.parse_args(["bound", "t.json"]).strategy == "auto"
+    def test_strategy_defaults_per_command(self, tmp_path, capsys):
+        # each command has one fixed set of shapes: verify cuts off with the
+        # identity shape, bound lists every built-in shape
+        path = write_json(tmp_path / "t.json", harmonic_doc(np.eye(2), alpha=2.0))
+        main(["verify", path, "--report", "json"])
+        assert json.loads(capsys.readouterr().out)["optimum"]["bound"]["strategy"] == "identity"
+        assert main(["bound", path, "--report", "json"]) == 0
+        candidates = json.loads(capsys.readouterr().out)["candidates"]
+        assert [c["strategy"] for c in candidates] == list(horizon.SHAPES)
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["simulate", "--strategy", "user"],
             ["export", "--user-P", "/nonexistent.json"],
+            ["verify", "--strategy", "auto"],
+            ["bound", "--strategy", "identity"],
         ],
-        ids=["simulate-strategy", "export-user-p"],
+        ids=["simulate-strategy", "export-user-p", "verify-strategy", "bound-strategy"],
     )
     def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv):
         path = write_json(tmp_path / "s.json", harmonic_doc(np.eye(2), alpha=2.0))

@@ -23,7 +23,6 @@ from quadinv.horizon import (
     BoundScalars,
     K_of,
     best_K,
-    candidate_Ps,
     evaluate_candidates,
     find_k_strict,
     mu,
@@ -43,7 +42,7 @@ from quadinv.model import (
     box_to_vertices,
     homogenize,
 )
-from quadinv.verifier import VerdictStatus, verify
+from quadinv.verifier import VerdictStatus, optimize, verify
 from support import (
     counterexample_task,
     harmonic_task,
@@ -541,64 +540,45 @@ class TestMinimalScalingIsTight:
             assert np.linalg.eigvalsh((t - delta) * p - q).min() < 0
 
 
+def half_task(Q=np.eye(2)):
+    """A = Id / 2 on the unit box: P0 = 4/3 Id, and with Q = Id the identity shape has t = 3/4."""
+    return VerificationTask(
+        system=AffineSystem(A=0.5 * np.eye(2), b=np.zeros(2)),
+        init=box_to_vertices([-1, -1], [1, 1]),
+        objective=QuadraticObjective(Q=Q, q=np.zeros(2)),
+    )
+
+
 class TestCandidates:
     def test_identity_strategy_closed_form(self):
-        cands = candidate_Ps(0.5 * np.eye(2), np.eye(2), strategy="identity")
-        assert len(cands) == 1
-        assert cands[0].strategy_id == "identity"
-        np.testing.assert_allclose(cands[0].P, (4.0 / 3.0) * np.eye(2), atol=1e-12)
-        assert cands[0].t == pytest.approx(0.75, abs=1e-12)
+        identity = evaluate_candidates(half_task())[0]
+        assert identity.strategy_id == "identity"
+        np.testing.assert_allclose(identity.certificate.P, (4.0 / 3.0) * np.eye(2), atol=1e-12)
+        assert identity.scalars.t == pytest.approx(0.75, abs=1e-12)
 
     def test_user_identity_accepted_for_rotation(self):
         task = rotation_task(np.eye(2), translated=False)
-        cands = candidate_Ps(
-            task.system.A, task.objective.Q, strategy="user", user_P=np.eye(2)
-        )
-        assert [c.strategy_id for c in cands] == ["user-min-scale"]
-        assert cands[0].t == 1.0
+        user = evaluate_candidates(task, user_P=np.eye(2))[-1]
+        assert user.strategy_id == "user-min-scale"
+        assert user.scalars.t == 1.0
 
     def test_user_rejected_without_margin(self):
-        task = harmonic_task(np.eye(2))
         with pytest.raises(InvalidUserP):
-            candidate_Ps(
-                task.system.A, task.objective.Q, strategy="user", user_P=np.eye(2)
-            )
+            evaluate_candidates(harmonic_task(np.eye(2)), user_P=np.eye(2))
 
     def test_user_rejected_when_asymmetric(self):
-        task = harmonic_task(np.eye(2))
         with pytest.raises(InvalidUserP):
-            candidate_Ps(
-                task.system.A,
-                task.objective.Q,
-                strategy="user",
-                user_P=[[1.0, 0.5], [0.0, 1.0]],
-            )
-
-    def test_rejects_asymmetric_q(self):
-        task = harmonic_task(np.eye(2))
-        with pytest.raises(NotSymmetric):
-            candidate_Ps(task.system.A, [[1.0, 0.5], [0.0, 1.0]], q_eig=task.objective.eig)
+            evaluate_candidates(harmonic_task(np.eye(2)), user_P=[[1.0, 0.5], [0.0, 1.0]])
 
     def test_user_rejected_when_indefinite(self):
         task = rotation_task(np.eye(2), translated=False)
         with pytest.raises(InvalidUserP):
-            candidate_Ps(
-                task.system.A,
-                task.objective.Q,
-                strategy="user",
-                user_P=np.diag([1.0, -1.0]),
-            )
+            evaluate_candidates(task, user_P=np.diag([1.0, -1.0]))
 
     def test_user_rejected_when_singular(self):
         # P meets the epsilon margin within slack and is PSD, but it is singular
         with pytest.raises(InvalidUserP, match="positive definite"):
-            candidate_Ps(
-                0.5 * np.eye(2),
-                np.eye(2),
-                strategy="user",
-                user_P=np.diag([1.0, 0.0]),
-                epsilon=1e-13,
-            )
+            evaluate_candidates(half_task(), user_P=np.diag([1.0, 0.0]), epsilon=1e-13)
 
     def test_every_candidate_at_minimal_scaling(self):
         rng = np.random.default_rng(59)
@@ -607,23 +587,23 @@ class TestCandidates:
             A, Q = task.system.A, task.objective.Q
             g = rng.standard_normal((task.dim, task.dim))
             user_P = lyapunov_solve(A, np.eye(task.dim) + g @ g.T)
-            cands = candidate_Ps(A, Q, user_P=user_P)
-            assert {c.strategy_id for c in cands} >= {"q-augmented", "user-min-scale"}
-            for cand in cands:
-                assert cand.t == pytest.approx(generalized_lmax(Q, cand.P), rel=1e-12)
-                if cand.strategy_id == "q-augmented":
-                    assert cand.t < 1.0
+            bounds = evaluate_candidates(task, user_P=user_P)
+            assert {b.strategy_id for b in bounds} >= {"q-augmented", "user-min-scale"}
+            for bound in bounds:
+                t = bound.scalars.t
+                assert t == pytest.approx(generalized_lmax(Q, bound.certificate.P), rel=1e-12)
+                if bound.strategy_id == "q-augmented":
+                    assert t < 1.0
 
     def test_all_candidates_certify(self):
         rng = np.random.default_rng(53)
         for _ in range(20):
             task = random_linear_task(rng)
-            for cand in candidate_Ps(task.system.A, task.objective.Q):
-                assert weighted_opnorm(task.system.A, cand.P) < 1.0
+            for bound in evaluate_candidates(task):
+                P = bound.certificate.P
+                assert weighted_opnorm(task.system.A, P) < 1.0
                 assert (
-                    np.linalg.eigvalsh(
-                        cand.t * cand.P - task.objective.Q
-                    ).min()
+                    np.linalg.eigvalsh(bound.scalars.t * P - task.objective.Q).min()
                     >= -1e-8 * max(1.0, np.linalg.norm(task.objective.Q))
                 )
 
@@ -647,6 +627,11 @@ class TestObjectiveScores:
         init = box_to_vertices([-1, -1], [1, 1])
         with pytest.raises(NotSymmetric):
             objective_scores([[1.0, 0.5], [0.0, 1.0]], np.eye(2), init, lmax_P)
+
+    def test_asymmetric_Q_rejected(self):
+        init = box_to_vertices([-1, -1], [1, 1])
+        with pytest.raises(NotSymmetric):
+            objective_scores(np.eye(2), [[1.0, 0.5], [0.0, 1.0]], init)
 
     def test_matched_pair_zeroes_differences(self):
         init = box_to_vertices([-1, -1], [1, 1])
@@ -676,21 +661,27 @@ class TestBestK:
         with pytest.raises(AssumptionViolated):
             best_K(counterexample_task(), kstrict_cap=100)
 
-    def test_user_strategy_only_uses_user_candidates(self):
-        task = rotation_task(np.eye(2), translated=False)
-        evaluated = evaluate_candidates(task, strategy="user", user_P=np.eye(2))
-        assert {bound.strategy_id for bound in evaluated} == {"user-min-scale"}
-        assert min(bound.K for bound in evaluated) == 1
-
     def test_user_p_competes_under_identity(self):
-        task = rotation_task(np.eye(2), translated=False)
-        evaluated = evaluate_candidates(task, strategy="identity", user_P=np.eye(2))
-        assert [bound.strategy_id for bound in evaluated] == ["identity", "user-min-scale"]
+        # verify cuts off with the identity shape and a supplied P; here the
+        # supplied P (the q-augmented shape) has the smaller K
+        task = random_linear_task(np.random.default_rng(3))
+        user_P = lyapunov_solve(task.system.A, np.eye(task.dim) + task.objective.Q)
+        identity = evaluate_candidates(task)[0]
+        assert (identity.strategy_id, identity.K) == ("identity", 2)
+        bound = optimize(task, user_P=user_P).bound
+        assert (bound.strategy_id, bound.K) == ("user-min-scale", 1)
 
     def test_asymmetric_user_p_rejected_under_identity(self):
         task = rotation_task(np.eye(2), translated=False)
         with pytest.raises(InvalidUserP):
-            evaluate_candidates(task, strategy="identity", user_P=[[1.0, 0.5], [0.0, 1.0]])
+            verify(task, alpha=1.0, user_P=[[1.0, 0.5], [0.0, 1.0]])
+
+    def test_user_strategy_only_uses_user_candidates(self):
+        # a supplied P adds the one candidate user-min-scale, after every shape
+        task = rotation_task(np.eye(2), translated=False)
+        evaluated = evaluate_candidates(task, user_P=np.eye(2))
+        assert [b.strategy_id for b in evaluated] == [*horizon.SHAPES, "user-min-scale"]
+        assert evaluated[-1].K == 1
 
     def test_never_above_unit_scale_pairs(self):
         # (1, P) with P - Q >= 0 is feasible, and K is monotone in t, so the
@@ -705,7 +696,8 @@ class TestBestK:
             g = rng.standard_normal((d, d))
             user_P = lyapunov_solve(A, np.eye(d) + Q + g @ g.T)
             assert np.linalg.eigvalsh(user_P - Q).min() >= 0.0
-            user = best_K(task, strategy="user", user_P=user_P)
+            user = evaluate_candidates(task, user_P=user_P)[-1]
+            assert user.strategy_id == "user-min-scale"
             assert user.K <= K_of(1.0, user_P, task, S)
 
     def test_indefinite_objective_warns(self):

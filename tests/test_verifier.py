@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from quadinv import horizon, matcore, verifier
 from quadinv.config import DEFAULTS
-from quadinv.errors import AssumptionViolated, Unstable
+from quadinv.errors import AssumptionViolated, InvalidUserP, Unstable
 from quadinv.horizon import (
     DEFAULT_KSTRICT_CAP,
     best_K,
@@ -396,11 +396,15 @@ class TestSharedWork:
 
         monkeypatch.setattr(horizon, "_certificate_for", recording)
         self._count(monkeypatch, horizon, "lyapunov_solve", solves)
-        verify(parity_task(1005, 5))
-        # the default certifies only the identity shape P0 of the stage
+        # verify certifies only the identity shape P0 of the stage, and never
+        # looks at the built-in shapes
+        with monkeypatch.context() as hidden:
+            hidden.delattr(horizon, "SHAPES")
+            hidden.delattr(horizon, "_shapes")
+            assert verify(parity_task(1005, 5)).optimum is not None
         assert len(shapes) == 1 and solves == ["lyapunov_solve"]
         shapes.clear()
-        verify(parity_task(1005, 5), strategy="auto")
+        evaluate_candidates(parity_task(1005, 5))
         # identity, q-augmented and three blends
         assert len(shapes) == len(set(shapes)) == 5
 
@@ -429,7 +433,7 @@ class TestSharedWork:
         assert sum(np.array_equal(m, shapes[0]) for m in decomposed) == 1
         shapes.clear()
         decomposed.clear()
-        verify(parity_task(1005, 5), strategy="auto")
+        evaluate_candidates(parity_task(1005, 5))
         assert len(shapes) == 5  # identity, three blends and q-augmented
         for p in shapes:
             assert sum(np.array_equal(m, p) for m in decomposed) == 1
@@ -489,11 +493,11 @@ class TestSharedWork:
 
     @pytest.mark.parametrize("run", [verify, optimize, evaluate_candidates, best_K],
                              ids=lambda run: run.__name__)
-    def test_unknown_strategy_rejected_before_any_scan(self, monkeypatch, run):
-        # the counterexample takes the tail path, which never reaches the shapes
+    def test_invalid_user_p_rejected_before_any_scan(self, monkeypatch, run):
+        # the counterexample takes the tail path, which never reaches the cutoff
         ranges = self._record_blocks(monkeypatch)
-        with pytest.raises(ValueError, match="unknown strategy"):
-            run(counterexample_task(alpha=0.1), strategy="bogus")
+        with pytest.raises(InvalidUserP):
+            run(counterexample_task(alpha=0.1), user_P=[[1.0, 0.5], [0.0, 1.0]])
         assert ranges == []
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -552,11 +556,11 @@ def parity_task(seed: int, d: int) -> VerificationTask:
     )
 
 
-# (seed, d, verdict, optimum value, K, winning strategy) of the default
-# verify; verdicts and values were recorded with the earlier pure-Python Jacobi
-# and elimination kernels, and the LAPACK kernels must reproduce them.  Under
-# strategy "auto", seeds 2002, 1007, 1008, 2008 and 2009 win with blend-0.25 at
-# K = 3, 2, 1, 13 and 1, with the same verdicts and values
+# (seed, d, verdict, optimum value, K, winning strategy) of verify; verdicts
+# and values were recorded with the earlier pure-Python Jacobi and elimination
+# kernels, and the LAPACK kernels must reproduce them.  Over every built-in
+# shape (evaluate_candidates), seeds 2002, 1007, 1008, 2008 and 2009 have their
+# smallest K at blend-0.25, K = 3, 2, 1, 13 and 1
 PARITY_CASES = [
     (1002, 2, "Proved", 2.197119786310762, 2, "identity"),
     (2002, 2, "Proved", 1.863051946954071, 4, "identity"),
@@ -598,7 +602,8 @@ class TestIdentityDefault:
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), affine=st.booleans())
     def test_default_agrees_with_auto(self, seed, d, affine):
         # any certified cutoff bounds the same exact supremum: the identity
-        # shape alone decides as all built-in shapes do
+        # shape alone decides as each built-in shape does, walked under every
+        # cutoff of the bound command's table (what "auto" used to take)
         rng = np.random.default_rng(seed)
         lower, upper = random_box(rng, d, straddle=bool(seed % 2))
         task = VerificationTask(
@@ -608,14 +613,21 @@ class TestIdentityDefault:
             objective=QuadraticObjective(Q=random_psd(rng, d), q=rng.normal(0.0, 0.5, d),
                                          alpha=rng.uniform(0.5, 2.0) * d),
         )
-        default, auto = verify(task), verify(task, strategy="auto")
-        assert default.status is auto.status
-        assert (default.optimum is None) == (auto.optimum is None)
-        if default.optimum is not None:
-            assert default.optimum.bound.strategy_id == "identity"
-            assert default.optimum.value == auto.optimum.value
-            assert default.optimum.arg_k == auto.optimum.arg_k
-            assert default.optimum.stop <= default.optimum.bound.K
-        assert (default.witness is None) == (auto.witness is None)
-        if default.witness is not None:
-            np.testing.assert_array_equal(default.witness, auto.witness)
+        default, hom = verify(task), homogenize(task)
+        if default.optimum is None:
+            with pytest.raises(AssumptionViolated):
+                evaluate_candidates(hom)
+            return
+        opt = default.optimum
+        assert opt.bound.strategy_id == "identity"
+        assert opt.stop <= opt.bound.K
+        for bound in evaluate_candidates(hom):
+            envelope = (bound.scalars, bound.certificate.norm_A_P)
+            _, value, arg_k, index = horizon._walk(
+                horizon._StepScan(hom), bound.K, envelope, hom.objective.constant
+            )
+            assert (value, arg_k) == (opt.value, opt.arg_k)
+            np.testing.assert_array_equal(task.init.vertices[index], opt.arg_vertex)
+            if default.witness is not None:
+                witness = trajectory(task.system, task.init.vertices[index], arg_k)
+                np.testing.assert_array_equal(witness, default.witness)

@@ -10,17 +10,21 @@ Usage, from the root of a source checkout:
 ``bench/workloads.py``, the known-defect probes included, and writes one
 record per task: status, optimum value, K, the enumeration's stopping step,
 strategy, the winning pair's t and |A|_P, tail horizon, the tail fallback's
-last sampled step, witness length and, when verify raises, the error type.  quadinv and the workload generators
-are imported from the checkout at ``--repo`` (default: the one holding this
-script), so one copy of the script can record an older checkout.  The
-generators are only read.
+last sampled step, witness length and, when verify raises, the error type.
+For each task on the cutoff path it also records the candidate table of the
+bound command: ``horizon.evaluate_candidates`` on the homogenized task, as
+(strategy, K, t) rows in order, or the error type.  quadinv and the workload
+generators are imported from the checkout at ``--repo`` (default: the one
+holding this script), so one copy of the script can record an older
+checkout.  The generators are only read.
 
 ``diff`` compares two records field by field.  It prints every differing
 exact field (status, K, stop, strategy, tail horizon and stop, witness
-length, error), one line each, and exits 1 when any differs.  For each float
-field (value, t, norm_A_P) it prints the number of tasks where it differs and
-the largest relative difference, and exits 1 when that exceeds
-``FLOAT_REL`` (1e-12), or when a value is present in one record only.
+length, error, and the candidates' strategies and K), one line each, and
+exits 1 when any differs.  For each float field (value, t, norm_A_P and the
+candidates' t) it prints the number of tasks where it differs and the
+largest relative difference, and exits 1 when that exceeds ``FLOAT_REL``
+(1e-12), or when a value is present in one record only.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import warnings
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
-FLOAT_FIELDS = ("value", "t", "norm_A_P")
+FLOAT_FIELDS = ("value", "t", "norm_A_P", "bound_t")
 FLOAT_REL = 1e-12  # last-bit differences of a reordered sum stay far below this
 
 
@@ -47,6 +51,28 @@ def _task(model, spec):
         init=init,
         objective=model.QuadraticObjective(Q=spec.Q, q=spec.q, alpha=spec.alpha),
     )
+
+
+def _candidates(horizon, model, task):
+    """The bound command's (strategy, K, t) rows, or the error type."""
+    try:
+        bounds = horizon.evaluate_candidates(model.homogenize(task))
+    except Exception as exc:
+        return type(exc).__name__
+    return [[bound.strategy_id, bound.K, bound.scalars.t] for bound in bounds]
+
+
+def _fields(record: dict) -> dict:
+    """A record's fields, its candidate rows split into strategies and K (exact) and t (float)."""
+    out = dict(record)
+    rows = out.pop("bound", None)
+    if isinstance(rows, list):
+        out["bound_strategy"], out["bound_K"], out["bound_t"] = (
+            [row[i] for row in rows] for i in range(3)
+        )
+    elif rows is not None:
+        out["bound_error"] = rows
+    return out
 
 
 def _record(verifier, task) -> dict:
@@ -73,7 +99,7 @@ def _record(verifier, task) -> dict:
 def dump(out: str, repo: Path) -> None:
     sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
     import workloads
-    from quadinv import model, verifier
+    from quadinv import horizon, model, verifier
 
     if repo / "src" not in Path(verifier.__file__).resolve().parents:
         raise RuntimeError(f"quadinv was imported from {verifier.__file__}, not from {repo}")
@@ -85,14 +111,22 @@ def dump(out: str, repo: Path) -> None:
             for i, spec in enumerate(specs + workloads.defect_probes(workload, seed)):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    record = _record(verifier, _task(model, spec))
+                    task = _task(model, spec)
+                    record = _record(verifier, task)
+                    if record.get("K") is not None:
+                        record["bound"] = _candidates(horizon, model, task)
                 records[f"{workload}/{seed}/{i}/{spec.name}"] = record
     Path(out).write_text(json.dumps(records, indent=1, sort_keys=True), encoding="utf-8")
     print(f"{len(records)} tasks written to {out}")
 
 
 def _relative(x, y) -> float:
-    """|x - y| relative to the larger magnitude; inf when only one is None."""
+    """|x - y| relative to the larger magnitude, the largest over the entries of
+    lists of equal length; inf when only one is None or the lengths differ."""
+    if isinstance(x, list) and isinstance(y, list):
+        if len(x) != len(y):
+            return math.inf
+        return max(map(_relative, x, y), default=0.0)
     if x is None or y is None:
         return 0.0 if x is y else math.inf
     return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
@@ -103,7 +137,7 @@ def diff(path_a: str, path_b: str) -> int:
     b = json.loads(Path(path_b).read_text(encoding="utf-8"))
     exact, floats = 0, {field: [] for field in FLOAT_FIELDS}
     for key in sorted(a.keys() | b.keys()):
-        ra, rb = a.get(key, {}), b.get(key, {})
+        ra, rb = _fields(a.get(key, {})), _fields(b.get(key, {}))
         for field in sorted(ra.keys() | rb.keys()):
             if field in floats:
                 rel = _relative(ra.get(field), rb.get(field))
