@@ -49,9 +49,7 @@ from .horizon import (
     DEFAULT_EPSILON,
     DEFAULT_KSTRICT_CAP,
     HorizonBound,
-    _cutoffs,
-    _positive_step,
-    _shapes,
+    evaluate_candidates,
     objective_scores,
 )
 from .model import (
@@ -67,7 +65,6 @@ from .verifier import (
     DEFAULT_TAIL_CAP,
     Verdict,
     VerdictStatus,
-    _stage,
     brute_force_oracle,
     verify,
 )
@@ -248,10 +245,11 @@ def _run_verify(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dic
 
 
 def _run_bound(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict]:
-    scan, cert, envelope, user = _stage(task, load_user_matrix(args.user_p), args.epsilon, tol)
-    hom = scan.task
-    k_strict, S = _positive_step(scan, args.kstrict_cap, tol, (envelope, cert.norm_A_P))
-    bounds = _cutoffs(hom, _shapes(hom, tol, cert) + user, k_strict, S, tol, cert, envelope)
+    bounds = evaluate_candidates(
+        task, user_P=load_user_matrix(args.user_p), epsilon=args.epsilon,
+        kstrict_cap=args.kstrict_cap, tol=tol,
+    )
+    hom = homogenize(task, tol)  # the scores are taken at the homogenized vertices
     return 0, {
         "command": "bound",
         "best": _candidate_dict(min(bounds, key=lambda bound: bound.K), hom),

@@ -1,7 +1,7 @@
 """The horizon bound engine.
 
-Given a homogenized task (b = 0), this module certifies stability through a
-discrete Lyapunov solve, locates the first strictly positive step value, and
+This module certifies stability through a discrete Lyapunov solve, locates
+the first strictly positive step value of the homogenized task (b = 0), and
 turns a feasible scaling/shape pair (t, P) into an integer cutoff K beyond
 which the running maximum can no longer be improved:
 
@@ -10,6 +10,12 @@ which the running maximum can no longer be improved:
 
 with V = |q|_2 / (2 sqrt(t lmin(P))), mu(P) the largest P-norm over initial
 vertices, and S the positive threshold min(sup x^T Q x, nu_{k_strict}).
+
+Every cutoff (verify, optimize, the bound command, evaluate_candidates) is
+staged by :func:`_stage`: certify A, check a user P, homogenize, open the
+scan.  Each shape carries the t, V and mu of its envelope U at its smallest
+t, taken once on the homogenized task (:func:`_shape`); a cutoff adds S and
+k_strict.
 
 Step values nu_k here are always the *constant-free* part of the objective,
 max over vertices of (A^k v)^T Q (A^k v) + q^T (A^k v).  The public
@@ -86,7 +92,7 @@ from .matcore import (
     mat_pow,
     quad_forms,
 )
-from .model import InitialSet, QuadraticObjective, VerificationTask
+from .model import InitialSet, QuadraticObjective, VerificationTask, homogenize
 
 __all__ = [
     "StabilityCertificate",
@@ -430,28 +436,18 @@ def _log_arg(S: float, t: float, v_term: float, mu_val: float) -> float:
 
 
 def _k_formula(
-    t: float, cert: StabilityCertificate, task: VerificationTask, S: float,
-    tol: Tolerances, known: BoundScalars | None = None,
-) -> tuple[int, float, float]:
-    """Evaluate the cutoff formula for t and a certified P, returning (K, V, mu(P)).
-
-    V and mu(P) are read from ``known`` when the caller already holds them.
-    """
-    if t <= 0.0:
-        raise InfeasiblePair(f"scaling t = {t} must be positive")
+    cert: StabilityCertificate, task: VerificationTask, scalars: BoundScalars, tol: Tolerances
+) -> int:
+    """Evaluate the cutoff formula for a certified P and its scalars (t > 0)."""
     q_mat = task.objective.Q
-    feas = float(np.linalg.eigvalsh(t * cert.P - q_mat)[0])
+    feas = float(np.linalg.eigvalsh(scalars.t * cert.P - q_mat)[0])
     if feas < -tol.psd_slack_rel * frobenius(q_mat):
         raise InfeasiblePair(
             f"t*P - Q has negative eigenvalue {feas:.3e}; pair is infeasible"
         )
-    if known is None:
-        v_term, mu_val = _v_term(task, t, cert.lmin_P), mu(cert.P, task.init)
-    else:
-        v_term, mu_val = known.V, known.mu
-    if mu_val <= 0.0:
+    if scalars.mu <= 0.0:
         raise AssumptionViolated("initial set is reduced to the origin")
-    g = _log_arg(S, t, v_term, mu_val)
+    g = _log_arg(scalars.S, scalars.t, scalars.V, scalars.mu)
     if not 0.0 < g <= 1.0 + tol.log_arg_slack:
         raise NumeratorOutOfRange(
             f"log argument {g:.15g} outside (0, 1]: S or (t, P) violates a precondition"
@@ -460,7 +456,7 @@ def _k_formula(
     k_val = int(math.floor(ratio + tol.log_arg_slack)) + 1
     if k_val < 1:
         raise NumeratorOutOfRange(f"computed cutoff {k_val} below one")
-    return k_val, v_term, mu_val
+    return k_val
 
 
 def K_of(
@@ -473,7 +469,11 @@ def K_of(
     """Certified cutoff K(t, P) for a feasible pair; always a positive integer."""
     _require_linear(task)
     p = _check_symmetric(as_matrix(p_matrix, "P"), tol, "P")
-    return _k_formula(float(t), _certificate_for(task.system.A, p, tol), task, float(S), tol)[0]
+    cert, t = _certificate_for(task.system.A, p, tol), float(t)
+    if t <= 0.0:
+        raise InfeasiblePair(f"scaling t = {t} must be positive")
+    scalars = BoundScalars(t, float(S), _v_term(task, t, cert.lmin_P), mu(cert.P, task.init), 0)
+    return _k_formula(cert, task, scalars, tol)
 
 
 def tail_bound(k: int | np.ndarray, scalars: BoundScalars, norm_A_P: float):
@@ -530,43 +530,46 @@ def objective_scores(
     )
 
 
-def _shapes(
-    task: VerificationTask, tol: Tolerances, certificate: StabilityCertificate | None = None
-) -> list[tuple[str, StabilityCertificate]]:
-    """Every built-in shape that passes its certificate, in evaluation order.
+class _Shape(NamedTuple):
+    """One certified shape: its id, its certificate and the scalars of its envelope U."""
 
-    The built-in shapes are theta P0 + (1 - theta) P1, where P0 solves
-    P - A^T P A = Id and P1 (Q >= 0 only) solves P - A^T P A = Id + Q:
-    ``identity`` is theta = 1, ``q-augmented`` theta = 0 and ``blend-*`` the
-    weights in between (:data:`SHAPES`).  ``certificate``, when given, is
-    P0's, and the identity shape reuses it.
+    id: str
+    certificate: StabilityCertificate
+    envelope: BoundScalars  # t, V and mu at the smallest t; S and k_strict are 0
+
+
+class _Staged(NamedTuple):
+    """What a cutoff entry point builds before the cutoff (:func:`_stage`)."""
+
+    scan: _StepScan  # of the homogenized task
+    identity: _Shape  # P0, the shape that certifies A
+    user: tuple[_Shape, ...]  # ``user-min-scale``, or nothing without a user P
+
+
+def _shape(sid: str, cert: StabilityCertificate, hom: VerificationTask, tol: Tolerances) -> _Shape:
+    """A certified shape with the scalars of its envelope U at its smallest t.
+
+    Any t >= lmax(P^-1/2 Q P^-1/2) is feasible, and U and K improve as t
+    shrinks; where that bound is not positive, t = strict_pos keeps V = |q| /
+    (2 sqrt(t lmin)) finite.  ``hom`` is the homogenized task, at whose q and
+    vertices V and mu are measured.  U needs no S or k_strict.
     """
-    a, q, d = task.system.A, task.objective.Q, task.dim
-    shapes = SHAPES if task.objective.eig.lmin >= -tol.psd_eig_floor else {"identity": 1.0}
-    p0 = lyapunov_solve(a, np.eye(d), tol) if certificate is None else certificate.P
-    p1 = lyapunov_solve(a, np.eye(d) + q, tol) if len(shapes) > 1 else None
-    out: list[tuple[str, StabilityCertificate]] = []
-    for sid, w in shapes.items():
-        shape = p0 if w == 1.0 else p1 if w == 0.0 else w * p0 + (1.0 - w) * p1
-        reuse = certificate is not None and shape is certificate.P
-        try:
-            cert = certificate if reuse else _certificate_for(a, shape, tol)
-        except InfeasiblePair:
-            continue
-        out.append((sid, cert))
-    return out
+    t = congruence_lmax(hom.objective.Q, cert.P_inv_sqrt)
+    t = t if t > 0.0 else tol.strict_pos
+    V, mu_val = _v_term(hom, t, cert.lmin_P), mu(cert.P, hom.init)
+    return _Shape(sid, cert, BoundScalars(t=t, S=0.0, V=V, mu=mu_val, k_strict=0))
 
 
-def _user_shapes(
+def _user_certificate(
     a: np.ndarray, user_P, epsilon: float, tol: Tolerances
-) -> list[tuple[str, StabilityCertificate]]:
-    """The supplied ``user_P`` as the shape ``user-min-scale``, none without one.
+) -> StabilityCertificate | None:
+    """The certificate of the supplied ``user_P``, None without one.
 
     It must pass the built-in shapes' certificate and P - A^T P A >= epsilon*Id,
     or :class:`InvalidUserP` is raised.
     """
     if user_P is None:
-        return []
+        return None
     try:
         p = _check_symmetric(as_matrix(user_P, "user P"), tol, "user P")
         cert = _certificate_for(a, p, tol)
@@ -578,27 +581,63 @@ def _user_shapes(
             f"user P violates P - A^T P A >= {epsilon}*Id by "
             f"{epsilon - cert.residual_margin:.3e}"
         )
-    return [("user-min-scale", cert)]
+    return cert
+
+
+def _stage(task: VerificationTask, user_P, epsilon: float, tol: Tolerances) -> _Staged:
+    """What every cutoff entry point builds before the cutoff, in this order: the
+    certificate of A, the check of ``user_P`` (before any step is scanned), the
+    homogenized task with its scan, and the identity and user shapes, whose
+    scalars are taken on the homogenized task."""
+    cert = stability_certificate(task.system.A, tol)
+    user = _user_certificate(task.system.A, user_P, epsilon, tol)
+    hom = homogenize(task, tol)
+    users = () if user is None else (_shape("user-min-scale", user, hom, tol),)
+    return _Staged(_StepScan(hom), _shape("identity", cert, hom, tol), users)
+
+
+def _shapes(staged: _Staged, tol: Tolerances) -> list[_Shape]:
+    """Every built-in shape that passes its certificate, in evaluation order.
+
+    The built-in shapes are theta P0 + (1 - theta) P1, where P0 solves
+    P - A^T P A = Id and P1 (Q >= 0 only) solves P - A^T P A = Id + Q:
+    ``identity`` is theta = 1, the staged P0, ``q-augmented`` theta = 0 and
+    ``blend-*`` the weights in between (:data:`SHAPES`).
+    """
+    hom, identity = staged.scan.task, staged.identity
+    if hom.objective.eig.lmin < -tol.psd_eig_floor:
+        return [identity]
+    a, p0 = hom.system.A, identity.certificate.P
+    p1 = lyapunov_solve(a, np.eye(hom.dim) + hom.objective.Q, tol)
+    out = []
+    for sid, w in SHAPES.items():
+        if w == 1.0:
+            out.append(identity)
+            continue
+        try:
+            cert = _certificate_for(a, p1 if w == 0.0 else w * p0 + (1.0 - w) * p1, tol)
+        except InfeasiblePair:
+            continue
+        out.append(_shape(sid, cert, hom, tol))
+    return out
 
 
 def _positive_step(
-    scan: _StepScan, kstrict_cap: int, tol: Tolerances,
-    envelope: tuple[BoundScalars, float] | None = None,
+    staged: _Staged, kstrict_cap: int, tol: Tolerances,
     k_strict: int | None = None, S: float | None = None,
 ) -> tuple[int, float]:
-    """k_strict and S of a scan's task, each computed when not supplied.
+    """k_strict and S of the staged task, each computed when not supplied.
 
-    The k_strict search scans at most ``kstrict_cap`` steps, and with
-    ``envelope = (scalars, |A|_P)`` ends where its U falls below strict_pos,
-    as no later value can exceed it.  Raises :class:`AssumptionViolated` when
-    no strictly positive step value is found.
+    The k_strict search scans at most ``kstrict_cap`` steps, and ends where
+    the identity shape's U falls below strict_pos, as no later value can
+    exceed it.  Raises :class:`AssumptionViolated` when no strictly positive
+    step value is found.
     """
-    task = scan.task
-    _warn_if_indefinite(task, tol)
+    scan, identity = staged.scan, staged.identity
+    _warn_if_indefinite(scan.task, tol)
     if k_strict is None:
-        last = kstrict_cap
-        if envelope is not None:
-            last = max(_envelope_horizon(*envelope, tol.strict_pos, kstrict_cap + 1) - 1, 0)
+        envelope = (identity.envelope, identity.certificate.norm_A_P)
+        last = max(_envelope_horizon(*envelope, tol.strict_pos, kstrict_cap + 1) - 1, 0)
         _, nu_k, k_strict, _ = _walk(scan, last, level=tol.strict_pos)
         if not nu_k > tol.strict_pos:
             after = f"; the envelope rules one out after step {last}" if last < kstrict_cap else ""
@@ -606,31 +645,26 @@ def _positive_step(
                 f"no strictly positive step value within cap {kstrict_cap}{after}"
             )
     if S is None:
-        S = _threshold(task, scan.value(k_strict), tol)
+        S = _threshold(scan.task, scan.value(k_strict), tol)
     return k_strict, S
 
 
 def _cutoffs(
-    task: VerificationTask, shapes: list[tuple[str, StabilityCertificate]], k_strict: int,
-    S: float, tol: Tolerances, certificate: StabilityCertificate | None = None,
-    envelope: BoundScalars | None = None,
+    task: VerificationTask, shapes: list[_Shape], k_strict: int, S: float, tol: Tolerances
 ) -> list[HorizonBound]:
-    """The cutoff of each certified shape at its smallest t, in order.
+    """The cutoff of each shape at its smallest t, in order.
 
     Infeasible pairs are left out; :class:`InfeasiblePair` when none is left.
-    ``envelope`` holds the t, V and mu of ``certificate``'s shape, which that
-    shape then reuses.
     """
-    Q, bounds = task.objective.Q, []
-    for sid, cert in shapes:
-        known = envelope if cert is certificate else None
-        t = known.t if known else congruence_lmax(Q, cert.P_inv_sqrt)
+    bounds = []
+    for shape in shapes:
+        t, V, mu_val = shape.envelope.t, shape.envelope.V, shape.envelope.mu
+        scalars = BoundScalars(t=t, S=S, V=V, mu=mu_val, k_strict=int(k_strict))
         try:
-            k_val, v_term, mu_val = _k_formula(t, cert, task, S, tol, known)
+            k_val = _k_formula(shape.certificate, task, scalars, tol)
         except (InfeasiblePair, NumeratorOutOfRange):
             continue
-        scalars = BoundScalars(t=t, S=S, V=v_term, mu=mu_val, k_strict=int(k_strict))
-        bounds.append(HorizonBound(k_val, scalars, cert, sid))
+        bounds.append(HorizonBound(k_val, scalars, shape.certificate, shape.id))
     if not bounds:
         raise InfeasiblePair("no candidate pair produced a feasible cutoff")
     return bounds
@@ -647,15 +681,16 @@ def evaluate_candidates(
 ) -> list[HorizonBound]:
     """The cutoff of every built-in shape (:func:`_shapes`), then of ``user_P``.
 
-    ``k_strict`` and ``S`` are computed from the task when not supplied.  A
-    supplied ``user_P`` is checked before any step is scanned.  Raises
+    Staged as verify stages its cutoff (:func:`_stage`), so an affine task is
+    homogenized first, an unstable A raises :class:`Unstable`, and a supplied
+    ``user_P`` is checked before any step is scanned.  ``k_strict`` and ``S``,
+    of the homogenized task, are computed when not supplied.  Raises
     :class:`AssumptionViolated` when no strictly positive step value exists
     within the scan cap.
     """
-    _require_linear(task)
-    user = _user_shapes(task.system.A, user_P, epsilon, tol)
-    k_strict, S = _positive_step(_StepScan(task), kstrict_cap, tol, k_strict=k_strict, S=S)
-    return _cutoffs(task, _shapes(task, tol) + user, k_strict, S, tol)
+    staged = _stage(task, user_P, epsilon, tol)
+    k_strict, S = _positive_step(staged, kstrict_cap, tol, k_strict, S)
+    return _cutoffs(staged.scan.task, [*_shapes(staged, tol), *staged.user], k_strict, S, tol)
 
 
 def best_K(

@@ -1,13 +1,14 @@
 """End-to-end decision procedure and the brute-force oracle.
 
 ``optimize`` computes the exact supremum of the objective over the reachable
-set by homogenizing, certifying stability, bounding the horizon and
-enumerating vertex trajectories up to the cutoff.  ``verify`` turns that
-into Proved / Disproved verdicts with witnesses; when the positivity
-assumption behind the cutoff fails it falls back to a tail-bound argument
-that can still prove levels above the sequence's limit, or disprove from
-samples.  ``brute_force_oracle`` scans the raw step-value sequence and
-reports the empirical stopping ranks, independently of the bound engine.
+set: it stages the cutoff as every cutoff entry point does
+(``horizon._stage``: certify stability, check a user P, homogenize), bounds
+the horizon and enumerates vertex trajectories up to the cutoff.  ``verify``
+turns that into Proved / Disproved verdicts with witnesses; when the
+positivity assumption behind the cutoff fails it falls back to a tail-bound
+argument that can still prove levels above the sequence's limit, or disprove
+from samples.  ``brute_force_oracle`` steps the states itself and reports the
+empirical stopping ranks, independently of the bound engine and its scan.
 """
 
 from __future__ import annotations
@@ -23,24 +24,17 @@ from .errors import AssumptionViolated
 from .horizon import (
     DEFAULT_EPSILON,
     DEFAULT_KSTRICT_CAP,
-    BoundScalars,
     HorizonBound,
-    StabilityCertificate,
     _cutoffs,
     _envelope_horizon,
     _positive_step,
-    _StepScan,
-    _user_shapes,
-    _v_term,
+    _stage,
+    _Staged,
     _walk,
     _warn_if_indefinite,
-    mu,
-    nu_sequence,
-    stability_certificate,
     tail_bound,
 )
-from .matcore import congruence_lmax
-from .model import AffineSystem, VerificationTask, homogenize
+from .model import AffineSystem, VerificationTask
 
 __all__ = [
     "VerdictStatus",
@@ -145,22 +139,14 @@ def optimize(
     return _optimum(task, _stage(task, user_P, epsilon, tol), kstrict_cap, tol)
 
 
-def _stage(task: VerificationTask, user_P, epsilon: float, tol: Tolerances):
-    """What verify, optimize and the bound command build before the cutoff: the
-    certificate of A, the user shapes of ``user_P`` (checked before any step is
-    scanned), a scan of the homogenized task and the certificate's envelope."""
-    cert = stability_certificate(task.system.A, tol)
-    user = _user_shapes(task.system.A, user_P, epsilon, tol)
-    scan = _StepScan(homogenize(task, tol))
-    return scan, cert, _envelope(scan.task, cert, tol), user
-
-
-def _optimum(task: VerificationTask, staged, kstrict_cap: int, tol: Tolerances) -> Optimum:
+def _optimum(
+    task: VerificationTask, staged: _Staged, kstrict_cap: int, tol: Tolerances
+) -> Optimum:
     """The supremum over the homogenized task's steps, walked under the envelope of
     the smallest cutoff of the identity shape and the user shapes."""
-    scan, cert, envelope, user = staged
-    k_strict, S = _positive_step(scan, kstrict_cap, tol, (envelope, cert.norm_A_P))
-    bounds = _cutoffs(scan.task, [("identity", cert), *user], k_strict, S, tol, cert, envelope)
+    scan = staged.scan
+    k_strict, S = _positive_step(staged, kstrict_cap, tol)
+    bounds = _cutoffs(scan.task, [staged.identity, *staged.user], k_strict, S, tol)
     bound = min(bounds, key=lambda bound: bound.K)
     stop, value, arg_k, index = _walk(
         scan, bound.K, (bound.scalars, bound.certificate.norm_A_P), scan.task.objective.constant
@@ -203,7 +189,7 @@ def verify(
     try:
         optimum = _optimum(task, staged, kstrict_cap, tol)
     except AssumptionViolated:
-        return _tail_verdict(task, *staged[:3], alpha, tail_cap, tol)
+        return _tail_verdict(task, staged, alpha, tail_cap, tol)
     slack = tol.alpha_slack
     if optimum.value <= alpha:
         return Verdict(
@@ -234,49 +220,31 @@ def verify(
     )
 
 
-def _envelope(
-    hom: VerificationTask, cert: StabilityCertificate, tol: Tolerances
-) -> BoundScalars:
-    """Scalars of the envelope U for the certificate's shape at its smallest t.
-
-    Any t >= lmax(P^-1/2 Q P^-1/2) is feasible, and U improves as t shrinks;
-    where that bound is not positive, t = strict_pos keeps V = |q|/(2 sqrt(t
-    lmin)) finite.  U needs no S or k_strict.
-    """
-    t = congruence_lmax(hom.objective.Q, cert.P_inv_sqrt)
-    t = t if t > 0.0 else tol.strict_pos
-    V, mu_val = _v_term(hom, t, cert.lmin_P), mu(cert.P, hom.init)
-    return BoundScalars(t=t, S=0.0, V=V, mu=mu_val, k_strict=0)
-
-
 def _tail_verdict(
-    task: VerificationTask,
-    scan: _StepScan,
-    cert: StabilityCertificate,
-    scalars: BoundScalars,
-    alpha: float,
-    cap: int,
-    tol: Tolerances,
+    task: VerificationTask, staged: _Staged, alpha: float, cap: int, tol: Tolerances
 ) -> Verdict:
     """Fallback when no strictly positive step value was found.
 
-    The decreasing envelope U(k) (``scalars``, from :func:`_envelope`) bounds
-    the constant-free step values, so once U drops below alpha minus the
-    objective's constant, no later step can violate the level.  The samples
-    stop at the first one above the level plus the slack (the witness), at
-    that horizon, or where U rules out a change to the verdict.
+    The decreasing envelope U(k) of the identity shape (its scalars from
+    :func:`horizon._shape`) bounds the constant-free step values, so once U
+    drops below alpha minus the objective's constant, no later step can
+    violate the level.  The samples stop at the first one above the level
+    plus the slack (the witness), at that horizon, or where U rules out a
+    change to the verdict.
     """
+    scan, scalars = staged.scan, staged.identity.envelope
+    norm = staged.identity.certificate.norm_A_P
     const = scan.task.objective.constant
     target = alpha - const
-    horizon = _envelope_horizon(scalars, cert.norm_A_P, target, cap)
-    envelope = tail_bound(horizon, scalars, cert.norm_A_P)
+    horizon = _envelope_horizon(scalars, norm, target, cap)
+    envelope = tail_bound(horizon, scalars, norm)
     # capped: the envelope never strictly certified the tail within the cap, so
     # the verdict is Disproved or Inconclusive, and no sample past the step
     # where U falls to the level plus the slack can violate it
     capped = not envelope < target
     level = alpha + tol.alpha_slack
     stop, peak, first, index = _walk(
-        scan, horizon, (scalars, cert.norm_A_P), const, level,
+        scan, horizon, (scalars, norm), const, level,
         level - const if capped else -math.inf,
     )
     tail = TailInfo(horizon=horizon, bound=envelope, stop=stop)
@@ -319,22 +287,20 @@ def brute_force_oracle(
 ) -> OracleReport:
     """Scan step values up to the horizon and read off empirical ranks.
 
-    Works directly on affine dynamics (no homogenization or stability
-    needed); sample k holds the maximum objective value over all length-k
-    trajectories from initial vertices.
+    Steps the states x -> A x + b of every task itself, sharing no code with
+    the bound engine's scan (no homogenization or stability needed); sample
+    k holds the maximum objective value over all length-k trajectories from
+    initial vertices.
     """
     if horizon < 1:
         raise ValueError("oracle horizon must be at least 1")
     _warn_if_indefinite(task, tol)
-    if task.system.is_linear:
-        values, _ = nu_sequence(task, horizon)
-    else:
-        x = task.init.vertices.copy()
-        values = np.empty(horizon + 1)
-        for k in range(horizon + 1):
-            values[k] = float(task.objective.values(x).max())
-            if k < horizon:
-                x = x @ task.system.A.T + task.system.b
+    x = task.init.vertices.copy()
+    values = np.empty(horizon + 1)
+    for k in range(horizon + 1):
+        values[k] = float(task.objective.values(x).max())
+        if k < horizon:
+            x = x @ task.system.A.T + task.system.b
     running = np.maximum.accumulate(values)
     # tail_max[k] = max over j in (k, horizon]; only defined for k < horizon
     tail_max = np.maximum.accumulate(values[::-1])[::-1][1:]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadinv import horizon, verifier
+from quadinv import horizon
 from quadinv.config import DEFAULTS
 from quadinv.errors import (
     AssumptionViolated,
@@ -323,7 +323,7 @@ class TestEnvelopeStops:
         ))
         # the k_strict search capped where the identity shape's U falls below strict_pos
         cert = stability_certificate(task.system.A)
-        envelope = verifier._envelope(task, cert, DEFAULTS)
+        envelope = horizon._shape("identity", cert, task, DEFAULTS).envelope
         last = horizon._envelope_horizon(
             envelope, cert.norm_A_P, DEFAULTS.strict_pos, DEFAULT_KSTRICT_CAP + 1
         )
@@ -579,6 +579,27 @@ class TestCandidates:
         # P meets the epsilon margin within slack and is PSD, but it is singular
         with pytest.raises(InvalidUserP, match="positive definite"):
             evaluate_candidates(half_task(), user_P=np.diag([1.0, 0.0]), epsilon=1e-13)
+
+    @pytest.mark.parametrize(
+        "task",
+        [rotation_task(np.diag([1.0, 0.0])), rotation_task(np.eye(2), q=(0.5, -1.0))],
+        ids=["x1-squared", "affine-q"],
+    )
+    def test_user_p_on_affine_task_measured_homogenized(self, task):
+        # a user shape's V and mu are taken at the homogenized q and vertices:
+        # on the original ones, the first task's user cutoff reads 2, not 6
+        user_P = 3.0 * stability_certificate(task.system.A).P
+        hom = homogenize(task)
+        row, hom_row = (evaluate_candidates(t, user_P=user_P)[-1] for t in (task, hom))
+        assert row.strategy_id == hom_row.strategy_id == "user-min-scale"
+        assert (row.K, row.scalars) == (hom_row.K, hom_row.scalars)
+        # a positive multiple of P0 has P0's cutoff
+        assert row.K == evaluate_candidates(task)[0].K
+        # optimize's user bound would win here with an unsound smaller cutoff
+        bound, hom_bound = (optimize(t, user_P=user_P).bound for t in (task, hom))
+        assert (bound.strategy_id, bound.K, bound.scalars) == (
+            hom_bound.strategy_id, hom_bound.K, hom_bound.scalars
+        )
 
     def test_every_candidate_at_minimal_scaling(self):
         rng = np.random.default_rng(59)

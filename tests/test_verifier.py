@@ -303,6 +303,21 @@ class TestBruteForceOracle:
         hom_values, _ = nu_sequence(homogenize(task), 200)
         np.testing.assert_allclose(report.nu_samples, hom_values, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "task",
+        [harmonic_task(np.diag([1.0, 0.0])), rotation_task(np.diag([0.0, 1.0]))],
+        ids=["linear", "affine"],
+    )
+    def test_independent_of_the_scan(self, monkeypatch, task):
+        expected, _ = nu_sequence(homogenize(task), 300)
+
+        def broken(*args):
+            raise AssertionError("the oracle must not read the engine's scan")
+
+        monkeypatch.setattr(horizon, "_step_value_blocks", broken)
+        report = brute_force_oracle(task, 300)
+        np.testing.assert_allclose(report.nu_samples, expected, rtol=1e-12, atol=1e-12)
+
     def test_orderings_hold(self):
         rng = np.random.default_rng(61)
         reports = [brute_force_oracle(random_linear_task(rng), 300) for _ in range(25)]
@@ -446,9 +461,9 @@ class TestSharedWork:
     )
     def test_envelope_built_once(self, monkeypatch, task):
         calls = []
-        self._count(monkeypatch, verifier, "_envelope", calls)
+        self._count(monkeypatch, horizon, "_shape", calls)
         verify(task)
-        assert calls == ["_envelope"]
+        assert calls == ["_shape"]
 
     def test_identity_shape_scaled_once(self, monkeypatch):
         task = parity_task(1005, 5)
@@ -457,8 +472,7 @@ class TestSharedWork:
         of_identity = lambda m, r, *rest: (
             np.array_equal(m, task.objective.Q) and np.array_equal(r, root)
         )
-        for module in (horizon, verifier):
-            self._count(monkeypatch, module, "congruence_lmax", calls, of_identity)
+        self._count(monkeypatch, horizon, "congruence_lmax", calls, of_identity)
         verdict = verify(task)
         assert verdict.optimum.bound.strategy_id == "identity"
         assert calls == ["congruence_lmax"]
@@ -500,6 +514,32 @@ class TestSharedWork:
             run(counterexample_task(alpha=0.1), user_P=[[1.0, 0.5], [0.0, 1.0]])
         assert ranges == []
 
+    @pytest.mark.parametrize("run", [evaluate_candidates, best_K], ids=lambda run: run.__name__)
+    def test_candidates_scan_no_more_than_verify(self, monkeypatch, run):
+        # the bound functions stage as verify does: the identity shape's
+        # envelope ends their k_strict search too
+        task = counterexample_task(alpha=0.1)
+        ranges = self._record_blocks(monkeypatch)
+        verify(task)
+        verified = sum(map(len, ranges))
+        ranges.clear()
+        with pytest.raises(AssumptionViolated):
+            run(task)
+        assert sum(map(len, ranges)) <= verified == 39
+
+    @pytest.mark.parametrize("run", [verify, optimize, evaluate_candidates, best_K],
+                             ids=lambda run: run.__name__)
+    def test_unstable_rejected_before_any_scan(self, monkeypatch, run):
+        task = VerificationTask(
+            system=AffineSystem(A=np.diag([1.1, 0.5]), b=np.zeros(2)),
+            init=box_to_vertices([-1.0, -1.0], [1.0, 1.0]),
+            objective=QuadraticObjective(Q=np.eye(2), q=np.zeros(2), alpha=1.0),
+        )
+        ranges = self._record_blocks(monkeypatch)
+        with pytest.raises(Unstable):
+            run(task)
+        assert ranges == []
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("alpha", [0.05, 0.0, -1e-3])
     def test_small_task_scanned_in_few_blocks(self, monkeypatch, d, alpha):
@@ -512,7 +552,7 @@ class TestSharedWork:
     def test_optimize_stops_at_envelope_cap(self, monkeypatch):
         task = tail_style_task(3, 0.0)
         cert = stability_certificate(task.system.A)
-        envelope = verifier._envelope(task, cert, DEFAULTS)
+        envelope = horizon._shape("identity", cert, task, DEFAULTS).envelope
         steps = np.arange(DEFAULT_KSTRICT_CAP + 2)
         below = np.flatnonzero(tail_bound(steps, envelope, cert.norm_A_P) < DEFAULTS.strict_pos)
         ranges = self._record_blocks(monkeypatch)
@@ -522,8 +562,8 @@ class TestSharedWork:
 
     def test_tail_path_reuses_certificate(self, monkeypatch):
         calls = []
-        self._count(monkeypatch, verifier, "stability_certificate", calls)
-        self._count(monkeypatch, verifier, "homogenize", calls)
+        self._count(monkeypatch, horizon, "stability_certificate", calls)
+        self._count(monkeypatch, horizon, "homogenize", calls)
         verdict = verify(counterexample_task(alpha=0.1), kstrict_cap=100)
         assert verdict.status is VerdictStatus.PROVED_TAIL
         assert sorted(calls) == ["homogenize", "stability_certificate"]

@@ -13,18 +13,21 @@ strategy, the winning pair's t and |A|_P, tail horizon, the tail fallback's
 last sampled step, witness length and, when verify raises, the error type.
 For each task on the cutoff path it also records the candidate table of the
 bound command: ``horizon.evaluate_candidates`` on the homogenized task, as
-(strategy, K, t) rows in order, or the error type.  quadinv and the workload
-generators are imported from the checkout at ``--repo`` (default: the one
-holding this script), so one copy of the script can record an older
-checkout.  The generators are only read.
+(strategy, K, t, V, mu) rows in order, or the error type; and the row of a
+user P, twice the identity shape P0, from the same call with ``user_P``.
+Both calls take the homogenized task, which every checkout accepts.  quadinv
+and the workload generators are imported from the checkout at ``--repo``
+(default: the one holding this script), so one copy of the script can
+record an older checkout.  The generators are only read.
 
 ``diff`` compares two records field by field.  It prints every differing
 exact field (status, K, stop, strategy, tail horizon and stop, witness
-length, error, and the candidates' strategies and K), one line each, and
-exits 1 when any differs.  For each float field (value, t, norm_A_P and the
-candidates' t) it prints the number of tasks where it differs and the
-largest relative difference, and exits 1 when that exceeds ``FLOAT_REL``
-(1e-12), or when a value is present in one record only.
+length, error, and the strategies and K of the candidate and user rows),
+one line each, and exits 1 when any differs.  For each float field (value,
+t, norm_A_P, and the t, V and mu of the candidate and user rows) it prints
+the number of tasks where it differs and the largest relative difference,
+and exits 1 when that exceeds ``FLOAT_REL`` (1e-12), or when a value is
+present in one record only.
 """
 
 from __future__ import annotations
@@ -37,7 +40,11 @@ import warnings
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
-FLOAT_FIELDS = ("value", "t", "norm_A_P", "bound_t")
+ROWS = ("bound", "user")  # candidate tables: all shapes, and the user P's row
+COLUMNS = ("strategy", "K", "t", "V", "mu")
+FLOAT_FIELDS = ("value", "t", "norm_A_P") + tuple(
+    f"{rows}_{column}" for rows in ROWS for column in ("t", "V", "mu")
+)
 FLOAT_REL = 1e-12  # last-bit differences of a reordered sum stay far below this
 
 
@@ -53,25 +60,33 @@ def _task(model, spec):
     )
 
 
-def _candidates(horizon, model, task):
-    """The bound command's (strategy, K, t) rows, or the error type."""
+def _candidates(horizon, model, task, user: bool = False):
+    """The bound command's (strategy, K, t, V, mu) rows, or the error type; with
+    ``user``, the user-min-scale row of a user P twice the identity shape P0."""
     try:
-        bounds = horizon.evaluate_candidates(model.homogenize(task))
+        hom = model.homogenize(task)
+        user_P = 2.0 * horizon.stability_certificate(hom.system.A).P if user else None
+        bounds = horizon.evaluate_candidates(hom, user_P=user_P)
     except Exception as exc:
         return type(exc).__name__
-    return [[bound.strategy_id, bound.K, bound.scalars.t] for bound in bounds]
+    return [
+        [bound.strategy_id, bound.K, bound.scalars.t, bound.scalars.V, bound.scalars.mu]
+        for bound in bounds
+        if not user or bound.strategy_id == "user-min-scale"
+    ]
 
 
 def _fields(record: dict) -> dict:
-    """A record's fields, its candidate rows split into strategies and K (exact) and t (float)."""
+    """A record's fields, each table of candidate rows split into columns: strategy
+    and K exact, t, V and mu float."""
     out = dict(record)
-    rows = out.pop("bound", None)
-    if isinstance(rows, list):
-        out["bound_strategy"], out["bound_K"], out["bound_t"] = (
-            [row[i] for row in rows] for i in range(3)
-        )
-    elif rows is not None:
-        out["bound_error"] = rows
+    for name in ROWS:
+        rows = out.pop(name, None)
+        if isinstance(rows, list):
+            for i, column in enumerate(COLUMNS):
+                out[f"{name}_{column}"] = [row[i] for row in rows if i < len(row)]
+        elif rows is not None:
+            out[f"{name}_error"] = rows
     return out
 
 
@@ -115,6 +130,7 @@ def dump(out: str, repo: Path) -> None:
                     record = _record(verifier, task)
                     if record.get("K") is not None:
                         record["bound"] = _candidates(horizon, model, task)
+                        record["user"] = _candidates(horizon, model, task, user=True)
                 records[f"{workload}/{seed}/{i}/{spec.name}"] = record
     Path(out).write_text(json.dumps(records, indent=1, sort_keys=True), encoding="utf-8")
     print(f"{len(records)} tasks written to {out}")
