@@ -32,7 +32,6 @@ from .horizon import (
     HorizonBound,
     StabilityCertificate,
     K_of,
-    best_K,
     evaluate_candidates,
     find_k_strict,
     mu,

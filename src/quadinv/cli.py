@@ -15,12 +15,12 @@ Input is a single JSON document:
 ``{"linear_range": {"c": [...], "lower": a, "upper": b}}``.
 
 Every subcommand takes ``--report`` and ``--tol``; ``verify`` and ``bound``
-add ``--kstrict-cap``, ``--user-P`` and ``--epsilon``, ``verify`` also
-``--horizon-cap`` and ``--alpha-override``, ``simulate``
+add ``--kstrict-cap``, ``verify`` also ``--horizon-cap`` and
+``--alpha-override``, ``bound`` ``--user-P`` and ``--epsilon``, ``simulate``
 ``--oracle-horizon``, and ``export`` ``--epsilon``.  Any other flag is a
 usage error.  The parsed arguments are the run's configuration.
-``verify`` cuts off with the identity shape (plus ``--user-P``), and
-``bound`` lists the cutoff of every built-in shape (plus ``--user-P``).
+``verify`` cuts off with the identity shape alone, and ``bound`` lists the
+cutoff of every built-in shape (plus ``--user-P``).
 
 Exit codes: 0 proved (directly or by tail bound), 1 disproved,
 2 inconclusive, 3 bad input, 4 unstable system, 5 other engine errors.
@@ -237,8 +237,6 @@ def _run_verify(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dic
         alpha=args.alpha_override,
         kstrict_cap=args.kstrict_cap,
         tail_cap=args.horizon_cap,
-        user_P=load_user_matrix(args.user_p),
-        epsilon=args.epsilon,
         tol=tol,
     )
     return VERDICT_EXIT_CODES[verdict.status], _verdict_dict(verdict)
@@ -419,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cutoff = argparse.ArgumentParser(add_help=False)
     cutoff.add_argument("--kstrict-cap", type=int, default=DEFAULT_KSTRICT_CAP)
-    cutoff.add_argument("--user-P", dest="user_p", default=None, metavar="PATH")
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--user-P", dest="user_p", default=None, metavar="PATH")
     margin = argparse.ArgumentParser(add_help=False)
     margin.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     decide = argparse.ArgumentParser(add_help=False)
@@ -437,9 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, parents, handler, help_text in [
-        ("verify", [common, cutoff, margin, decide], _run_verify,
+        ("verify", [common, cutoff, decide], _run_verify,
          "decide the property; exit 0 proved, 1 disproved, 2 inconclusive"),
-        ("bound", [common, cutoff, margin], _run_bound,
+        ("bound", [common, cutoff, shape, margin], _run_bound,
          "report the certified cutoff K of every candidate shape"),
         ("simulate", [common, oracle], _run_simulate,
          "scan raw step values and report empirical stopping ranks"),

@@ -12,10 +12,13 @@ with V = |q|_2 / (2 sqrt(t lmin(P))), mu(P) the largest P-norm over initial
 vertices, and S the positive threshold min(sup x^T Q x, nu_{k_strict}).
 
 Every cutoff (verify, optimize, the bound command, evaluate_candidates) is
-staged by :func:`_stage`: certify A, check a user P, homogenize, open the
-scan.  Each shape carries the t, V and mu of its envelope U at its smallest
-t, taken once on the homogenized task (:func:`_shape`); a cutoff adds S and
-k_strict.
+staged by :func:`_stage`: certify A, homogenize, open the scan.  verify and
+optimize cut off with the identity shape P0 alone: any certified pair gives
+the same supremum.  :func:`evaluate_candidates` is the one place where
+shapes are compared: every built-in shape, plus a user P, checked before any
+step is scanned.  Each shape carries the t, V and mu of its envelope U at
+its smallest t, taken once on the homogenized task (:func:`_shape`); a
+cutoff adds S and k_strict, always computed here, never supplied.
 
 Step values nu_k here are always the *constant-free* part of the objective,
 max over vertices of (A^k v)^T Q (A^k v) + q^T (A^k v).  The public
@@ -109,7 +112,6 @@ __all__ = [
     "tail_bound",
     "objective_scores",
     "evaluate_candidates",
-    "best_K",
 ]
 
 # theta of each built-in shape theta P0 + (1 - theta) P1 by id, in evaluation
@@ -301,12 +303,6 @@ class _StepScan:
             yield k0, values[: k_max + 1 - k0], argmax[: k_max + 1 - k0]
             i += 1
 
-    def value(self, k: int) -> float:
-        """The constant-free step value at k."""
-        for _, values, _ in self.blocks(k):
-            pass
-        return float(values[-1])
-
 
 def _walk(
     scan: _StepScan, k_max: int, envelope: tuple[BoundScalars, float] | None = None,
@@ -402,8 +398,8 @@ def s_value(task: VerificationTask, k_strict: int, tol: Tolerances = DEFAULTS) -
     Raises :class:`AssumptionViolated` when the result is not strictly
     positive; the verifier then falls back to tail-bound mode.
     """
-    _require_linear(task)
-    return _threshold(task, _StepScan(task).value(k_strict), tol)
+    values, _ = nu_sequence(task, k_strict, include_constant=False)
+    return _threshold(task, float(values[-1]), tol)
 
 
 def _threshold(task: VerificationTask, nu_k: float, tol: Tolerances) -> float:
@@ -543,7 +539,6 @@ class _Staged(NamedTuple):
 
     scan: _StepScan  # of the homogenized task
     identity: _Shape  # P0, the shape that certifies A
-    user: tuple[_Shape, ...]  # ``user-min-scale``, or nothing without a user P
 
 
 def _shape(sid: str, cert: StabilityCertificate, hom: VerificationTask, tol: Tolerances) -> _Shape:
@@ -560,19 +555,29 @@ def _shape(sid: str, cert: StabilityCertificate, hom: VerificationTask, tol: Tol
     return _Shape(sid, cert, BoundScalars(t=t, S=0.0, V=V, mu=mu_val, k_strict=0))
 
 
-def _user_certificate(
-    a: np.ndarray, user_P, epsilon: float, tol: Tolerances
-) -> StabilityCertificate | None:
-    """The certificate of the supplied ``user_P``, None without one.
+def _stage(task: VerificationTask, tol: Tolerances) -> _Staged:
+    """What every cutoff entry point builds before the cutoff, in this order: the
+    certificate of A, the homogenized task with its scan (nothing is scanned
+    yet), and the identity shape, whose scalars are taken on the homogenized
+    task."""
+    cert = stability_certificate(task.system.A, tol)
+    hom = homogenize(task, tol)
+    return _Staged(_StepScan(hom), _shape("identity", cert, hom, tol))
+
+
+def _user_shapes(staged: _Staged, user_P, epsilon: float, tol: Tolerances) -> list[_Shape]:
+    """``user-min-scale``, the shape of the supplied ``user_P``, or nothing.
 
     It must pass the built-in shapes' certificate and P - A^T P A >= epsilon*Id,
-    or :class:`InvalidUserP` is raised.
+    or :class:`InvalidUserP` is raised; its scalars are taken on the
+    homogenized task.
     """
     if user_P is None:
-        return None
+        return []
+    hom = staged.scan.task
     try:
         p = _check_symmetric(as_matrix(user_P, "user P"), tol, "user P")
-        cert = _certificate_for(a, p, tol)
+        cert = _certificate_for(hom.system.A, p, tol)
     except (ValueError, NotSymmetric, InfeasiblePair) as exc:
         raise InvalidUserP(f"user P is not a valid shape matrix: {exc}") from exc
     slack = tol.psd_slack_rel * max(1.0, frobenius(cert.P))
@@ -581,19 +586,7 @@ def _user_certificate(
             f"user P violates P - A^T P A >= {epsilon}*Id by "
             f"{epsilon - cert.residual_margin:.3e}"
         )
-    return cert
-
-
-def _stage(task: VerificationTask, user_P, epsilon: float, tol: Tolerances) -> _Staged:
-    """What every cutoff entry point builds before the cutoff, in this order: the
-    certificate of A, the check of ``user_P`` (before any step is scanned), the
-    homogenized task with its scan, and the identity and user shapes, whose
-    scalars are taken on the homogenized task."""
-    cert = stability_certificate(task.system.A, tol)
-    user = _user_certificate(task.system.A, user_P, epsilon, tol)
-    hom = homogenize(task, tol)
-    users = () if user is None else (_shape("user-min-scale", user, hom, tol),)
-    return _Staged(_StepScan(hom), _shape("identity", cert, hom, tol), users)
+    return [_shape("user-min-scale", cert, hom, tol)]
 
 
 def _shapes(staged: _Staged, tol: Tolerances) -> list[_Shape]:
@@ -622,11 +615,8 @@ def _shapes(staged: _Staged, tol: Tolerances) -> list[_Shape]:
     return out
 
 
-def _positive_step(
-    staged: _Staged, kstrict_cap: int, tol: Tolerances,
-    k_strict: int | None = None, S: float | None = None,
-) -> tuple[int, float]:
-    """k_strict and S of the staged task, each computed when not supplied.
+def _positive_step(staged: _Staged, kstrict_cap: int, tol: Tolerances) -> tuple[int, float]:
+    """k_strict and S of the staged task.
 
     The k_strict search scans at most ``kstrict_cap`` steps, and ends where
     the identity shape's U falls below strict_pos, as no later value can
@@ -635,18 +625,16 @@ def _positive_step(
     """
     scan, identity = staged.scan, staged.identity
     _warn_if_indefinite(scan.task, tol)
-    if k_strict is None:
-        envelope = (identity.envelope, identity.certificate.norm_A_P)
-        last = max(_envelope_horizon(*envelope, tol.strict_pos, kstrict_cap + 1) - 1, 0)
-        _, nu_k, k_strict, _ = _walk(scan, last, level=tol.strict_pos)
-        if not nu_k > tol.strict_pos:
-            after = f"; the envelope rules one out after step {last}" if last < kstrict_cap else ""
-            raise AssumptionViolated(
-                f"no strictly positive step value within cap {kstrict_cap}{after}"
-            )
-    if S is None:
-        S = _threshold(scan.task, scan.value(k_strict), tol)
-    return k_strict, S
+    envelope = (identity.envelope, identity.certificate.norm_A_P)
+    last = max(_envelope_horizon(*envelope, tol.strict_pos, kstrict_cap + 1) - 1, 0)
+    # the walk ends at the first value above the level, so its largest is nu_{k_strict}
+    _, nu_k, k_strict, _ = _walk(scan, last, level=tol.strict_pos)
+    if not nu_k > tol.strict_pos:
+        after = f"; the envelope rules one out after step {last}" if last < kstrict_cap else ""
+        raise AssumptionViolated(
+            f"no strictly positive step value within cap {kstrict_cap}{after}"
+        )
+    return k_strict, _threshold(scan.task, nu_k, tol)
 
 
 def _cutoffs(
@@ -672,8 +660,6 @@ def _cutoffs(
 
 def evaluate_candidates(
     task: VerificationTask,
-    k_strict: int | None = None,
-    S: float | None = None,
     user_P=None,
     epsilon: float = DEFAULT_EPSILON,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
@@ -682,26 +668,12 @@ def evaluate_candidates(
     """The cutoff of every built-in shape (:func:`_shapes`), then of ``user_P``.
 
     Staged as verify stages its cutoff (:func:`_stage`), so an affine task is
-    homogenized first, an unstable A raises :class:`Unstable`, and a supplied
-    ``user_P`` is checked before any step is scanned.  ``k_strict`` and ``S``,
-    of the homogenized task, are computed when not supplied.  Raises
-    :class:`AssumptionViolated` when no strictly positive step value exists
-    within the scan cap.
+    homogenized first and an unstable A raises :class:`Unstable`; a supplied
+    ``user_P`` is then checked before any step is scanned.  k_strict and S
+    are those of the homogenized task.  Raises :class:`AssumptionViolated`
+    when no strictly positive step value exists within the scan cap.
     """
-    staged = _stage(task, user_P, epsilon, tol)
-    k_strict, S = _positive_step(staged, kstrict_cap, tol, k_strict, S)
-    return _cutoffs(staged.scan.task, [*_shapes(staged, tol), *staged.user], k_strict, S, tol)
-
-
-def best_K(
-    task: VerificationTask,
-    k_strict: int | None = None,
-    S: float | None = None,
-    user_P=None,
-    epsilon: float = DEFAULT_EPSILON,
-    kstrict_cap: int = DEFAULT_KSTRICT_CAP,
-    tol: Tolerances = DEFAULTS,
-) -> HorizonBound:
-    """Smallest cutoff over all candidate pairs, with full provenance."""
-    evaluated = evaluate_candidates(task, k_strict, S, user_P, epsilon, kstrict_cap, tol)
-    return min(evaluated, key=lambda bound: bound.K)
+    staged = _stage(task, tol)
+    users = _user_shapes(staged, user_P, epsilon, tol)
+    k_strict, S = _positive_step(staged, kstrict_cap, tol)
+    return _cutoffs(staged.scan.task, [*_shapes(staged, tol), *users], k_strict, S, tol)

@@ -2,9 +2,9 @@
 
 ``optimize`` computes the exact supremum of the objective over the reachable
 set: it stages the cutoff as every cutoff entry point does
-(``horizon._stage``: certify stability, check a user P, homogenize), bounds
-the horizon and enumerates vertex trajectories up to the cutoff.  ``verify``
-turns that into Proved / Disproved verdicts with witnesses; when the
+(``horizon._stage``: certify stability, homogenize), bounds the horizon with
+the identity shape P0 and enumerates vertex trajectories up to the cutoff.
+``verify`` turns that into Proved / Disproved verdicts with witnesses; when the
 positivity assumption behind the cutoff fails it falls back to a tail-bound
 argument that can still prove levels above the sequence's limit, or disprove
 from samples.  ``brute_force_oracle`` steps the states itself and reports the
@@ -22,7 +22,6 @@ import numpy as np
 from .config import DEFAULTS, Tolerances
 from .errors import AssumptionViolated
 from .horizon import (
-    DEFAULT_EPSILON,
     DEFAULT_KSTRICT_CAP,
     HorizonBound,
     _cutoffs,
@@ -125,29 +124,25 @@ def trajectory(system: AffineSystem, x0, k: int) -> np.ndarray:
 def optimize(
     task: VerificationTask,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
-    user_P=None,
-    epsilon: float = DEFAULT_EPSILON,
     tol: Tolerances = DEFAULTS,
 ) -> Optimum:
     """Exact supremum of the objective over all reachable states.
 
-    The cutoff comes from the identity shape and ``user_P`` (see
-    :func:`verify`).  The maximizer is reported in original coordinates.
-    Propagates :class:`Unstable`, :class:`InvalidUserP` and
-    :class:`AssumptionViolated` from the pipeline.
+    The cutoff comes from the identity shape (see :func:`verify`).  The
+    maximizer is reported in original coordinates.  Propagates
+    :class:`Unstable` and :class:`AssumptionViolated` from the pipeline.
     """
-    return _optimum(task, _stage(task, user_P, epsilon, tol), kstrict_cap, tol)
+    return _optimum(task, _stage(task, tol), kstrict_cap, tol)
 
 
 def _optimum(
     task: VerificationTask, staged: _Staged, kstrict_cap: int, tol: Tolerances
 ) -> Optimum:
     """The supremum over the homogenized task's steps, walked under the envelope of
-    the smallest cutoff of the identity shape and the user shapes."""
+    the identity shape's cutoff."""
     scan = staged.scan
     k_strict, S = _positive_step(staged, kstrict_cap, tol)
-    bounds = _cutoffs(scan.task, [staged.identity, *staged.user], k_strict, S, tol)
-    bound = min(bounds, key=lambda bound: bound.K)
+    [bound] = _cutoffs(scan.task, [staged.identity], k_strict, S, tol)
     stop, value, arg_k, index = _walk(
         scan, bound.K, (bound.scalars, bound.certificate.norm_A_P), scan.task.objective.constant
     )
@@ -159,8 +154,6 @@ def verify(
     alpha: float | None = None,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
     tail_cap: int = DEFAULT_TAIL_CAP,
-    user_P=None,
-    epsilon: float = DEFAULT_EPSILON,
     tol: Tolerances = DEFAULTS,
 ) -> Verdict:
     """Decide whether the sublevel set {objective <= alpha} is invariant.
@@ -171,10 +164,10 @@ def verify(
     with both numbers.  When the horizon bound is unavailable the tail-bound
     fallback samples at most ``tail_cap`` steps.
 
-    The cutoff comes from the identity shape P0 that certifies A, and from
-    ``user_P`` when one is supplied (the smaller K wins): any certified cutoff
-    gives the same supremum, and the stop below, not K, sets the scan's
-    length.  ``user_P`` is checked before any step is scanned.
+    The cutoff comes from one shape, the identity shape P0 that certifies A:
+    any certified cutoff gives the same supremum, and the stop below, not K,
+    sets the scan's length.  The bound command
+    (:func:`horizon.evaluate_candidates`) compares the other shapes.
 
     The homogenized task's step values are walked once: the k_strict search
     (bounded where the identity shape's envelope U falls below
@@ -185,7 +178,7 @@ def verify(
     alpha = task.objective.alpha if alpha is None else float(alpha)
     if alpha is None or not math.isfinite(alpha):
         raise ValueError(f"verify requires a finite level alpha, got {alpha}")
-    staged = _stage(task, user_P, epsilon, tol)
+    staged = _stage(task, tol)
     try:
         optimum = _optimum(task, staged, kstrict_cap, tol)
     except AssumptionViolated:

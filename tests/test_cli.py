@@ -348,13 +348,13 @@ class TestBoundCommand:
     def test_asymmetric_user_p_is_invalid_user_p(self, tmp_path, capsys):
         task_path = write_json(tmp_path / "h.json", harmonic_doc(np.eye(2), alpha=2.0))
         p_path = write_json(tmp_path / "p.json", [[1.0, 0.5], [0.0, 1.0]])
-        code = main(["verify", task_path, "--user-P", p_path, "--report", "json"])
+        code = main(["bound", task_path, "--user-P", p_path, "--report", "json"])
         assert code == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "InvalidUserP"
 
     def test_user_p_checked_on_tail_path(self, tmp_path, capsys):
-        # the tail path never evaluates a cutoff; a 2x2 P on a 1-D system is
-        # still rejected before any step is scanned
+        # verify takes the tail path here, and bound finds no cutoff (exit 5);
+        # a 2x2 P on a 1-D system is still rejected before any step is scanned
         doc = {
             "A": [[0.5]],
             "initial_set": {"vertices": [[0.25], [0.5]]},
@@ -362,9 +362,10 @@ class TestBoundCommand:
         }
         task_path = write_json(tmp_path / "c.json", doc)
         assert main(["verify", task_path]) == 0
+        assert main(["bound", task_path]) == 5
         capsys.readouterr()
         p_path = write_json(tmp_path / "p.json", [[1.0, 0.5], [0.0, 1.0]])
-        code = main(["verify", task_path, "--user-P", p_path, "--report", "json"])
+        code = main(["bound", task_path, "--user-P", p_path, "--report", "json"])
         assert code == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "InvalidUserP"
 
@@ -377,7 +378,7 @@ class TestBoundCommand:
         task_path = write_json(tmp_path / "half.json", doc)
         p_path = write_json(tmp_path / "p.json", [[1.0, 0.0], [0.0, 0.0]])
         code = main(
-            ["verify", task_path, "--user-P", p_path, "--epsilon", "1e-13", "--report", "json"]
+            ["bound", task_path, "--user-P", p_path, "--epsilon", "1e-13", "--report", "json"]
         )
         assert code == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "InvalidUserP"
@@ -507,8 +508,7 @@ class TestReports:
 
 class TestSurface:
     FLAGS = {
-        "verify": {"--report", "--tol", "--kstrict-cap", "--user-P", "--epsilon",
-                   "--horizon-cap", "--alpha-override"},
+        "verify": {"--report", "--tol", "--kstrict-cap", "--horizon-cap", "--alpha-override"},
         "bound": {"--report", "--tol", "--kstrict-cap", "--user-P", "--epsilon"},
         "simulate": {"--report", "--tol", "--oracle-horizon"},
         "export": {"--report", "--tol", "--epsilon"},
@@ -540,8 +540,11 @@ class TestSurface:
             ["export", "--user-P", "/nonexistent.json"],
             ["verify", "--strategy", "auto"],
             ["bound", "--strategy", "identity"],
+            ["verify", "--user-P", "/nonexistent.json"],
+            ["verify", "--epsilon", "0.01"],
         ],
-        ids=["simulate-strategy", "export-user-p", "verify-strategy", "bound-strategy"],
+        ids=["simulate-strategy", "export-user-p", "verify-strategy", "bound-strategy",
+             "verify-user-p", "verify-epsilon"],
     )
     def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv):
         path = write_json(tmp_path / "s.json", harmonic_doc(np.eye(2), alpha=2.0))

@@ -22,7 +22,6 @@ from quadinv.horizon import (
     DEFAULT_KSTRICT_CAP,
     BoundScalars,
     K_of,
-    best_K,
     evaluate_candidates,
     find_k_strict,
     mu,
@@ -42,7 +41,7 @@ from quadinv.model import (
     box_to_vertices,
     homogenize,
 )
-from quadinv.verifier import VerdictStatus, optimize, verify
+from quadinv.verifier import VerdictStatus, brute_force_oracle, optimize, verify
 from support import (
     counterexample_task,
     harmonic_task,
@@ -60,6 +59,11 @@ def scalar_demo_task():
         init=InitialSet.from_vertices([[0.25], [0.5]]),
         objective=QuadraticObjective(Q=[[1.0]], q=[0.0]),
     )
+
+
+def smallest_cutoff(task, **kwargs):
+    """The smallest cutoff of the candidate table, as the bound command reports it."""
+    return min(evaluate_candidates(task, **kwargs), key=lambda bound: bound.K)
 
 
 class TestStabilityCertificate:
@@ -337,7 +341,7 @@ class TestEnvelopeStops:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             try:
-                bound = best_K(task, k_strict=k_strict)
+                bound = smallest_cutoff(task)
             except (AssumptionViolated, InfeasiblePair):
                 return
         # the enumeration stopped where the winning pair's U meets the running maximum
@@ -595,11 +599,6 @@ class TestCandidates:
         assert (row.K, row.scalars) == (hom_row.K, hom_row.scalars)
         # a positive multiple of P0 has P0's cutoff
         assert row.K == evaluate_candidates(task)[0].K
-        # optimize's user bound would win here with an unsound smaller cutoff
-        bound, hom_bound = (optimize(t, user_P=user_P).bound for t in (task, hom))
-        assert (bound.strategy_id, bound.K, bound.scalars) == (
-            hom_bound.strategy_id, hom_bound.K, hom_bound.scalars
-        )
 
     def test_every_candidate_at_minimal_scaling(self):
         rng = np.random.default_rng(59)
@@ -627,6 +626,44 @@ class TestCandidates:
                     np.linalg.eigvalsh(bound.scalars.t * P - task.objective.Q).min()
                     >= -1e-8 * max(1.0, np.linalg.norm(task.objective.Q))
                 )
+
+    def test_every_row_sound_against_the_oracle(self):
+        # criterion 5's paper tasks and seeded random ones; the oracle steps the
+        # states itself, so no row is checked against the engine's own scan
+        rng = np.random.default_rng(71)
+        tasks = [
+            harmonic_task(np.eye(2)),
+            harmonic_task(np.diag([1.0, 0.0])),
+            harmonic_task(np.diag([0.0, 1.0])),
+            harmonic_task(np.array([[1.0, -0.5], [-0.5, 0.25]]), q=(-1.0, 0.5)),
+            rotation_task(np.diag([1.0, 0.0])),
+            rotation_task(np.diag([0.0, 1.0])),
+            rotation_task(np.array([[0.25, -1.0], [-1.0, 4.0]]), q=(-1.0, 4.0)),
+            *(random_linear_task(rng) for _ in range(50)),
+        ]
+        rows = 0
+        for task in tasks:
+            try:
+                bounds = evaluate_candidates(task)
+            except AssumptionViolated:
+                continue
+            constant = homogenize(task).objective.constant
+            for bound in bounds:
+                K, S, k_strict = bound.K, bound.scalars.S, bound.scalars.k_strict
+                oracle = brute_force_oracle(task, max(10 * K, K + 500))
+                values = oracle.nu_samples - constant  # the constant-free step values
+                assert int(values.argmax()) <= K
+                assert np.all(values[K + 1 :] <= S + 1e-9)
+                assert values[k_strict:K].max() >= S - 1e-9
+                rows += 1
+        assert rows >= 7 * len(horizon.SHAPES)
+
+    @pytest.mark.parametrize("supplied", [{"S": 2.2}, {"k_strict": 0}], ids=["S", "k_strict"])
+    def test_cutoff_inputs_not_accepted(self, supplied):
+        # k_strict and S are always computed: a caller's S = 2.2 would give a
+        # "certified" K = 45 here, though the supremum is attained at step 61
+        with pytest.raises(TypeError):
+            evaluate_candidates(harmonic_task(np.diag([1.0, 0.0])), **supplied)
 
 
 class TestObjectiveScores:
@@ -665,37 +702,38 @@ class TestObjectiveScores:
 class TestBestK:
     def test_rotation_without_translation(self):
         task = rotation_task(np.eye(2), translated=False)
-        bound = best_K(task)
+        bound = smallest_cutoff(task)
         assert bound.K == 1
 
     def test_scalar_demo(self):
-        assert best_K(scalar_demo_task()).K == 1
+        assert smallest_cutoff(scalar_demo_task()).K == 1
 
     def test_harmonic_first_coordinate_sound(self):
         task = harmonic_task(np.diag([1.0, 0.0]))
-        bound = best_K(task)
+        bound = smallest_cutoff(task)
         assert bound.K >= 62  # the supremum is attained at step 61
         values, _ = nu_sequence(task, 10 * bound.K, include_constant=False)
         assert np.all(values[bound.K + 1 :] <= bound.scalars.S + 1e-9)
 
     def test_assumption_violated_when_not_found(self):
         with pytest.raises(AssumptionViolated):
-            best_K(counterexample_task(), kstrict_cap=100)
+            smallest_cutoff(counterexample_task(), kstrict_cap=100)
 
     def test_user_p_competes_under_identity(self):
-        # verify cuts off with the identity shape and a supplied P; here the
-        # supplied P (the q-augmented shape) has the smaller K
+        # a supplied P competes with the identity shape in the candidate table;
+        # here the supplied P (the q-augmented shape) has the smaller K
         task = random_linear_task(np.random.default_rng(3))
         user_P = lyapunov_solve(task.system.A, np.eye(task.dim) + task.objective.Q)
-        identity = evaluate_candidates(task)[0]
+        identity, *_, user = evaluate_candidates(task, user_P=user_P)
         assert (identity.strategy_id, identity.K) == ("identity", 2)
-        bound = optimize(task, user_P=user_P).bound
-        assert (bound.strategy_id, bound.K) == ("user-min-scale", 1)
+        assert (user.strategy_id, user.K) == ("user-min-scale", 1)
+        # verify and optimize cut off with the identity shape alone
+        assert optimize(task).bound.K == identity.K
 
     def test_asymmetric_user_p_rejected_under_identity(self):
         task = rotation_task(np.eye(2), translated=False)
         with pytest.raises(InvalidUserP):
-            verify(task, alpha=1.0, user_P=[[1.0, 0.5], [0.0, 1.0]])
+            evaluate_candidates(task, user_P=[[1.0, 0.5], [0.0, 1.0]])
 
     def test_user_strategy_only_uses_user_candidates(self):
         # a supplied P adds the one candidate user-min-scale, after every shape
@@ -713,7 +751,7 @@ class TestBestK:
             A, Q, d = task.system.A, task.objective.Q, task.dim
             S = s_value(task, find_k_strict(task))
             q_augmented = lyapunov_solve(A, np.eye(d) + Q)
-            assert best_K(task).K <= K_of(1.0, q_augmented, task, S)
+            assert smallest_cutoff(task).K <= K_of(1.0, q_augmented, task, S)
             g = rng.standard_normal((d, d))
             user_P = lyapunov_solve(A, np.eye(d) + Q + g @ g.T)
             assert np.linalg.eigvalsh(user_P - Q).min() >= 0.0
@@ -728,4 +766,4 @@ class TestBestK:
             objective=QuadraticObjective(Q=np.diag([1.0, -0.5]), q=np.zeros(2)),
         )
         with pytest.warns(RuntimeWarning):
-            best_K(task)
+            smallest_cutoff(task)

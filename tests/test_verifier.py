@@ -8,7 +8,6 @@ from quadinv.config import DEFAULTS
 from quadinv.errors import AssumptionViolated, InvalidUserP, Unstable
 from quadinv.horizon import (
     DEFAULT_KSTRICT_CAP,
-    best_K,
     evaluate_candidates,
     nu_sequence,
     stability_certificate,
@@ -505,16 +504,15 @@ class TestSharedWork:
         if verdict.optimum is not None:
             assert (verdict.optimum.bound.K, verdict.optimum.stop) == (188, 96)
 
-    @pytest.mark.parametrize("run", [verify, optimize, evaluate_candidates, best_K],
-                             ids=lambda run: run.__name__)
+    @pytest.mark.parametrize("run", [evaluate_candidates], ids=lambda run: run.__name__)
     def test_invalid_user_p_rejected_before_any_scan(self, monkeypatch, run):
-        # the counterexample takes the tail path, which never reaches the cutoff
+        # the counterexample has no positive step value, so the cutoff is never reached
         ranges = self._record_blocks(monkeypatch)
         with pytest.raises(InvalidUserP):
             run(counterexample_task(alpha=0.1), user_P=[[1.0, 0.5], [0.0, 1.0]])
         assert ranges == []
 
-    @pytest.mark.parametrize("run", [evaluate_candidates, best_K], ids=lambda run: run.__name__)
+    @pytest.mark.parametrize("run", [evaluate_candidates], ids=lambda run: run.__name__)
     def test_candidates_scan_no_more_than_verify(self, monkeypatch, run):
         # the bound functions stage as verify does: the identity shape's
         # envelope ends their k_strict search too
@@ -527,7 +525,7 @@ class TestSharedWork:
             run(task)
         assert sum(map(len, ranges)) <= verified == 39
 
-    @pytest.mark.parametrize("run", [verify, optimize, evaluate_candidates, best_K],
+    @pytest.mark.parametrize("run", [verify, optimize, evaluate_candidates],
                              ids=lambda run: run.__name__)
     def test_unstable_rejected_before_any_scan(self, monkeypatch, run):
         task = VerificationTask(

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record verify outcomes on the benchmark's tasks and compare two records.
+"""Record verify and CLI outcomes on the benchmark's tasks and compare two records.
 
 Usage, from the root of a source checkout:
 
@@ -15,27 +15,35 @@ For each task on the cutoff path it also records the candidate table of the
 bound command: ``horizon.evaluate_candidates`` on the homogenized task, as
 (strategy, K, t, V, mu) rows in order, or the error type; and the row of a
 user P, twice the identity shape P0, from the same call with ``user_P``.
-Both calls take the homogenized task, which every checkout accepts.  quadinv
-and the workload generators are imported from the checkout at ``--repo``
-(default: the one holding this script), so one copy of the script can
-record an older checkout.  The generators are only read.
+Both calls take the homogenized task, which every checkout accepts.  Every
+task's document is also written to a temporary directory and run through
+``quadinv.cli.main`` in-process as ``verify --report json``, text ``verify``
+and ``bound --report json`` (:data:`COMMANDS`); each run records its exit
+code, stdout (parsed when it is JSON) and stderr.  quadinv and the workload
+generators are imported from the checkout at ``--repo`` (default: the one
+holding this script), so one copy of the script can record an older
+checkout.  The generators are only read.
 
 ``diff`` compares two records field by field.  It prints every differing
 exact field (status, K, stop, strategy, tail horizon and stop, witness
-length, error, and the strategies and K of the candidate and user rows),
-one line each, and exits 1 when any differs.  For each float field (value,
-t, norm_A_P, and the t, V and mu of the candidate and user rows) it prints
-the number of tasks where it differs and the largest relative difference,
-and exits 1 when that exceeds ``FLOAT_REL`` (1e-12), or when a value is
-present in one record only.
+length, error, the strategies and K of the candidate and user rows, and
+every CLI exit code, text output and non-float JSON leaf), one line each,
+and exits 1 when any differs.  For each float field (value, t, norm_A_P, the
+t, V and mu of the candidate and user rows, and the float JSON leaves of
+each CLI run) it prints the number of tasks where it differs and the largest
+relative difference, and exits 1 when that exceeds ``FLOAT_REL`` (1e-12),
+or when a value is present in one record only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -46,6 +54,12 @@ FLOAT_FIELDS = ("value", "t", "norm_A_P") + tuple(
     f"{rows}_{column}" for rows in ROWS for column in ("t", "V", "mu")
 )
 FLOAT_REL = 1e-12  # last-bit differences of a reordered sum stay far below this
+# CLI runs by record name: the subcommand and the flags after the document path
+COMMANDS = {
+    "verify_json": ("verify", "--report", "json"),
+    "verify_text": ("verify",),
+    "bound_json": ("bound", "--report", "json"),
+}
 
 
 def _task(model, spec):
@@ -76,9 +90,34 @@ def _candidates(horizon, model, task, user: bool = False):
     ]
 
 
+def _cli_runs(cli, path: str) -> dict:
+    """Each :data:`COMMANDS` run of ``cli.main`` on the document at ``path``."""
+    runs = {}
+    for name, (command, *flags) in COMMANDS.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, path, *flags])
+        stdout = json.loads(out.getvalue()) if "json" in flags else out.getvalue()
+        runs[name] = {"exit": code, "stdout": stdout, "stderr": err.getvalue()}
+    return runs
+
+
+def _leaves(value, path: str):
+    """``(path, leaf)`` for every leaf of a parsed JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
 def _fields(record: dict) -> dict:
     """A record's fields, each table of candidate rows split into columns: strategy
-    and K exact, t, V and mu float."""
+    and K exact, t, V and mu float; and each CLI run split into its leaves,
+    named ``cli.<run>.<path>``."""
     out = dict(record)
     for name in ROWS:
         rows = out.pop(name, None)
@@ -87,7 +126,19 @@ def _fields(record: dict) -> dict:
                 out[f"{name}_{column}"] = [row[i] for row in rows if i < len(row)]
         elif rows is not None:
             out[f"{name}_error"] = rows
+    for name, run in out.pop("cli", {}).items():
+        out.update(_leaves(run, f"cli.{name}"))
     return out
+
+
+def _float_group(field: str, x, y) -> str | None:
+    """The float summary a field counts in, None for an exact field: a float field
+    by its name, a float CLI leaf by its run."""
+    if field in FLOAT_FIELDS:
+        return field
+    if field.startswith("cli.") and (isinstance(x, float) or isinstance(y, float)):
+        return ".".join(field.split(".")[:2])
+    return None
 
 
 def _record(verifier, task) -> dict:
@@ -114,24 +165,29 @@ def _record(verifier, task) -> dict:
 def dump(out: str, repo: Path) -> None:
     sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
     import workloads
-    from quadinv import horizon, model, verifier
+    from quadinv import cli, horizon, model, verifier
 
     if repo / "src" not in Path(verifier.__file__).resolve().parents:
         raise RuntimeError(f"quadinv was imported from {verifier.__file__}, not from {repo}")
 
     records = {}
-    for workload in workloads.WORKLOADS:
-        for seed in SEEDS:
-            specs = workloads.generate(workload, seed)
-            for i, spec in enumerate(specs + workloads.defect_probes(workload, seed)):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    task = _task(model, spec)
-                    record = _record(verifier, task)
-                    if record.get("K") is not None:
-                        record["bound"] = _candidates(horizon, model, task)
-                        record["user"] = _candidates(horizon, model, task, user=True)
-                records[f"{workload}/{seed}/{i}/{spec.name}"] = record
+    with tempfile.TemporaryDirectory() as docs:
+        for workload in workloads.WORKLOADS:
+            for seed in SEEDS:
+                specs = workloads.generate(workload, seed)
+                for i, spec in enumerate(specs + workloads.defect_probes(workload, seed)):
+                    key = f"{workload}/{seed}/{i}/{spec.name}"
+                    path = Path(docs) / f"{len(records)}.json"
+                    path.write_text(json.dumps(spec.doc()), encoding="utf-8")
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        task = _task(model, spec)
+                        record = _record(verifier, task)
+                        if record.get("K") is not None:
+                            record["bound"] = _candidates(horizon, model, task)
+                            record["user"] = _candidates(horizon, model, task, user=True)
+                        record["cli"] = _cli_runs(cli, str(path))
+                    records[key] = record
     Path(out).write_text(json.dumps(records, indent=1, sort_keys=True), encoding="utf-8")
     print(f"{len(records)} tasks written to {out}")
 
@@ -155,13 +211,16 @@ def diff(path_a: str, path_b: str) -> int:
     for key in sorted(a.keys() | b.keys()):
         ra, rb = _fields(a.get(key, {})), _fields(b.get(key, {}))
         for field in sorted(ra.keys() | rb.keys()):
-            if field in floats:
-                rel = _relative(ra.get(field), rb.get(field))
+            x, y = ra.get(field), rb.get(field)
+            group = _float_group(field, x, y)
+            if group is not None:
+                rel = _relative(x, y)
+                floats.setdefault(group, [])
                 if rel:
-                    floats[field].append(rel)
-            elif ra.get(field) != rb.get(field):
+                    floats[group].append(rel)
+            elif x != y:
                 exact += 1
-                print(f"{key} {field}: {ra.get(field)!r} -> {rb.get(field)!r}")
+                print(f"{key} {field}: {x!r} -> {y!r}")
     for field, rels in floats.items():
         print(f"{field}: {len(rels)} differing, largest relative difference "
               f"{max(rels, default=0.0):.3g}")
@@ -173,7 +232,7 @@ def diff(path_a: str, path_b: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p_dump = sub.add_parser("dump", help="record verify outcomes on every workload task")
+    p_dump = sub.add_parser("dump", help="record verify and CLI outcomes on every workload task")
     p_dump.add_argument("out")
     p_dump.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout whose src/ and bench/ are used")
