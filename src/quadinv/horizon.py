@@ -201,8 +201,9 @@ def _certificate_for(A: np.ndarray, P: np.ndarray, tol: Tolerances) -> Stability
 def stability_certificate(a_matrix, tol: Tolerances = DEFAULTS) -> StabilityCertificate:
     """Certify spectral radius < 1 by solving P - A^T P A = Id.
 
-    Raises :class:`Unstable` when the Kronecker system is singular or the
-    solution fails positive definiteness: the finite-horizon method does not
+    Raises :class:`Unstable` when the Lyapunov doubling does not contract or
+    its solution grows past the pivot bound (:func:`lyapunov_solve`), or when
+    the solution fails the certificate: the finite-horizon method does not
     apply to such systems.
     """
     a = as_matrix(a_matrix, "A")
@@ -673,7 +674,16 @@ def evaluate_candidates(
     are those of the homogenized task.  Raises :class:`AssumptionViolated`
     when no strictly positive step value exists within the scan cap.
     """
+    return _candidate_table(task, user_P, epsilon, kstrict_cap, tol)[1]
+
+
+def _candidate_table(
+    task: VerificationTask, user_P, epsilon: float, kstrict_cap: int, tol: Tolerances
+) -> tuple[VerificationTask, list[HorizonBound]]:
+    """:func:`evaluate_candidates`' cutoffs with the homogenized task they were
+    staged on, at whose vertices the bound command scores each P."""
     staged = _stage(task, tol)
     users = _user_shapes(staged, user_P, epsilon, tol)
     k_strict, S = _positive_step(staged, kstrict_cap, tol)
-    return _cutoffs(staged.scan.task, [*_shapes(staged, tol), *users], k_strict, S, tol)
+    hom = staged.scan.task
+    return hom, _cutoffs(hom, [*_shapes(staged, tol), *users], k_strict, S, tol)

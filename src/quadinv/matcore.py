@@ -1,15 +1,16 @@
 """Dense real symmetric linear algebra used by the verification pipeline.
 
 The factorizations are LAPACK's, through ``numpy.linalg``: ``eigh`` for
-symmetric eigenproblems and an LU ``solve`` for linear systems, including the
-Kronecker formulation of the discrete Lyapunov equation.  A matrix is checked
-once, where it enters the program: the model's constructors, the user ``P``
-and every public function here require symmetry within ``tol.symmetry_rel``.
-Every matrix the engine builds from checked ones is exactly symmetric by
-construction, so the engine's own eigenproblems call ``numpy.linalg``
-directly.  The soundness guards run on every matrix: a solve raises
-:class:`SingularSystem` when its solution grows past ``1 / tol.pivot_rel``
-times its right-hand side, a Lyapunov solution must meet
+symmetric eigenproblems and an LU ``solve`` for linear systems.  The discrete
+Lyapunov equation is solved by Smith's doubling, in d x d products only.  A
+matrix is checked once, where it enters the program: the model's constructors,
+the user ``P`` and every public function here require symmetry within
+``tol.symmetry_rel``.  Every matrix the engine builds from checked ones is
+exactly symmetric by construction, so the engine's own eigenproblems call
+``numpy.linalg`` directly.  The soundness guards run on every matrix: a linear
+or Lyapunov solve raises :class:`SingularSystem` when its solution grows past
+``1 / tol.pivot_rel`` times its right-hand side, the doubling also when it has
+not contracted within its step cap, a Lyapunov solution must meet
 ``tol.lyap_residual``, and an inverse square root needs ``lambda_min`` above
 ``tol.pd_rel``; the certificate checks live in :mod:`quadinv.horizon`.
 
@@ -45,9 +46,9 @@ __all__ = [
 ]
 
 
-def as_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite float64 2-D array."""
-    m = np.array(value, dtype=float)
+def as_matrix(value, name: str = "matrix", copy: bool = True) -> np.ndarray:
+    """Coerce to a finite float64 2-D array, a copy unless ``copy`` is False."""
+    m = (np.array if copy else np.asarray)(value, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -74,6 +75,10 @@ def frobenius(m: np.ndarray) -> float:
 def quad_forms(points: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``x^T M x`` for every row ``x`` of ``points`` (any leading shape)."""
     return np.sum((points @ m) * points, axis=-1)
+
+
+_DOUBLING_STEPS = 64  # 2^64 terms; 1 - 2^-53, the largest double below one, takes 58
+_CONTRACTED = np.finfo(float).eps / 16.0
 
 
 def _require_square(m: np.ndarray, name: str) -> None:
@@ -159,26 +164,49 @@ def solve_linear(matrix, rhs, tol: Tolerances = DEFAULTS) -> np.ndarray:
 def lyapunov_solve(a_matrix, c_matrix, tol: Tolerances = DEFAULTS) -> np.ndarray:
     """Solve the discrete Lyapunov equation ``P - A^T P A = C`` for symmetric C.
 
-    The equation is flattened to the d^2-dimensional linear system
-    ``(Id - kron(A^T, A^T)) vec(P) = vec(C)`` and solved by
-    :func:`solve_linear`.  The result is symmetrized and its residual checked
-    against ``tol.lyap_residual * (1 + |C|_F)``.
+    Smith's doubling sums ``P = sum_j (A^j)^T C A^j``: from ``P = C`` and
+    ``M = A``, each step sets ``P <- P + M^T P M`` and ``M <- M M``, until
+    ``(d |M|_F)^2 < eps / 16`` puts the next term below rounding, about
+    ``log2(ln eps / ln rho)`` steps at spectral radius rho.  Raises
+    :class:`SingularSystem` when M has not contracted in :data:`_DOUBLING_STEPS`
+    steps or P grows past ``max(1, max|C|) / tol.pivot_rel``, the bound of
+    :func:`solve_linear`.  P is symmetrized and refined once if its residual
+    fails ``tol.lyap_residual * (1 + |C|_F)``; it raises if it fails again.
     """
-    a = as_matrix(a_matrix, "A")
+    a = as_matrix(a_matrix, "A", copy=False)
     _require_square(a, "A")
-    c = _check_symmetric(as_matrix(c_matrix, "C"), tol, "C")
+    c = _check_symmetric(as_matrix(c_matrix, "C", copy=False), tol, "C")
     if c.shape != a.shape:
         raise ValueError(f"C has shape {c.shape}, expected {a.shape}")
-    d = a.shape[0]
-    system = np.eye(d * d) - np.kron(a.T, a.T)
-    p = solve_linear(system, c.reshape(-1), tol).reshape(d, d)
+    p, m, powers = c, a, []
+    with np.errstate(over="ignore", invalid="ignore"):  # an unstable A overflows to inf, NaN
+        for _ in range(_DOUBLING_STEPS):
+            powers.append(m)
+            p = p + m.T @ p @ m
+            m = m @ m
+            if a.size * np.vdot(m, m) < _CONTRACTED:  # a.size = d^2
+                break
+        else:
+            raise SingularSystem(f"Lyapunov doubling did not contract in {_DOUBLING_STEPS} steps")
+    scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
+    if not np.max(np.abs(p), initial=0.0) * tol.pivot_rel <= scale:
+        raise SingularSystem(f"Lyapunov solution grows past {scale:.3e} / pivot_rel")
     p = 0.5 * (p + p.T)
-    residual = frobenius(p - a.T @ p @ a - c)
-    if residual > tol.lyap_residual * (1.0 + frobenius(c)):
-        raise SingularSystem(
-            f"Lyapunov solve residual {residual:.3e} exceeds tolerance; "
-            "the system is too close to the stability boundary"
-        )
+    bound = tol.lyap_residual * (1.0 + frobenius(c))
+    residual = p - a.T @ p @ a - c
+    if frobenius(residual) > bound:
+        # doubling is accurate but not backward stable, and can fail where the
+        # exact P rounded passes: refine by E - A^T E A = residual, same series
+        e = residual
+        for m in powers:
+            e = e + m.T @ e @ m
+        p = p - 0.5 * (e + e.T)
+        residual = frobenius(p - a.T @ p @ a - c)
+        if residual > bound:
+            raise SingularSystem(
+                f"Lyapunov solve residual {residual:.3e} exceeds tolerance; "
+                "the system is too close to the stability boundary"
+            )
     return p
 
 

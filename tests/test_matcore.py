@@ -107,6 +107,19 @@ class TestSolveLinear:
         np.testing.assert_array_equal(a, [[2.0, 1.0], [1.0, 3.0]])
 
 
+def _doubling(a, c, dtype) -> np.ndarray:
+    """Smith's doubling in ``dtype`` with no guard or refinement: in
+    ``np.longdouble``, the reference for :func:`lyapunov_solve`."""
+    a, p = np.asarray(a, dtype), np.asarray(c, dtype)
+    m, eps = a, np.finfo(dtype).eps
+    for _ in range(80):
+        p = p + m.T @ p @ m
+        m = m @ m
+        if a.shape[0] ** 2 * np.sum(m * m) < eps / 16:
+            return 0.5 * (p + p.T)
+    raise AssertionError("reference doubling did not contract")
+
+
 class TestLyapunovSolve:
     def test_zero_dynamics_returns_rhs(self):
         c = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -152,6 +165,62 @@ class TestLyapunovSolve:
             p = lyapunov_solve(a, c)
             assert frobenius(p - p.T) <= 1e-10
             assert frobenius(p - a.T @ p @ a - c) <= 1e-8 * (1.0 + frobenius(c))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [np.eye(2), np.zeros((2, 2))], ids=["identity", "zero"])
+    @pytest.mark.parametrize(
+        "a",
+        [1.5 * np.eye(2), [[0.0, 1.0], [-1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]]],
+        ids=["unstable", "rotation", "jordan"],
+    )
+    def test_not_stable_raises_without_overflow(self, a, c):
+        # the doubling ends by its step cap or its growth guard; M and P may
+        # overflow on the way, but no RuntimeWarning escapes
+        with pytest.raises(SingularSystem):
+            lyapunov_solve(a, c)
+
+    def test_transient_growth_meets_residual(self):
+        a = np.array([[0.9, 50.0], [0.0, 0.9]])
+        p = lyapunov_solve(a, np.eye(2))
+        assert frobenius(p - a.T @ p @ a - np.eye(2)) <= 1e-8 * (1.0 + frobenius(np.eye(2)))
+        np.testing.assert_allclose(p, _doubling(a, np.eye(2), np.longdouble), rtol=1e-12)
+
+    def test_agrees_with_extended_precision(self):
+        # the forward error scales with the condition of the Lyapunov operator,
+        # about max|P|, which is at least 1 / (d (1 - rho^2)) at spectral radius rho
+        rng = np.random.default_rng(0)
+        eps = np.finfo(float).eps
+        for d in range(1, 13):
+            for rho in (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999):
+                a = rng.standard_normal((d, d))
+                a *= rho / np.max(np.abs(np.linalg.eigvals(a)))
+                reference = _doubling(a, np.eye(d), np.longdouble)
+                scale = float(np.max(np.abs(reference)))
+                error = float(np.max(np.abs(lyapunov_solve(a, np.eye(d)) - reference)))
+                assert error <= 16.0 * eps * scale**2, (d, rho)
+
+    def test_refines_a_solution_that_fails_the_residual(self):
+        # at this A the doubled P is accurate but fails the residual check,
+        # which the exact P rounded to double passes; one refinement step fixes it
+        a = np.random.default_rng(104).standard_normal((2, 2))
+        a *= 0.99999 / np.max(np.abs(np.linalg.eigvals(a)))
+        c, bound = np.eye(2), 1e-8 * (1.0 + frobenius(np.eye(2)))
+        unrefined = _doubling(a, c, float)
+        assert frobenius(unrefined - a.T @ unrefined @ a - c) > bound
+        p = lyapunov_solve(a, c)
+        assert frobenius(p - a.T @ p @ a - c) <= bound
+        reference = _doubling(a, c, np.longdouble)
+        scale = float(np.max(np.abs(reference)))
+        assert np.max(np.abs(p - reference)) <= 16.0 * np.finfo(float).eps * scale**2
+
+    def test_large_dimension_solves(self):
+        # O(d^2) memory: a d^2 x d^2 linear system would take 134 MB here
+        rng = np.random.default_rng(64)
+        a = rng.standard_normal((64, 64))
+        a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
+        p = lyapunov_solve(a, np.eye(64))
+        assert frobenius(p - a.T @ p @ a - np.eye(64)) <= 1e-8 * (1.0 + frobenius(np.eye(64)))
+        assert np.linalg.eigvalsh(p).min() >= 1.0
 
 
 class TestInvSqrt:
