@@ -49,7 +49,7 @@ from .horizon import (
     DEFAULT_EPSILON,
     DEFAULT_KSTRICT_CAP,
     HorizonBound,
-    _candidate_table,
+    evaluate_candidates,
     objective_scores,
 )
 from .model import (
@@ -243,9 +243,11 @@ def _run_verify(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dic
 
 
 def _run_bound(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict]:
-    hom, bounds = _candidate_table(
-        task, load_user_matrix(args.user_p), args.epsilon, args.kstrict_cap, tol
+    bounds = evaluate_candidates(
+        task, user_P=load_user_matrix(args.user_p), epsilon=args.epsilon,
+        kstrict_cap=args.kstrict_cap, tol=tol,
     )
+    hom = homogenize(task, tol)  # the scores are taken at the homogenized vertices
     return 0, {
         "command": "bound",
         "best": _candidate_dict(min(bounds, key=lambda bound: bound.K), hom),

@@ -18,7 +18,7 @@ class Tolerances:
 
     symmetry_rel: float = 1e-12     # |M - M^T|_F vs max(1, |M|_F)
     pivot_rel: float = 1e-13        # solve: |x| <= |rhs| / (rel * max(1, max |entry|));
-                                    # Lyapunov: max|P| <= max(1, max|C|) / rel
+                                    # Lyapunov: max|P| <= max(1, max|C|) / (rel * max(1, max|A|)^2)
     pd_rel: float = 1e-12           # lambda_min vs max(1, lambda_max)
     lyap_residual: float = 1e-8     # |P - A^T P A - C|_F vs 1 + |C|_F
     psd_slack_rel: float = 1e-8     # feasibility slack for t*P - Q vs |Q|_F

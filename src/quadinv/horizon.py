@@ -674,16 +674,7 @@ def evaluate_candidates(
     are those of the homogenized task.  Raises :class:`AssumptionViolated`
     when no strictly positive step value exists within the scan cap.
     """
-    return _candidate_table(task, user_P, epsilon, kstrict_cap, tol)[1]
-
-
-def _candidate_table(
-    task: VerificationTask, user_P, epsilon: float, kstrict_cap: int, tol: Tolerances
-) -> tuple[VerificationTask, list[HorizonBound]]:
-    """:func:`evaluate_candidates`' cutoffs with the homogenized task they were
-    staged on, at whose vertices the bound command scores each P."""
     staged = _stage(task, tol)
     users = _user_shapes(staged, user_P, epsilon, tol)
     k_strict, S = _positive_step(staged, kstrict_cap, tol)
-    hom = staged.scan.task
-    return hom, _cutoffs(hom, [*_shapes(staged, tol), *users], k_strict, S, tol)
+    return _cutoffs(staged.scan.task, [*_shapes(staged, tol), *users], k_strict, S, tol)

@@ -9,10 +9,11 @@ the user ``P`` and every public function here require symmetry within
 exactly symmetric by construction, so the engine's own eigenproblems call
 ``numpy.linalg`` directly.  The soundness guards run on every matrix: a linear
 or Lyapunov solve raises :class:`SingularSystem` when its solution grows past
-``1 / tol.pivot_rel`` times its right-hand side, the doubling also when it has
-not contracted within its step cap, a Lyapunov solution must meet
-``tol.lyap_residual``, and an inverse square root needs ``lambda_min`` above
-``tol.pd_rel``; the certificate checks live in :mod:`quadinv.horizon`.
+its right-hand side over ``tol.pivot_rel`` times the operator's largest entry,
+the doubling also when it has not contracted within its step cap, a Lyapunov
+solution must meet ``tol.lyap_residual``, and an inverse square root needs
+``lambda_min`` above ``tol.pd_rel``; the certificate checks live in
+:mod:`quadinv.horizon`.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays,
 and results do not depend on call order, so values can be shared freely
@@ -46,9 +47,9 @@ __all__ = [
 ]
 
 
-def as_matrix(value, name: str = "matrix", copy: bool = True) -> np.ndarray:
-    """Coerce to a finite float64 2-D array, a copy unless ``copy`` is False."""
-    m = (np.array if copy else np.asarray)(value, dtype=float)
+def as_matrix(value, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite float64 2-D array."""
+    m = np.array(value, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -169,13 +170,17 @@ def lyapunov_solve(a_matrix, c_matrix, tol: Tolerances = DEFAULTS) -> np.ndarray
     ``(d |M|_F)^2 < eps / 16`` puts the next term below rounding, about
     ``log2(ln eps / ln rho)`` steps at spectral radius rho.  Raises
     :class:`SingularSystem` when M has not contracted in :data:`_DOUBLING_STEPS`
-    steps or P grows past ``max(1, max|C|) / tol.pivot_rel``, the bound of
-    :func:`solve_linear`.  P is symmetrized and refined once if its residual
-    fails ``tol.lyap_residual * (1 + |C|_F)``; it raises if it fails again.
+    steps, or when ``max|P|`` passes ``max(1, max|C|) / (tol.pivot_rel *
+    max(1, max|A|)^2)``: the growth bound :func:`solve_linear` puts on the
+    operator ``Id - kron(A^T, A^T)``, whose largest entry is about
+    ``max|A|^2``.  Unlike :func:`solve_linear` it solves no alternating-sign
+    probe, so ``C = 0`` gives ``P = 0`` wherever M contracts.  P is symmetrized
+    and refined once if its residual fails ``tol.lyap_residual * (1 + |C|_F)``;
+    it raises if it fails again.
     """
-    a = as_matrix(a_matrix, "A", copy=False)
+    a = as_matrix(a_matrix, "A")
     _require_square(a, "A")
-    c = _check_symmetric(as_matrix(c_matrix, "C", copy=False), tol, "C")
+    c = _check_symmetric(as_matrix(c_matrix, "C"), tol, "C")
     if c.shape != a.shape:
         raise ValueError(f"C has shape {c.shape}, expected {a.shape}")
     p, m, powers = c, a, []
@@ -188,9 +193,12 @@ def lyapunov_solve(a_matrix, c_matrix, tol: Tolerances = DEFAULTS) -> np.ndarray
                 break
         else:
             raise SingularSystem(f"Lyapunov doubling did not contract in {_DOUBLING_STEPS} steps")
+    floor = tol.pivot_rel * max(1.0, float(np.max(np.abs(a), initial=0.0))) ** 2
     scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
-    if not np.max(np.abs(p), initial=0.0) * tol.pivot_rel <= scale:
-        raise SingularSystem(f"Lyapunov solution grows past {scale:.3e} / pivot_rel")
+    if not np.max(np.abs(p), initial=0.0) * floor <= scale:
+        raise SingularSystem(
+            f"Lyapunov solution grows past {scale:.3e} / {floor:.3e}, the pivot threshold"
+        )
     p = 0.5 * (p + p.T)
     bound = tol.lyap_residual * (1.0 + frobenius(c))
     residual = p - a.T @ p @ a - c

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import quadinv
-from quadinv import cli, horizon
+from quadinv import horizon
 from quadinv.cli import build_parser, main, parse_input, render_text
 from quadinv.errors import DimensionMismatch, ParseError
 from quadinv.horizon import evaluate_candidates, objective_scores
@@ -327,21 +327,6 @@ class TestBoundCommand:
         path = write_json(tmp_path / "b.json", harmonic_doc(q))
         assert main(["bound", path]) == 0
         assert len(calls) == 25
-
-    def test_affine_task_homogenized_once(self, tmp_path, monkeypatch):
-        # the scores are taken at the vertices of the task the cutoffs were staged on
-        calls = []
-        for module in (horizon, cli):
-            original = module.homogenize
-
-            def counting(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, "homogenize", counting)
-        path = write_json(tmp_path / "rot.json", rotation_doc(np.eye(2), alpha=16.0))
-        assert main(["bound", path, "--report", "json"]) == 0
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["verify", "bound"])
     def test_unstable_reported_before_singular_shift(self, tmp_path, capsys, command):

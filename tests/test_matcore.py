@@ -185,6 +185,19 @@ class TestLyapunovSolve:
         assert frobenius(p - a.T @ p @ a - np.eye(2)) <= 1e-8 * (1.0 + frobenius(np.eye(2)))
         np.testing.assert_allclose(p, _doubling(a, np.eye(2), np.longdouble), rtol=1e-12)
 
+    @pytest.mark.parametrize(("entry", "solves"), [(300.0, True), (1e3, False), (1e4, False)])
+    def test_growth_bound_scales_with_entries_of_A(self, entry, solves):
+        # at radius 0.9, max|P| is about 264 entry^2, against a bound of
+        # 1 / (pivot_rel entry^2): the Kronecker solve's limit, whose operator
+        # Id - kron(A^T, A^T) has entries up to entry^2
+        a = np.array([[0.9, entry], [0.0, 0.9]])
+        if solves:
+            p = lyapunov_solve(a, np.eye(2))
+            np.testing.assert_allclose(p, _doubling(a, np.eye(2), np.longdouble), rtol=1e-12)
+        else:
+            with pytest.raises(SingularSystem, match="pivot threshold"):
+                lyapunov_solve(a, np.eye(2))
+
     def test_agrees_with_extended_precision(self):
         # the forward error scales with the condition of the Lyapunov operator,
         # about max|P|, which is at least 1 / (d (1 - rho^2)) at spectral radius rho
