@@ -35,7 +35,6 @@ from .horizon import (
     evaluate_candidates,
     find_k_strict,
     mu,
-    nu,
     nu_sequence,
     objective_scores,
     s_value,
@@ -47,7 +46,6 @@ from .matcore import (
     generalized_lmax,
     inv_sqrt,
     lyapunov_solve,
-    mat_pow,
     sym_eig,
     weighted_opnorm,
 )

@@ -22,9 +22,10 @@ cutoff adds S and k_strict, always computed here, never supplied.
 
 Step values nu_k here are always the *constant-free* part of the objective,
 max over vertices of (A^k v)^T Q (A^k v) + q^T (A^k v).  The public
-:func:`nu` adds the objective's constant back so it reports the value of the
-original (pre-homogenization) objective at step k; the bound theory needs
-the constant-free sequence because only that sequence decays to zero.
+:func:`nu_sequence` adds the objective's constant back by default, so it
+reports the values of the original (pre-homogenization) objective; the bound
+theory needs the constant-free sequence because only that sequence decays
+to zero.
 
 Every reader walks one replayable scan of this sequence from step 0: steps
 already computed are replayed from its record, and later ones are computed
@@ -41,22 +42,42 @@ the tail fallback by the step where U certifies the level.
 The scan never forms the states A^k v.  Of Q = W diag(lam) W^T it keeps the
 r eigenpairs with |lam_j| > d eps max|lam|; a dropped term moves x^T Q x by
 at most d eps max|lam| |x|^2, within the rounding error of evaluating it.  A
-block projects its start states on a table of (A^j)^T [W_r | q], c = r (+1
-when q is nonzero) columns per step, in one matrix product, and a step value
-is sum_j lam_j y_j^2 + y_q: a rank-1 property costs one column per step.
+block projects its start rows on a table of (A^j)^T times the scan's
+columns, in one matrix product, and reduces the projections to step values
+in one of two ways (:func:`_scan_rows`):
+
+- Corners: the rows are the vertices, the c columns [W_r | q] (q only when
+  nonzero), and a step value is the max over vertices of
+  sum_j lam_j y_j^2 + y_q.  A rank-1 property costs one column per step.
+- Box support: a box task whose basis keeps one eigenpair (lam > 0, w) and
+  whose q is beta w up to rounding (|q - beta w| <= d eps |q|) has the
+  rank-1 property g(s) = lam s^2 + beta s of s = w^T x.  Over the box's
+  image under A^k, s ranges over [s0 - r, s0 + r], with s0 the projection
+  of the center and r = sum_i h_i |w^T A^k e_i| over the non-degenerate
+  axes i of half-width h_i, and g, being convex, peaks at an end.  So the
+  rows are the center and h_i e_i, d + 1 of them for 2^d corners, on the one
+  column w, and a step value is max(g(s0 + r), g(s0 - r)): the max over
+  the corners, up to rounding.  The arg-max corner is derived only for the
+  step a walk reports (:func:`_support_vertex`): upper bounds where the
+  projection has the sign of the winning end, lower ones elsewhere, and the
+  smaller index on a tie, as the corner scan's first arg-max gives.
+
+mu(P) and S's sup x^T Q x stay passes over the vertices.
+
 Block lengths double from the smallest block up to the larger of that and
 ceil(sqrt(k_max + 1)) of the current reader's bound, and no block runs past
 that bound: a walk that stops early does little work, and a long one takes
 O(sqrt(k_max)) array operations.  SCAN_MIN_ELEMENTS and SCAN_BLOCK_ELEMENTS
-count entries of a block's (vertices, steps * c) projection array.  The
-smallest block holds SCAN_MIN_ELEMENTS (at least one step): a smaller block
-costs about its fixed overhead of some ten array operations, so a walk of a
-few hundred steps over few vertices and columns is one or two blocks.
+count entries of a block's (rows, steps * c) projection array, so the box
+support's blocks run longer than the corners'.  The smallest block holds
+SCAN_MIN_ELEMENTS (at least one step): a smaller block costs about its fixed
+overhead of some ten array operations, so a walk of a few hundred steps
+over few rows and columns is one or two blocks.
 SCAN_BLOCK_ELEMENTS caps a block's entries and, as the table holds fewer
 than twice the longest block's steps, the scan's memory.
 
-At each block start, coordinates below SCAN_FLOOR times the largest initial
-coordinate are set to zero.  The states of a contracting system otherwise
+At each block start, coordinates below SCAN_FLOOR times the largest start
+row coordinate are set to zero.  The states of a contracting system otherwise
 pass through the subnormal range on their way to zero, where each float
 operation costs about ten times as much, so the scan's time would depend on
 where its states underflow.  With the floor at 2^-511, a coordinate is zero
@@ -68,11 +89,12 @@ set's scale, times the transient growth of A^k.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -92,7 +114,6 @@ from .matcore import (
     congruence_lmax,
     frobenius,
     lyapunov_solve,
-    mat_pow,
     quad_forms,
 )
 from .model import InitialSet, QuadraticObjective, VerificationTask, homogenize
@@ -101,9 +122,7 @@ __all__ = [
     "StabilityCertificate",
     "BoundScalars",
     "HorizonBound",
-    "NuResult",
     "stability_certificate",
-    "nu",
     "nu_sequence",
     "find_k_strict",
     "s_value",
@@ -161,12 +180,6 @@ class HorizonBound:
     scalars: BoundScalars
     certificate: StabilityCertificate
     strategy_id: str
-
-
-class NuResult(NamedTuple):
-    value: float
-    vertex: np.ndarray
-    vertex_index: int
 
 
 def _require_linear(task: VerificationTask) -> None:
@@ -232,22 +245,106 @@ def _scan_basis(objective: QuadraticObjective) -> tuple[np.ndarray, np.ndarray]:
     return lam[keep], np.column_stack([basis, objective.q]) if objective.q.any() else basis
 
 
+def _scan_rows(task: VerificationTask):
+    """The start rows of the task's scan, its projection columns, and the reduction
+    of a block's projections to its values and their vertices (module docstring).
+
+    A box task whose basis keeps one eigenpair lam > 0, and whose q is beta w
+    up to rounding, scans the box's center and half-widths on the column w;
+    every other task scans its vertices on [W_r | q].
+    """
+    lam, basis = _scan_basis(task.objective)
+    beta = None if task.init.box is None else _support_slope(lam, basis, task.objective.q)
+    if beta is not None:
+        reduce = functools.partial(_support_values, float(lam[0]), beta)
+        return task.init.support_rows, basis[:, :1], reduce
+    return task.init.vertices, basis, functools.partial(_corner_values, lam)
+
+
+def _support_slope(lam: np.ndarray, basis: np.ndarray, q: np.ndarray) -> float | None:
+    """beta with q = beta w up to rounding, where the basis keeps one eigenpair
+    (lam > 0, w); None when the objective is not such a rank-1 property."""
+    if lam.size != 1 or not lam[0] > 0.0:
+        return None
+    if basis.shape[1] == 1:  # q is zero
+        return 0.0
+    w = basis[:, 0]
+    beta = float(q @ w)
+    miss = q - beta * w
+    return beta if miss @ miss <= (q.size * np.finfo(float).eps) ** 2 * (q @ q) else None
+
+
+def _corner_values(lam: np.ndarray, y: np.ndarray, length: int):
+    """Step values of a block as the max over vertices, and a function giving the
+    arg-max vertex of the steps at the offsets it is asked for.
+
+    ``y`` has row i * length + j projecting A^(k0 + j) v_i on [W_r | q]; it is
+    the block's own, and overwritten.
+    """
+    # squared in place and summed by matmul, which reads the strided columns
+    # where np.dot would copy them: a block holds one array of its size, not
+    # three, as large transients make malloc hand memory back to the system
+    # and fault it in again on the next verify
+    squares = np.square(y[:, : lam.size], out=y[:, : lam.size])
+    vals = squares @ lam
+    if y.shape[1] > lam.size:
+        vals += y[:, lam.size]
+    vals = vals.reshape(-1, length)
+    return vals.max(axis=0), vals.argmax(axis=0).__getitem__
+
+
+def _support_values(lam: float, beta: float, y: np.ndarray, length: int):
+    """Step values of a box block as max(g(s0 + r), g(s0 - r)), g(s) = lam s^2 + beta s,
+    and a function giving the arg-max vertex of the steps at the offsets it is
+    asked for (:func:`_support_vertex`).
+
+    ``y`` has row i * length + j projecting A^(k0 + j) on w from row i: the
+    center gives s0, the half-widths the terms of r.
+    """
+    y = y.reshape(-1, length)
+    s0, r = y[0], np.abs(y[1:]).sum(axis=0)
+    up, down = s0 + r, s0 - r
+    g_up, g_down = lam * up**2, lam * down**2
+    if beta:
+        g_up += beta * up
+        g_down += beta * down
+    vertex = functools.partial(_support_vertex, y[1:], g_up, g_down)
+    return np.maximum(g_up, g_down), vertex
+
+
+def _support_vertex(sides: np.ndarray, g_up: np.ndarray, g_down: np.ndarray, j):
+    """The smallest index, in :func:`model.box_to_vertices` order, of a corner
+    attaining the support value of the steps at offsets ``j`` of a block.
+
+    The corner takes, on each non-degenerate axis, the bound on the side of
+    the chosen branch: upper where the axis's projection is positive for s0 +
+    r, negative for s0 - r, and lower where it is zero.  When both branches
+    attain the value, the smaller index wins.
+    """
+    col, up_wins, down_wins = sides[:, j], g_up[j] > g_down[j], g_down[j] > g_up[j]
+    weights = 1 << np.arange(len(sides) - 1, -1, -1)
+    up, down = weights @ (col > 0.0), weights @ (col < 0.0)
+    past = 1 << len(sides)  # above every corner index: the losing branch's
+    return np.minimum(up + past * down_wins, down + past * up_wins)
+
+
 def _step_value_blocks(task: VerificationTask, bound: list[int]):
     """Constant-free step values from step 0 on, one block at a time.
 
-    Yields ``(k0, values, argmax)``: the max over vertices of
-    (A^k v)^T Q (A^k v) + q^T (A^k v) and its arg-max vertex index, for
-    k = k0 .. k0 + len(values) - 1.  ``bound[0]`` is the k_max of the reader
-    asking for the next block, which ends by it.
+    Yields ``(k0, values, vertex)``: the max over vertices of
+    (A^k v)^T Q (A^k v) + q^T (A^k v) for k = k0 .. k0 + len(values) - 1, and
+    a function taking offsets j into the block (an integer or an array) to
+    the arg-max vertex index of step k0 + j.  ``bound[0]`` is the k_max of
+    the reader asking for the next block, which ends by it.
     """
-    A, x = task.system.A, task.init.vertices
-    lam, basis = _scan_basis(task.objective)
-    r, c = lam.size, basis.shape[1]
+    A = task.system.A
+    x, basis, reduce = _scan_rows(task)
+    c = basis.shape[1]
     width = len(x) * max(c, 1)  # entries of a block's projections per step
     floor = SCAN_FLOOR * float(np.abs(x).max())
     cap = max(1, SCAN_BLOCK_ELEMENTS // width)
     shortest = size = min(max(1, SCAN_MIN_ELEMENTS // width), cap)
-    # column block j of the table is (A^j)^T [W_r | q], j < steps; powers[i] is
+    # column block j of the table is (A^j)^T basis, j < steps; powers[i] is
     # (A^(2^i))^T, the last one (A^steps)^T
     table, powers, steps, k0 = basis, [A.T], 1, 0
     while True:
@@ -255,21 +352,16 @@ def _step_value_blocks(task: VerificationTask, bound: list[int]):
         longest = min(max(math.isqrt(k_max) + 1, shortest), cap)
         length = min(size, longest, k_max + 1 - k0)
         while steps < length:
-            table = np.hstack([table, powers[-1] @ table])
+            table = np.concatenate((table, powers[-1] @ table), axis=1)
             powers.append(powers[-1] @ powers[-1])
             steps *= 2
-        # one product for the block; row i * length + j projects A^(k0 + j) v_i
-        y = (x @ table[:, : length * c]).reshape(len(x) * length, c)
-        vals = np.dot(y[:, :r] ** 2, lam)  # matmul's matrix-vector path is slower
-        if c > r:
-            vals += y[:, r]
-        vals = vals.reshape(len(x), length)
-        yield k0, vals.max(axis=0), vals.argmax(axis=0)
+        # one product for the block; row i * length + j projects A^(k0 + j) x_i
+        yield (k0, *reduce((x @ table[:, : length * c]).reshape(len(x) * length, c), length))
         k0 += length
         for i, power in enumerate(powers):  # x (A^length)^T, by the bits of length
             if length >> i & 1:
                 x = x @ power
-        x[np.abs(x) < floor] = 0.0
+        x[(x < floor) & (x > -floor)] = 0.0  # |x| < floor, without a float temporary
         size = min(2 * size, longest)
 
 
@@ -286,7 +378,7 @@ class _StepScan:
         # reference to the scan, so no cycle keeps its arrays past the last reader
         self._bound = [0]
         self._next = 0  # the first step not yet computed
-        self._record: list[tuple[int, np.ndarray, np.ndarray]] = []
+        self._record: list[tuple[int, np.ndarray, Callable]] = []
         self._source = _step_value_blocks(task, self._bound)
 
     def blocks(self, k_max: int):
@@ -298,28 +390,30 @@ class _StepScan:
             if i == len(self._record):
                 self._record.append(next(self._source))
                 self._next += len(self._record[-1][1])
-            k0, values, argmax = self._record[i]
+            k0, values, vertex = self._record[i]
             if k0 > k_max:
                 return
-            yield k0, values[: k_max + 1 - k0], argmax[: k_max + 1 - k0]
+            yield k0, values[: k_max + 1 - k0], vertex
             i += 1
 
 
 def _walk(
     scan: _StepScan, k_max: int, envelope: tuple[BoundScalars, float] | None = None,
     shift: float = 0.0, level: float = math.inf, floor: float = -math.inf,
-) -> tuple[int, float, int, int]:
-    """Walk a scan from step 0: ``(m, value, arg_k, vertex index)``.
+) -> tuple[int, float, int, Callable[[], int]]:
+    """Walk a scan from step 0: ``(m, value, arg_k, vertex)``.
 
     The walk ends at the first m with U(m + 1) <= max(nu_0..nu_m, floor),
     where U is the envelope of ``envelope = (scalars, |A|_P)`` tested on the
     constant-free values, as no later step exceeds that; at the first value
     above ``level``; or at k_max.  Values are compared with the level and
     maximized with ``shift`` added: ``value`` is the largest over steps
-    0..m, at its first step ``arg_k``.
+    0..m, at its first step ``arg_k``, and ``vertex()`` gives the arg-max
+    vertex index of that step alone, derived when called.
     """
-    best, peak = (-math.inf, 0, 0), floor
-    for k0, block, idx in scan.blocks(k_max):
+    # the best value, its step, and the block's vertex function with its offset
+    best, peak, stop = (-math.inf, 0, lambda j: 0, 0), floor, k_max
+    for k0, block, vertex in scan.blocks(k_max):
         vals = block + shift if shift else block
         done = vals > level
         if envelope is not None:
@@ -330,33 +424,12 @@ def _walk(
         n = int(done.argmax()) + 1 if done.any() else len(block)
         j = int(vals[:n].argmax())
         if vals[j] > best[0]:
-            best = (float(vals[j]), k0 + j, int(idx[j]))
+            best = (float(vals[j]), k0 + j, vertex, j)
         if done.any():
-            return (k0 + n - 1, *best)
-    return (k_max, *best)
-
-
-def nu(
-    task: VerificationTask,
-    k: int,
-    include_constant: bool = True,
-) -> NuResult:
-    """Largest objective value over initial vertices propagated k steps.
-
-    Requires a homogenized task; with the objective's constant included, the
-    result equals the original objective's value at step k.
-    """
-    _require_linear(task)
-    if k < 0:
-        raise ValueError("step index must be nonnegative")
-    power = mat_pow(task.system.A, k)
-    images = task.init.vertices @ power.T
-    obj = task.objective
-    vals = quad_forms(images, obj.Q) + images @ obj.q
-    if include_constant:
-        vals = vals + obj.constant
-    idx = int(vals.argmax())
-    return NuResult(float(vals[idx]), task.init.vertices[idx], idx)
+            stop = k0 + n - 1
+            break
+    value, arg_k, vertex, j = best
+    return stop, value, arg_k, lambda: int(vertex(j))
 
 
 def nu_sequence(
@@ -370,9 +443,9 @@ def nu_sequence(
         raise ValueError("k_max must be nonnegative")
     values = np.empty(k_max + 1)
     argmax = np.empty(k_max + 1, dtype=int)
-    for k0, block, idx in _StepScan(task).blocks(k_max):
+    for k0, block, vertex in _StepScan(task).blocks(k_max):
         values[k0 : k0 + len(block)] = block
-        argmax[k0 : k0 + len(block)] = idx
+        argmax[k0 : k0 + len(block)] = vertex(np.arange(len(block)))
     if include_constant and task.objective.constant:
         values = values + task.objective.constant
     return values, argmax

@@ -40,7 +40,6 @@ __all__ = [
     "solve_linear",
     "lyapunov_solve",
     "inv_sqrt",
-    "mat_pow",
     "weighted_opnorm",
     "generalized_lmax",
     "congruence_lmax",
@@ -230,15 +229,6 @@ def inv_sqrt(matrix, tol: Tolerances = DEFAULTS) -> np.ndarray:
             f"matrix is not positive definite (lmin {eig.lmin:.3e}, lmax {eig.lmax:.3e})"
         )
     return (eig.vectors * eig.values**-0.5) @ eig.vectors.T
-
-
-def mat_pow(matrix, k: int) -> np.ndarray:
-    """k-th power of a square matrix by repeated squaring; ``A^0`` is Id."""
-    a = as_matrix(matrix, "matrix")
-    _require_square(a, "matrix")
-    if k < 0 or int(k) != k:
-        raise ValueError(f"exponent must be a nonnegative integer, got {k}")
-    return np.linalg.matrix_power(a, int(k))
 
 
 def weighted_opnorm(a_matrix, p_matrix, tol: Tolerances = DEFAULTS) -> float:

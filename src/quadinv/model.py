@@ -1,12 +1,14 @@
-"""Data model: affine systems, vertex-list initial sets, quadratic properties.
+"""Data model: affine systems, initial sets, quadratic properties.
 
-Initial sets are stored as explicit vertex lists; the pipeline only ever
-evaluates objectives at vertices.
+An initial set always holds its explicit vertex list; a set built from a box
+also keeps the box.  Step values are maxima over the set's vertices: the
+scan evaluates a box task whose objective is rank-1 positive semidefinite by
+the box's support function, which gives the same maximum from d + 1 rows,
+and every other task at the vertices themselves.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,7 +89,9 @@ def _canonical_key(vertex: np.ndarray, sig_digits: int) -> tuple:
 class InitialSet:
     """Polytope of initial states given by its extreme points.
 
-    ``vertices`` is an (n, d) array, one vertex per row.
+    ``vertices`` is an (n, d) array, one vertex per row.  ``box`` holds the
+    (lower, upper) bounds of a set built by :func:`box_to_vertices`, whose
+    vertices are then the box's corners in that function's order.
 
     Construct via :meth:`from_vertices` to drop duplicate vertices (exact
     comparison after rounding to 12 significant digits); the raw constructor
@@ -95,6 +99,7 @@ class InitialSet:
     """
 
     vertices: np.ndarray
+    box: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -105,6 +110,14 @@ class InitialSet:
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices contain non-finite entries")
         object.__setattr__(self, "vertices", _freeze(v))
+        if self.box is not None:
+            lower = _freeze(as_vector(self.box[0], "lower"))
+            upper = _freeze(as_vector(self.box[1], "upper"))
+            if lower.shape != upper.shape or lower.shape[0] != v.shape[1]:
+                raise DimensionMismatch("box bounds do not match vertex dimension")
+            if v.shape[0] != 2 ** int(np.count_nonzero(lower != upper)):
+                raise DimensionMismatch("vertices are not the corners of the box")
+            object.__setattr__(self, "box", (lower, upper))
 
     @classmethod
     def from_vertices(cls, vertices, tol: Tolerances = DEFAULTS) -> InitialSet:
@@ -126,16 +139,37 @@ class InitialSet:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
+    @cached_property
+    def support_rows(self) -> np.ndarray | None:
+        """The box's center, then its half-width along each non-degenerate axis
+        in axis order, as rows; None without a box."""
+        if self.box is None:
+            return None
+        lower, upper = self.box
+        half = np.diag(0.5 * upper - 0.5 * lower)[lower != upper]
+        return _freeze(np.vstack([0.5 * lower + 0.5 * upper, half]))
+
     def shifted(self, offset: np.ndarray) -> InitialSet:
-        """Translate every vertex by ``-offset``, keeping order."""
-        return InitialSet(vertices=self.vertices - offset)
+        """Translate every vertex and the box by ``-offset``, keeping order.
+
+        The box is dropped when rounding merges the bounds of an axis, as its
+        corners would no longer match the vertices one-to-one.
+        """
+        box = None
+        if self.box is not None:
+            lower, upper = self.box[0] - offset, self.box[1] - offset
+            if np.array_equal(lower == upper, self.box[0] == self.box[1]):
+                box = (lower, upper)
+        return InitialSet(vertices=self.vertices - offset, box=box)
 
 
 def box_to_vertices(lower, upper, tol: Tolerances = DEFAULTS) -> InitialSet:
-    """Expand a box into its corner vertices.
+    """Expand a box into its corner vertices, keeping the box.
 
     Degenerate axes (lower == upper) contribute a single value, so the
-    result has 2^m vertices for m non-degenerate axes.
+    result has 2^m vertices for m non-degenerate axes.  Corner i takes the
+    upper bound on the j-th non-degenerate axis when bit m - 1 - j of i is
+    set: axis 0 is the most significant, and lower comes before upper.
     """
     lo = as_vector(lower, "lower")
     hi = as_vector(upper, "upper")
@@ -147,9 +181,16 @@ def box_to_vertices(lower, upper, tol: Tolerances = DEFAULTS) -> InitialSet:
     if np.any(lo > hi):
         bad = int(np.argmax(lo > hi))
         raise EmptyBox(f"lower[{bad}] = {lo[bad]} exceeds upper[{bad}] = {hi[bad]}")
-    axes = [(l,) if l == u else (l, u) for l, u in zip(lo, hi)]
-    corners = np.array(list(itertools.product(*axes)), dtype=float)
-    return InitialSet(vertices=corners)
+    free = np.flatnonzero(lo != hi)
+    corners = np.empty((2**free.size, d))
+    corners[0], n = lo, 1
+    # the corners so far, then their copy at the upper bound of the next axis,
+    # from the last non-degenerate axis (least significant) to the first
+    for j in free[::-1]:
+        corners[n : 2 * n] = corners[:n]
+        corners[n : 2 * n, j] = hi[j]
+        n *= 2
+    return InitialSet(vertices=corners, box=(lo, hi))
 
 
 @dataclass(frozen=True)

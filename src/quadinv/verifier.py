@@ -143,10 +143,10 @@ def _optimum(
     scan = staged.scan
     k_strict, S = _positive_step(staged, kstrict_cap, tol)
     [bound] = _cutoffs(scan.task, [staged.identity], k_strict, S, tol)
-    stop, value, arg_k, index = _walk(
+    stop, value, arg_k, vertex = _walk(
         scan, bound.K, (bound.scalars, bound.certificate.norm_A_P), scan.task.objective.constant
     )
-    return Optimum(value, arg_k, task.init.vertices[index], bound, stop)
+    return Optimum(value, arg_k, task.init.vertices[vertex()], bound, stop)
 
 
 def verify(
@@ -236,7 +236,7 @@ def _tail_verdict(
     # where U falls to the level plus the slack can violate it
     capped = not envelope < target
     level = alpha + tol.alpha_slack
-    stop, peak, first, index = _walk(
+    stop, peak, first, vertex = _walk(
         scan, horizon, (scalars, norm), const, level,
         level - const if capped else -math.inf,
     )
@@ -245,7 +245,7 @@ def _tail_verdict(
         return Verdict(
             status=VerdictStatus.DISPROVED,
             alpha=alpha,
-            witness=trajectory(task.system, task.init.vertices[index], first),
+            witness=trajectory(task.system, task.init.vertices[vertex()], first),
             tail_info=tail,
             message=f"sampled objective {peak:.12g} > {alpha:.12g} at step {first}",
         )

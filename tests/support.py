@@ -1,6 +1,9 @@
-"""Shared builders for paper systems and random task generation."""
+"""Shared builders for paper systems and random task generation, and
+independent references for the engine's step values."""
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,6 +14,7 @@ from quadinv import (
     VerificationTask,
     box_to_vertices,
 )
+from quadinv.matcore import as_matrix, quad_forms
 
 HARMONIC_A = np.array([[1.0, 0.01], [-0.01, 0.99]])
 
@@ -145,3 +149,39 @@ def random_linear_task(rng, d: int | None = None) -> VerificationTask:
     return VerificationTask(
         system=system, init=box_to_vertices(lower, upper), objective=objective
     )
+
+
+def mat_pow(matrix, k: int) -> np.ndarray:
+    """k-th power of a square matrix by repeated squaring; ``A^0`` is Id."""
+    a = as_matrix(matrix, "matrix")
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if k < 0 or int(k) != k:
+        raise ValueError(f"exponent must be a nonnegative integer, got {k}")
+    return np.linalg.matrix_power(a, int(k))
+
+
+class NuResult(NamedTuple):
+    value: float
+    vertex: np.ndarray
+    vertex_index: int
+
+
+def nu(task: VerificationTask, k: int, include_constant: bool = True) -> NuResult:
+    """Largest objective value over initial vertices propagated k steps, from
+    the k-th power of A; a reference for the engine's scan.
+
+    Requires a homogenized task; with the objective's constant included, the
+    result equals the original objective's value at step k.
+    """
+    if not task.system.is_linear:
+        raise ValueError("task must be homogenized first (translation b is nonzero)")
+    if k < 0:
+        raise ValueError("step index must be nonnegative")
+    images = task.init.vertices @ mat_pow(task.system.A, k).T
+    obj = task.objective
+    vals = quad_forms(images, obj.Q) + images @ obj.q
+    if include_constant:
+        vals = vals + obj.constant
+    idx = int(vals.argmax())
+    return NuResult(float(vals[idx]), task.init.vertices[idx], idx)

@@ -25,7 +25,6 @@ from quadinv.horizon import (
     evaluate_candidates,
     find_k_strict,
     mu,
-    nu,
     nu_sequence,
     objective_scores,
     s_value,
@@ -40,11 +39,14 @@ from quadinv.model import (
     VerificationTask,
     box_to_vertices,
     homogenize,
+    linear_range_property,
 )
 from quadinv.verifier import VerdictStatus, brute_force_oracle, optimize, verify
 from support import (
     counterexample_task,
     harmonic_task,
+    nu,
+    random_box,
     random_linear_task,
     random_psd,
     random_stable_matrix,
@@ -303,6 +305,141 @@ class TestScanMatchesStepLoop:
             gc.enable()
 
 
+def _rank_one_box_task(seed: int, d: int, kind: str, translated: bool, degenerate: bool):
+    """A random box task with a rank-1 objective c c^T of the given kind: ``square``
+    (q = 0), ``slope`` (q in span(c)) or ``band`` (:func:`linear_range_property`);
+    some entries of c are zero, and with ``degenerate`` some axes are points."""
+    rng = np.random.default_rng(seed)
+    lower, upper = random_box(rng, d, straddle=bool(rng.integers(0, 2)))
+    if degenerate:
+        upper = np.where(rng.random(d) < 0.3, lower, upper)
+    c = rng.standard_normal(d) * (rng.random(d) < 0.8)
+    c[rng.integers(0, d)] = 1.0
+    if kind == "band":
+        low = rng.normal()
+        objective = linear_range_property(c, low, low + rng.uniform(0.1, 2.0))
+    else:
+        q = rng.normal() * c if kind == "slope" else np.zeros(d)
+        objective = QuadraticObjective(Q=np.outer(c, c), q=q)
+    return VerificationTask(
+        system=AffineSystem(A=random_stable_matrix(rng, d, rng.uniform(0.5, 0.99)),
+                            b=rng.normal(0.0, 1.0, d) if translated else np.zeros(d)),
+        init=box_to_vertices(lower, upper),
+        objective=objective,
+    )
+
+
+def _corner_twin(task: VerificationTask) -> VerificationTask:
+    """The same task with its vertices as a plain list, which the scan reads corner
+    by corner."""
+    return VerificationTask(task.system, InitialSet(vertices=task.init.vertices), task.objective)
+
+
+class TestBoxSupportScan:
+    """A box task with a rank-1 PSD objective scans the box's center and half-widths:
+    its values and vertices are those of the corner scan."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 12),
+        kind=st.sampled_from(["square", "slope", "band"]),
+        translated=st.booleans(),
+        degenerate=st.booleans(),
+        k_max=st.integers(0, 400),
+    )
+    def test_box_scan_matches_corner_scan(self, seed, d, kind, translated, degenerate, k_max):
+        task = homogenize(_rank_one_box_task(seed, d, kind, translated, degenerate))
+        rows, basis, _ = horizon._scan_rows(task)
+        values, argmax = nu_sequence(task, k_max, include_constant=False)
+        corner_values, corner_argmax = nu_sequence(_corner_twin(task), k_max, include_constant=False)
+        if rows is not task.init.support_rows:
+            # homogenizing left q off span(c) by more than rounding: the corner scan
+            q, w = task.objective.q, basis[:, 0]
+            miss = q - (q @ w) * w
+            assert miss @ miss > (d * np.finfo(float).eps) ** 2 * (q @ q)
+            np.testing.assert_array_equal(values, corner_values)
+            np.testing.assert_array_equal(argmax, corner_argmax)
+            return
+        assert len(rows) == 1 + int(np.count_nonzero(task.init.box[0] != task.init.box[1]))
+        # every corner's value, stepped independently: lam y^2 + beta y for y = w^T A^k v
+        lam, w = float(horizon._scan_basis(task.objective)[0][0]), basis[:, 0]
+        beta, u = float(task.objective.q @ w), w.copy()
+        for k in range(k_max + 1):
+            y = task.init.vertices @ u
+            corner = lam * y**2 + beta * y
+            scale = lam * float(np.max(y**2)) + abs(beta) * float(np.max(np.abs(y)))
+            assert abs(values[k] - corner_values[k]) <= 1e-12 * scale
+            top = np.sort(corner)[::-1]
+            if top.size == 1 or top[0] - top[1] > 1e-9 * scale:  # a unique maximizer
+                assert argmax[k] == corner_argmax[k] == int(corner.argmax())
+            u = task.system.A.T @ u
+
+    @pytest.mark.parametrize("center", [0.0, 0.3])
+    def test_exact_ties_take_the_smallest_corner(self, center):
+        # c is zero on the second block, which A keeps apart, so corners differing
+        # there tie exactly at every step; a box centered at 0 with q = 0 also ties
+        # each corner with its mirror
+        rng = np.random.default_rng(17)
+        A = np.zeros((5, 5))
+        A[:2, :2] = 0.95 * np.array([[np.cos(0.3), np.sin(0.3)], [-np.sin(0.3), np.cos(0.3)]])
+        A[2:, 2:] = random_stable_matrix(rng, 3, 0.9)
+        c = np.array([0.6, -0.8, 0.0, 0.0, 0.0])
+        task = VerificationTask(
+            system=AffineSystem(A=A, b=np.zeros(5)),
+            init=box_to_vertices(center - rng.uniform(0.5, 1.0, 5), center + rng.uniform(0.5, 1.0, 5)),
+            objective=QuadraticObjective(Q=np.outer(c, c), q=np.zeros(5)),
+        )
+        assert horizon._scan_rows(task)[0] is task.init.support_rows
+        values, argmax = nu_sequence(task, 3_000)
+        corner_values, corner_argmax = nu_sequence(_corner_twin(task), 3_000)
+        np.testing.assert_allclose(values, corner_values, rtol=1e-12)
+        np.testing.assert_array_equal(argmax, corner_argmax)
+        # the tie on the second block always takes its lower bounds
+        assert np.all(argmax % 8 == 0)
+        # the walk reports the vertex of its arg-max step only
+        opt = optimize(task)
+        assert opt.arg_vertex.tolist() == task.init.vertices[argmax[opt.arg_k]].tolist()
+
+    @pytest.mark.parametrize("kind", ["rank-2", "negative", "q-outside"])
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8), k_max=st.integers(0, 400))
+    def test_other_box_tasks_keep_the_corner_scan(self, kind, seed, d, k_max):
+        rng = np.random.default_rng(seed)
+        c, e = rng.standard_normal((2, d))
+        Q = {"rank-2": np.outer(c, c) + np.outer(e, e), "negative": -np.outer(c, c)}.get(
+            kind, np.outer(c, c))
+        task = VerificationTask(
+            system=AffineSystem(A=random_stable_matrix(rng, d), b=np.zeros(d)),
+            init=box_to_vertices(*random_box(rng, d, straddle=True)),
+            objective=QuadraticObjective(Q=Q, q=e if kind == "q-outside" else np.zeros(d)),
+        )
+        assert horizon._scan_rows(task)[0] is task.init.vertices
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            values, argmax = nu_sequence(task, k_max)
+            corner_values, corner_argmax = nu_sequence(_corner_twin(task), k_max)
+        np.testing.assert_array_equal(values, corner_values)
+        np.testing.assert_array_equal(argmax, corner_argmax)
+
+    def test_vertex_list_keeps_the_corner_scan(self):
+        c = np.array([1.0, 2.0])
+        task = VerificationTask(
+            system=AffineSystem(A=0.5 * np.eye(2), b=np.zeros(2)),
+            init=InitialSet.from_vertices([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]),
+            objective=QuadraticObjective(Q=np.outer(c, c), q=np.zeros(2)),
+        )
+        assert task.init.support_rows is None
+        assert horizon._scan_rows(task)[0] is task.init.vertices
+
+    def test_paper_tasks_take_the_box_scan(self):
+        # x_1^2 on the harmonic oscillator, and on the translated rotation after
+        # homogenizing (q = 2 Q s lies in span(e_1))
+        for task in (harmonic_task(np.diag([1.0, 0.0])),
+                     homogenize(rotation_task(np.diag([1.0, 0.0])))):
+            assert horizon._scan_rows(task)[0] is task.init.support_rows
+
+
 class TestEnvelopeStops:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
@@ -351,7 +488,7 @@ class TestEnvelopeStops:
         stop, value, arg_k, index = horizon._walk(
             horizon._StepScan(task), bound.K, envelope, task.objective.constant
         )
-        assert (value, arg_k, index) == (values[first], first, argmax[first])
+        assert (value, arg_k, index()) == (values[first], first, argmax[first])
         assert stop <= bound.K
 
 

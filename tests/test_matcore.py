@@ -10,12 +10,11 @@ from quadinv.matcore import (
     generalized_lmax,
     inv_sqrt,
     lyapunov_solve,
-    mat_pow,
     solve_linear,
     sym_eig,
     weighted_opnorm,
 )
-from support import HARMONIC_A, random_stable_matrix
+from support import HARMONIC_A, mat_pow, random_stable_matrix
 
 
 class TestSymEig:

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -50,6 +51,28 @@ class TestBoxToVertices:
             upper = lower + rng.uniform(0, 1, d) * rng.integers(0, 2, d)
             open_axes = int(np.sum(lower < upper))
             assert box_to_vertices(lower, upper).n_vertices == 2**open_axes
+
+    def test_corner_order_matches_product(self):
+        # corner i in itertools.product order: axis 0 most significant, lower
+        # before upper, a degenerate axis single-valued
+        rng = np.random.default_rng(43)
+        for d in range(1, 13):
+            for _ in range(3):
+                lower = rng.uniform(-2.0, 1.0, d)
+                upper = np.where(rng.random(d) < 0.3, lower, lower + rng.uniform(0.1, 2.0, d))
+                axes = [(lo,) if lo == hi else (lo, hi) for lo, hi in zip(lower, upper)]
+                expected = np.array(list(itertools.product(*axes)), dtype=float)
+                np.testing.assert_array_equal(box_to_vertices(lower, upper).vertices, expected)
+
+    def test_keeps_the_box(self):
+        init = box_to_vertices([-1.0, 2.0, 0.0], [1.0, 2.0, 4.0])
+        np.testing.assert_array_equal(init.box[0], [-1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(init.box[1], [1.0, 2.0, 4.0])
+        # the center, then the half-width of each non-degenerate axis
+        np.testing.assert_array_equal(
+            init.support_rows, [[0.0, 2.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
+        )
+        assert InitialSet.from_vertices(init.vertices).support_rows is None
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionTooLarge):
@@ -125,6 +148,24 @@ class TestInitialSet:
         moved = init.shifted(np.array([0.5, -0.5]))
         assert moved.n_vertices == init.n_vertices
         np.testing.assert_allclose(moved.vertices, init.vertices - [0.5, -0.5])
+
+    def test_shifted_moves_the_box(self):
+        init = box_to_vertices([-1.0, 0.0], [1.0, 0.0])
+        moved = init.shifted(np.array([0.5, -0.5]))
+        np.testing.assert_array_equal(moved.box[0], [-1.5, 0.5])
+        np.testing.assert_array_equal(moved.box[1], [0.5, 0.5])
+
+    def test_shift_that_merges_bounds_drops_the_box(self):
+        init = box_to_vertices([1.0, 0.0], [1.0 + 2.0**-52, 1.0])
+        moved = init.shifted(np.array([-1e6, 0.0]))
+        assert moved.box is None
+        np.testing.assert_array_equal(moved.vertices, init.vertices + [1e6, 0.0])
+
+    def test_box_must_match_vertices(self):
+        with pytest.raises(DimensionMismatch):
+            InitialSet(vertices=np.zeros((3, 2)), box=(np.zeros(2), np.ones(2)))
+        with pytest.raises(DimensionMismatch):
+            InitialSet(vertices=np.zeros((4, 2)), box=(np.zeros(3), np.ones(3)))
 
 
 class TestQuadraticObjective:

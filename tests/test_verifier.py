@@ -13,7 +13,6 @@ from quadinv.horizon import (
     stability_certificate,
     tail_bound,
 )
-from quadinv.matcore import mat_pow
 from quadinv.model import (
     AffineSystem,
     InitialSet,
@@ -32,6 +31,7 @@ from quadinv.verifier import (
 from support import (
     counterexample_task,
     harmonic_task,
+    mat_pow,
     random_box,
     random_linear_task,
     random_psd,
@@ -665,7 +665,7 @@ class TestIdentityDefault:
                 horizon._StepScan(hom), bound.K, envelope, hom.objective.constant
             )
             assert (value, arg_k) == (opt.value, opt.arg_k)
-            np.testing.assert_array_equal(task.init.vertices[index], opt.arg_vertex)
+            np.testing.assert_array_equal(task.init.vertices[index()], opt.arg_vertex)
             if default.witness is not None:
-                witness = trajectory(task.system, task.init.vertices[index], arg_k)
+                witness = trajectory(task.system, task.init.vertices[index()], arg_k)
                 np.testing.assert_array_equal(witness, default.witness)

@@ -8,9 +8,10 @@ Usage, from the root of a source checkout:
 
 ``dump`` runs ``quadinv.verify`` on seeds 1-3 of every workload in
 ``bench/workloads.py``, the known-defect probes included, and writes one
-record per task: status, optimum value, K, the enumeration's stopping step,
-strategy, the winning pair's t and |A|_P, tail horizon, the tail fallback's
-last sampled step, witness length and, when verify raises, the error type.
+record per task: status, optimum value, its step and vertex, K, the
+enumeration's stopping step, strategy, the winning pair's t and |A|_P, tail
+horizon, the tail fallback's last sampled step, witness length and, when
+verify raises, the error type.
 For each task on the cutoff path it also records the candidate table of the
 bound command: ``horizon.evaluate_candidates`` on the homogenized task, as
 (strategy, K, t, V, mu) rows in order, or the error type; and the row of a
@@ -25,10 +26,11 @@ holding this script), so one copy of the script can record an older
 checkout.  The generators are only read.
 
 ``diff`` compares two records field by field.  It prints every differing
-exact field (status, K, stop, strategy, tail horizon and stop, witness
-length, error, the strategies and K of the candidate and user rows, and
-every CLI exit code, text output and non-float JSON leaf), one line each,
-and exits 1 when any differs.  For each float field (value, t, norm_A_P, the
+exact field (status, the optimum's step and vertex, K, stop, strategy, tail
+horizon and stop, witness length, error, the strategies and K of the
+candidate and user rows, and every CLI exit code, text output and non-float
+JSON leaf), one line each, and exits 1 when any differs.  The optimum's
+step and vertex show how each checkout breaks ties between vertices.  For each float field (value, t, norm_A_P, the
 t, V and mu of the candidate and user rows, and the float JSON leaves of
 each CLI run) it prints the number of tasks where it differs and the largest
 relative difference, and exits 1 when that exceeds ``FLOAT_REL`` (1e-12),
@@ -150,6 +152,8 @@ def _record(verifier, task) -> dict:
     return {
         "status": verdict.status.value,
         "value": None if opt is None else opt.value,
+        "arg_k": None if opt is None else opt.arg_k,
+        "vertex": None if opt is None else opt.arg_vertex.tolist(),
         "K": None if opt is None else opt.bound.K,
         "stop": None if opt is None else opt.stop,
         "strategy": None if opt is None else opt.bound.strategy_id,
