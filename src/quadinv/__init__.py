@@ -18,7 +18,6 @@ from .errors import (
     InvalidUserP,
     MatrixError,
     ModelError,
-    NotPositiveDefinite,
     NotSymmetric,
     NumeratorOutOfRange,
     ParseError,
@@ -41,14 +40,7 @@ from .horizon import (
     stability_certificate,
     tail_bound,
 )
-from .matcore import (
-    SymEig,
-    generalized_lmax,
-    inv_sqrt,
-    lyapunov_solve,
-    sym_eig,
-    weighted_opnorm,
-)
+from .matcore import SymEig, lyapunov_solve
 from .model import (
     AffineSystem,
     InitialSet,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -12,8 +13,9 @@ class Tolerances:
     """Every numeric threshold used by the engine, in one place.
 
     Relative thresholds note the scale they are measured against.  A field
-    that is not finite and >= 0 (``vertex_sig_digits``: >= 1) raises ValueError.
-    Instances are immutable; use :meth:`override` to derive a copy.
+    that is not finite and >= 0 (``vertex_sig_digits``: an integer >= 1)
+    raises ValueError.  Instances are immutable; use :meth:`override` to
+    derive a copy.
     """
 
     symmetry_rel: float = 1e-12     # |M - M^T|_F vs max(1, |M|_F)
@@ -34,6 +36,8 @@ class Tolerances:
             least = 1 if name == "vertex_sig_digits" else 0
             if not (math.isfinite(value) and value >= least):
                 raise ValueError(f"{name} = {value!r} must be finite and >= {least}")
+        if not isinstance(self.vertex_sig_digits, numbers.Integral):
+            raise ValueError(f"vertex_sig_digits = {self.vertex_sig_digits!r} must be an integer")
 
     def override(self, **changes) -> Tolerances:
         """Return a copy with the given fields replaced."""

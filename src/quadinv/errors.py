@@ -22,10 +22,6 @@ class SingularSystem(MatrixError):
     """
 
 
-class NotPositiveDefinite(MatrixError):
-    """A matrix required to be positive definite fails the eigenvalue test."""
-
-
 class ModelError(QuadinvError):
     """Base class for problems with the verification task data."""
 

@@ -536,13 +536,19 @@ def K_of(
     S: float,
     tol: Tolerances = DEFAULTS,
 ) -> int:
-    """Certified cutoff K(t, P) for a feasible pair; always a positive integer."""
+    """Certified cutoff K(t, P) for a feasible pair; always a positive integer.
+
+    A t that is not finite and positive raises :class:`InfeasiblePair`, such
+    an S :class:`AssumptionViolated`.
+    """
     _require_linear(task)
     p = _check_symmetric(as_matrix(p_matrix, "P"), tol, "P")
-    cert, t = _certificate_for(task.system.A, p, tol), float(t)
-    if t <= 0.0:
-        raise InfeasiblePair(f"scaling t = {t} must be positive")
-    scalars = BoundScalars(t, float(S), _v_term(task, t, cert.lmin_P), mu(cert.P, task.init), 0)
+    cert, t, S = _certificate_for(task.system.A, p, tol), float(t), float(S)
+    if not (math.isfinite(t) and t > 0.0):
+        raise InfeasiblePair(f"scaling t = {t} must be finite and positive")
+    if not (math.isfinite(S) and S > 0.0):
+        raise AssumptionViolated(f"threshold S = {S} must be finite and positive")
+    scalars = BoundScalars(t, S, _v_term(task, t, cert.lmin_P), mu(cert.P, task.init), 0)
     return _k_formula(cert, task, scalars, tol)
 
 
@@ -655,7 +661,7 @@ def _user_shapes(staged: _Staged, user_P, epsilon: float, tol: Tolerances) -> li
     except (ValueError, NotSymmetric, InfeasiblePair) as exc:
         raise InvalidUserP(f"user P is not a valid shape matrix: {exc}") from exc
     slack = tol.psd_slack_rel * max(1.0, frobenius(cert.P))
-    if cert.residual_margin - epsilon < -slack:
+    if not cert.residual_margin - epsilon >= -slack:  # a NaN epsilon fails too
         raise InvalidUserP(
             f"user P violates P - A^T P A >= {epsilon}*Id by "
             f"{epsilon - cert.residual_margin:.3e}"

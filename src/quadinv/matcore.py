@@ -3,17 +3,19 @@
 The factorizations are LAPACK's, through ``numpy.linalg``: ``eigh`` for
 symmetric eigenproblems and an LU ``solve`` for linear systems.  The discrete
 Lyapunov equation is solved by Smith's doubling, in d x d products only.  A
-matrix is checked once, where it enters the program: the model's constructors,
-the user ``P`` and every public function here require symmetry within
-``tol.symmetry_rel``.  Every matrix the engine builds from checked ones is
-exactly symmetric by construction, so the engine's own eigenproblems call
-``numpy.linalg`` directly.  The soundness guards run on every matrix: a linear
-or Lyapunov solve raises :class:`SingularSystem` when its solution grows past
-its right-hand side over ``tol.pivot_rel`` times the operator's largest entry,
-the doubling also when it has not contracted within its step cap, a Lyapunov
-solution must meet ``tol.lyap_residual``, and an inverse square root needs
-``lambda_min`` above ``tol.pd_rel``; the certificate checks live in
-:mod:`quadinv.horizon`.
+matrix is checked once, where it enters the program: the model's constructors
+and the user ``P`` require symmetry within ``tol.symmetry_rel``.  Here,
+:func:`as_matrix` and :func:`as_vector` check shape and finiteness,
+:func:`solve_linear` a square matrix and :func:`lyapunov_solve` a square A and
+a symmetric C; :func:`congruence_lmax`, :func:`quad_forms` and
+:func:`frobenius` check nothing.  Every matrix the engine builds from checked
+ones is exactly symmetric by construction, so the engine's own eigenproblems
+call ``numpy.linalg`` directly.  The soundness guards run on every matrix: a
+linear or Lyapunov solve raises :class:`SingularSystem` when its solution grows
+past its right-hand side over ``tol.pivot_rel`` times the operator's largest
+entry, the doubling also when it has not contracted within its step cap, and a
+Lyapunov solution must meet ``tol.lyap_residual``; the certificate checks live
+in :mod:`quadinv.horizon`.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays,
 and results do not depend on call order, so values can be shared freely
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS, Tolerances
-from .errors import NotPositiveDefinite, NotSymmetric, SingularSystem
+from .errors import NotSymmetric, SingularSystem
 
 __all__ = [
     "SymEig",
@@ -36,12 +38,8 @@ __all__ = [
     "as_vector",
     "frobenius",
     "quad_forms",
-    "sym_eig",
     "solve_linear",
     "lyapunov_solve",
-    "inv_sqrt",
-    "weighted_opnorm",
-    "generalized_lmax",
     "congruence_lmax",
 ]
 
@@ -110,21 +108,6 @@ class SymEig:
     @property
     def lmin(self) -> float:
         return float(self.values[0])
-
-    @property
-    def lmax(self) -> float:
-        return float(self.values[-1])
-
-
-def sym_eig(matrix, tol: Tolerances = DEFAULTS) -> SymEig:
-    """Full eigendecomposition of a caller's symmetric matrix (LAPACK ``syevd``).
-
-    Raises :class:`NotSymmetric` when the input fails ``tol.symmetry_rel``;
-    the symmetrized input is decomposed.
-    """
-    a = _check_symmetric(as_matrix(matrix, "matrix"), tol, "matrix")
-    values, vectors = np.linalg.eigh(a)
-    return SymEig(values=values, vectors=vectors)
 
 
 def solve_linear(matrix, rhs, tol: Tolerances = DEFAULTS) -> np.ndarray:
@@ -217,46 +200,9 @@ def lyapunov_solve(a_matrix, c_matrix, tol: Tolerances = DEFAULTS) -> np.ndarray
     return p
 
 
-def inv_sqrt(matrix, tol: Tolerances = DEFAULTS) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix.
-
-    Returns ``V diag(values^-1/2) V^T``; raises :class:`NotPositiveDefinite`
-    when the smallest eigenvalue fails ``tol.pd_rel * max(1, lmax)``.
-    """
-    eig = sym_eig(matrix, tol)
-    if eig.lmin <= tol.pd_rel * max(1.0, eig.lmax):
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite (lmin {eig.lmin:.3e}, lmax {eig.lmax:.3e})"
-        )
-    return (eig.vectors * eig.values**-0.5) @ eig.vectors.T
-
-
-def weighted_opnorm(a_matrix, p_matrix, tol: Tolerances = DEFAULTS) -> float:
-    """Operator norm of A in the metric induced by positive definite P.
-
-    Computed as ``sqrt(generalized_lmax(A^T P A, P))``, with ``A^T P A``
-    symmetrized; invariant under positive scaling of P.
-    """
-    a = as_matrix(a_matrix, "A")
-    _require_square(a, "A")
-    p = _check_symmetric(as_matrix(p_matrix, "P"), tol, "P")
-    image = a.T @ p @ a
-    return math.sqrt(max(generalized_lmax(0.5 * (image + image.T), p, tol), 0.0))
-
-
-def generalized_lmax(q_matrix, p_matrix, tol: Tolerances = DEFAULTS) -> float:
-    """Largest generalized eigenvalue ``lmax(P^-1/2 Q P^-1/2)``.
-
-    This is the smallest scaling t with ``t*P - Q`` positive semidefinite.
-    P's symmetry is checked by :func:`inv_sqrt`.
-    """
-    q = _check_symmetric(as_matrix(q_matrix, "Q"), tol, "Q")
-    return congruence_lmax(q, inv_sqrt(p_matrix, tol))
-
-
 def congruence_lmax(m: np.ndarray, root: np.ndarray) -> float:
     """Largest eigenvalue of ``root @ m @ root``, symmetrized, for symmetric
-    inputs, which are not checked; with ``root = P^-1/2`` it is
-    :func:`generalized_lmax` of m and P."""
+    inputs, which are not checked; with ``root = P^-1/2`` it is the smallest
+    t with ``t*P - m`` positive semidefinite."""
     middle = root @ m @ root
     return float(np.linalg.eigvalsh(0.5 * (middle + middle.T))[-1])

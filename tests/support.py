@@ -1,8 +1,9 @@
 """Shared builders for paper systems and random task generation, and
-independent references for the engine's step values."""
+independent references for the engine's step values and linear algebra."""
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -14,7 +15,16 @@ from quadinv import (
     VerificationTask,
     box_to_vertices,
 )
-from quadinv.matcore import as_matrix, quad_forms
+from quadinv.config import DEFAULTS, Tolerances
+from quadinv.errors import MatrixError
+from quadinv.matcore import (
+    SymEig,
+    _check_symmetric,
+    _require_square,
+    as_matrix,
+    congruence_lmax,
+    quad_forms,
+)
 
 HARMONIC_A = np.array([[1.0, 0.01], [-0.01, 0.99]])
 
@@ -185,3 +195,47 @@ def nu(task: VerificationTask, k: int, include_constant: bool = True) -> NuResul
         vals = vals + obj.constant
     idx = int(vals.argmax())
     return NuResult(float(vals[idx]), task.init.vertices[idx], idx)
+
+
+class NotPositiveDefinite(MatrixError):
+    """A matrix required to be positive definite fails the eigenvalue test."""
+
+
+def sym_eig(matrix, tol: Tolerances = DEFAULTS) -> SymEig:
+    """Full eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
+
+    Raises ``NotSymmetric`` when the input fails ``tol.symmetry_rel``; the
+    symmetrized input is decomposed.
+    """
+    a = _check_symmetric(as_matrix(matrix, "matrix"), tol, "matrix")
+    return SymEig(*np.linalg.eigh(a))
+
+
+def inv_sqrt(matrix, tol: Tolerances = DEFAULTS) -> np.ndarray:
+    """``V diag(values^-1/2) V^T`` of a symmetric positive definite matrix;
+    raises :class:`NotPositiveDefinite` when the smallest eigenvalue fails
+    ``tol.pd_rel * max(1, lmax)``."""
+    eig = sym_eig(matrix, tol)
+    lmax = float(eig.values[-1])
+    if eig.lmin <= tol.pd_rel * max(1.0, lmax):
+        raise NotPositiveDefinite(
+            f"matrix is not positive definite (lmin {eig.lmin:.3e}, lmax {lmax:.3e})"
+        )
+    return (eig.vectors * eig.values**-0.5) @ eig.vectors.T
+
+
+def generalized_lmax(q_matrix, p_matrix, tol: Tolerances = DEFAULTS) -> float:
+    """``lmax(P^-1/2 Q P^-1/2)``, the smallest t with ``t*P - Q`` positive
+    semidefinite, from checked inputs and this module's :func:`inv_sqrt`."""
+    q = _check_symmetric(as_matrix(q_matrix, "Q"), tol, "Q")
+    return congruence_lmax(q, inv_sqrt(p_matrix, tol))
+
+
+def weighted_opnorm(a_matrix, p_matrix, tol: Tolerances = DEFAULTS) -> float:
+    """``|A|_P = sqrt(generalized_lmax(A^T P A, P))``, invariant under positive
+    scaling of P; a reference for the certificate's ``norm_A_P``."""
+    a = as_matrix(a_matrix, "A")
+    _require_square(a, "A")
+    p = _check_symmetric(as_matrix(p_matrix, "P"), tol, "P")
+    image = a.T @ p @ a
+    return math.sqrt(max(generalized_lmax(0.5 * (image + image.T), p, tol), 0.0))

@@ -19,13 +19,7 @@ from quadinv.horizon import (
     nu_sequence,
     s_value,
 )
-from quadinv.matcore import (
-    frobenius,
-    generalized_lmax,
-    lyapunov_solve,
-    sym_eig,
-    weighted_opnorm,
-)
+from quadinv.matcore import frobenius, lyapunov_solve
 from quadinv.model import homogenize
 from quadinv.verifier import (
     VerdictStatus,
@@ -35,11 +29,14 @@ from quadinv.verifier import (
 )
 from support import (
     counterexample_task,
+    generalized_lmax,
     harmonic_task,
     random_linear_task,
     random_psd,
     random_stable_matrix,
     rotation_task,
+    sym_eig,
+    weighted_opnorm,
 )
 
 

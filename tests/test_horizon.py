@@ -31,7 +31,7 @@ from quadinv.horizon import (
     stability_certificate,
     tail_bound,
 )
-from quadinv.matcore import generalized_lmax, lyapunov_solve, weighted_opnorm
+from quadinv.matcore import lyapunov_solve
 from quadinv.model import (
     AffineSystem,
     InitialSet,
@@ -44,6 +44,7 @@ from quadinv.model import (
 from quadinv.verifier import VerdictStatus, brute_force_oracle, optimize, verify
 from support import (
     counterexample_task,
+    generalized_lmax,
     harmonic_task,
     nu,
     random_box,
@@ -51,6 +52,7 @@ from support import (
     random_psd,
     random_stable_matrix,
     rotation_task,
+    weighted_opnorm,
 )
 
 
@@ -566,6 +568,16 @@ class TestKOf:
         with pytest.raises(InfeasiblePair):
             K_of(-1.0, p, task, S=2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_t_and_s(self, bad):
+        task = harmonic_task(np.eye(2))
+        p0 = stability_certificate(task.system.A).P
+        assert K_of(1e9, p0, task, S=s_value(task, find_k_strict(task))) >= 1
+        with pytest.raises(InfeasiblePair, match="finite and positive"):
+            K_of(bad, p0, task, S=2.0)
+        with pytest.raises(AssumptionViolated, match="finite and positive"):
+            K_of(1e9, p0, task, S=bad)
+
     def test_rejects_asymmetric_p(self):
         task = rotation_task(np.eye(2), translated=False)
         with pytest.raises(NotSymmetric):
@@ -715,6 +727,13 @@ class TestCandidates:
         task = rotation_task(np.eye(2), translated=False)
         with pytest.raises(InvalidUserP):
             evaluate_candidates(task, user_P=np.diag([1.0, -1.0]))
+
+    def test_user_rejected_when_epsilon_nan(self):
+        task = harmonic_task(np.eye(2))
+        user_P = 2.0 * stability_certificate(task.system.A).P
+        assert evaluate_candidates(task, user_P=user_P)[-1].strategy_id == "user-min-scale"
+        with pytest.raises(InvalidUserP, match="nan"):
+            evaluate_candidates(task, user_P=user_P, epsilon=math.nan)
 
     def test_user_rejected_when_singular(self):
         # P meets the epsilon margin within slack and is PSD, but it is singular

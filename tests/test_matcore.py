@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from quadinv.errors import NotPositiveDefinite, NotSymmetric, SingularSystem, Unstable
+from quadinv.errors import NotSymmetric, SingularSystem, Unstable
 from quadinv.horizon import stability_certificate
-from quadinv.matcore import (
-    frobenius,
+from quadinv.matcore import frobenius, lyapunov_solve, solve_linear
+from support import (
+    HARMONIC_A,
+    NotPositiveDefinite,
     generalized_lmax,
     inv_sqrt,
-    lyapunov_solve,
-    solve_linear,
+    mat_pow,
+    random_stable_matrix,
     sym_eig,
     weighted_opnorm,
 )
-from support import HARMONIC_A, mat_pow, random_stable_matrix
 
 
 class TestSymEig:

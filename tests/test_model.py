@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from quadinv.config import Tolerances
 from quadinv.errors import (
     DegenerateRange,
     DimensionMismatch,
@@ -142,6 +143,15 @@ class TestInitialSet:
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatch):
             InitialSet(vertices=np.empty((0, 2)))
+
+    @pytest.mark.parametrize("digits", [1.5, 12.0])
+    def test_non_integer_sig_digits_rejected(self, digits):
+        with pytest.raises(ValueError, match="vertex_sig_digits"):
+            Tolerances(vertex_sig_digits=digits)
+
+    def test_numpy_integer_sig_digits_accepted(self):
+        tol = Tolerances(vertex_sig_digits=np.int64(2))
+        assert InitialSet.from_vertices([[1.0], [1.04]], tol).n_vertices == 1
 
     def test_shifted_keeps_rows(self):
         init = box_to_vertices([-1.0, 0.0], [1.0, 2.0])
