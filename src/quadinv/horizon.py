@@ -46,9 +46,16 @@ block projects its start rows on a table of (A^j)^T times the scan's
 columns, in one matrix product, and reduces the projections to step values
 in one of two ways (:func:`_scan_rows`):
 
-- Corners: the rows are the vertices, the c columns [W_r | q] (q only when
-  nonzero), and a step value is the max over vertices of
-  sum_j lam_j y_j^2 + y_q.  A rank-1 property costs one column per step.
+- Corners: the rows are the vertices, the c columns [W_r sqrt|lam_r| | q]
+  (q only when nonzero, the columns of lam > 0 first), and a step value is
+  the max over vertices of |y+|^2 - |y-|^2 + y_q, the row-dots of the
+  projections on the columns of lam > 0 and lam < 0: one product and one
+  row-dot per block.  Where the vertices outnumber the steps of a smallest
+  block, the product lays each step's projections of the vertices out in a
+  row (step-major), otherwise each vertex's steps (vertex-major), so the
+  row-dots and the max over vertices run along the longer axis.  The
+  layout is fixed per task, so a step's value does not depend on the block
+  that holds it.  A rank-1 property costs one column per step.
 - Box support: a box task whose basis keeps one eigenpair (lam > 0, w) and
   whose q is beta w up to rounding (|q - beta w| <= d eps |q|) has the
   rank-1 property g(s) = lam s^2 + beta s of s = w^T x.  Over the box's
@@ -62,7 +69,8 @@ in one of two ways (:func:`_scan_rows`):
   projection has the sign of the winning end, lower ones elsewhere, and the
   smaller index on a tie, as the corner scan's first arg-max gives.
 
-mu(P) and S's sup x^T Q x stay passes over the vertices.
+mu(P) and S's sup x^T Q x stay passes over the vertices, each one product
+and one row-dot (:func:`matcore.quad_forms`).
 
 Block lengths double from the smallest block up to the larger of that and
 ceil(sqrt(k_max + 1)) of the current reader's bound, and no block runs past
@@ -238,27 +246,38 @@ def _warn_if_indefinite(task: VerificationTask, tol: Tolerances) -> None:
 
 
 def _scan_basis(objective: QuadraticObjective) -> tuple[np.ndarray, np.ndarray]:
-    """The scan's weights lam_r and projection columns [W_r | q] (module docstring)."""
-    lam, vectors = objective.eig.values, objective.eig.vectors
-    keep = np.abs(lam) > lam.size * np.finfo(float).eps * np.abs(lam).max()
-    basis = vectors[:, keep]
-    return lam[keep], np.column_stack([basis, objective.q]) if objective.q.any() else basis
+    """The kept eigenpairs (lam_r, W_r) of the scan, lam_r descending, so the positive
+    ones come first (module docstring)."""
+    lam, vectors = objective.eig.values[::-1], objective.eig.vectors[:, ::-1]
+    mag = np.abs(lam)
+    keep = mag > lam.size * np.finfo(float).eps * mag.max()
+    return lam[keep], vectors[:, keep]
 
 
 def _scan_rows(task: VerificationTask):
     """The start rows of the task's scan, its projection columns, and the reduction
-    of a block's projections to its values and their vertices (module docstring).
+    of a block's rows and columns to its values and their vertices (module
+    docstring).
 
-    A box task whose basis keeps one eigenpair lam > 0, and whose q is beta w
-    up to rounding, scans the box's center and half-widths on the column w;
-    every other task scans its vertices on [W_r | q].
+    A box task whose basis keeps one eigenpair (lam > 0, w), and whose q is
+    beta w up to rounding, scans the box's center and half-widths on the
+    column w; every other task scans its vertices on [W_r sqrt|lam_r| | q].
     """
     lam, basis = _scan_basis(task.objective)
-    beta = None if task.init.box is None else _support_slope(lam, basis, task.objective.q)
+    q = task.objective.q
+    beta = None if task.init.box is None else _support_slope(lam, basis, q)
     if beta is not None:
         reduce = functools.partial(_support_values, float(lam[0]), beta)
-        return task.init.support_rows, basis[:, :1], reduce
-    return task.init.vertices, basis, functools.partial(_corner_values, lam)
+        return task.init.support_rows, basis, reduce
+    columns = basis * np.sqrt(np.abs(lam))
+    if q.any():
+        columns = np.concatenate((columns, q[:, None]), axis=1)
+    n = len(task.init.vertices)  # step-major where they outnumber a smallest block's steps
+    step_major = n > SCAN_MIN_ELEMENTS // (n * max(columns.shape[1], 1))
+    reduce = functools.partial(
+        _corner_values, step_major, int(np.count_nonzero(lam > 0.0)), lam.size
+    )
+    return task.init.vertices, columns, reduce
 
 
 def _support_slope(lam: np.ndarray, basis: np.ndarray, q: np.ndarray) -> float | None:
@@ -266,7 +285,7 @@ def _support_slope(lam: np.ndarray, basis: np.ndarray, q: np.ndarray) -> float |
     (lam > 0, w); None when the objective is not such a rank-1 property."""
     if lam.size != 1 or not lam[0] > 0.0:
         return None
-    if basis.shape[1] == 1:  # q is zero
+    if not q.any():
         return 0.0
     w = basis[:, 0]
     beta = float(q @ w)
@@ -274,34 +293,47 @@ def _support_slope(lam: np.ndarray, basis: np.ndarray, q: np.ndarray) -> float |
     return beta if miss @ miss <= (q.size * np.finfo(float).eps) ** 2 * (q @ q) else None
 
 
-def _corner_values(lam: np.ndarray, y: np.ndarray, length: int):
+def _corner_values(
+    step_major: bool, positive: int, rank: int, x: np.ndarray, table: np.ndarray, length: int
+):
     """Step values of a block as the max over vertices, and a function giving the
     arg-max vertex of the steps at the offsets it is asked for.
 
-    ``y`` has row i * length + j projecting A^(k0 + j) v_i on [W_r | q]; it is
-    the block's own, and overwritten.
+    ``table`` holds (A^(k0 + j))^T [W_r sqrt|lam_r| | q] in its columns j * c
+    to j * c + c - 1, of which the first ``positive`` of the r = ``rank``
+    scaled eigenvectors have lam > 0; a value is |y+|^2 - |y-|^2 + y_q.
+    ``step_major`` lays each step's projections of the vertices out in rows
+    (module docstring).
     """
-    # squared in place and summed by matmul, which reads the strided columns
-    # where np.dot would copy them: a block holds one array of its size, not
-    # three, as large transients make malloc hand memory back to the system
-    # and fault it in again on the next verify
-    squares = np.square(y[:, : lam.size], out=y[:, : lam.size])
-    vals = squares @ lam
-    if y.shape[1] > lam.size:
-        vals += y[:, lam.size]
-    vals = vals.reshape(-1, length)
-    return vals.max(axis=0), vals.argmax(axis=0).__getitem__
+    n, c = len(x), table.shape[1] // length
+    # y[j, :, i] (step-major) or y[i * length + j] projects A^(k0 + j) x_i on the
+    # columns; one product and one row-dot leave a block one array of its size
+    # and the values, as large transients make malloc hand memory back to the
+    # system and fault it in again on the next verify
+    if step_major:
+        y, rowdot = (table.T @ x.T).reshape(length, c, n), "jcn,jcn->jn"
+    else:
+        y, rowdot = (x @ table).reshape(n * length, c), "ic,ic->i"
+    plus, minus = y[:, :positive], y[:, positive:rank]
+    vals = np.einsum(rowdot, plus, plus)
+    if rank > positive:
+        vals -= np.einsum(rowdot, minus, minus)
+    if c > rank:
+        vals += y[:, rank]
+    if not step_major:
+        vals = vals.reshape(n, length).T
+    return vals.max(axis=1), vals.argmax(axis=1).__getitem__
 
 
-def _support_values(lam: float, beta: float, y: np.ndarray, length: int):
+def _support_values(lam: float, beta: float, x: np.ndarray, table: np.ndarray, length: int):
     """Step values of a box block as max(g(s0 + r), g(s0 - r)), g(s) = lam s^2 + beta s,
     and a function giving the arg-max vertex of the steps at the offsets it is
     asked for (:func:`_support_vertex`).
 
-    ``y`` has row i * length + j projecting A^(k0 + j) on w from row i: the
-    center gives s0, the half-widths the terms of r.
+    ``table`` holds (A^(k0 + j))^T w in its column j; projected on it, the
+    center row gives s0 and the half-width rows the terms of r.
     """
-    y = y.reshape(-1, length)
+    y = (x @ table).reshape(len(x), length)
     s0, r = y[0], np.abs(y[1:]).sum(axis=0)
     up, down = s0 + r, s0 - r
     g_up, g_down = lam * up**2, lam * down**2
@@ -355,8 +387,8 @@ def _step_value_blocks(task: VerificationTask, bound: list[int]):
             table = np.concatenate((table, powers[-1] @ table), axis=1)
             powers.append(powers[-1] @ powers[-1])
             steps *= 2
-        # one product for the block; row i * length + j projects A^(k0 + j) x_i
-        yield (k0, *reduce((x @ table[:, : length * c]).reshape(len(x) * length, c), length))
+        # one product for the block, in the reduction
+        yield (k0, *reduce(x, table[:, : length * c], length))
         k0 += length
         for i, power in enumerate(powers):  # x (A^length)^T, by the bits of length
             if length >> i & 1:

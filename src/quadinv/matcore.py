@@ -71,8 +71,11 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def quad_forms(points: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``x^T M x`` for every row ``x`` of ``points`` (any leading shape)."""
-    return np.sum((points @ m) * points, axis=-1)
+    """``x^T M x`` for every row ``x`` of ``points`` (any leading shape): the
+    product ``points @ M`` reduced against ``points`` by a row-dot, which
+    reads each row once where ``sum(axis=-1)`` of the products runs a strided
+    reduction over a temporary of their size."""
+    return np.einsum("...i,...i->...", points @ m, points)
 
 
 _DOUBLING_STEPS = 64  # 2^64 terms; 1 - 2^-53, the largest double below one, takes 58

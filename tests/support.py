@@ -23,7 +23,6 @@ from quadinv.matcore import (
     _require_square,
     as_matrix,
     congruence_lmax,
-    quad_forms,
 )
 
 HARMONIC_A = np.array([[1.0, 0.01], [-0.01, 0.99]])
@@ -177,12 +176,20 @@ class NuResult(NamedTuple):
     vertex_index: int
 
 
-def nu(task: VerificationTask, k: int, include_constant: bool = True) -> NuResult:
-    """Largest objective value over initial vertices propagated k steps, from
-    the k-th power of A; a reference for the engine's scan.
+def quad_form_rows(points, m) -> np.ndarray:
+    """``x^T M x`` for every row ``x`` of ``points`` (any leading shape), one row at a
+    time; a reference for :func:`quadinv.matcore.quad_forms`."""
+    p = np.asarray(points, dtype=float)
+    rows = [x @ m @ x for x in p.reshape(-1, p.shape[-1])]
+    return np.array(rows, dtype=float).reshape(p.shape[:-1])
+
+
+def vertex_values(task: VerificationTask, k: int, include_constant: bool = True) -> np.ndarray:
+    """The objective at every initial vertex propagated k steps, from the k-th power
+    of A and :func:`quad_form_rows`; a reference for the engine's scan.
 
     Requires a homogenized task; with the objective's constant included, the
-    result equals the original objective's value at step k.
+    values are the original objective's at step k.
     """
     if not task.system.is_linear:
         raise ValueError("task must be homogenized first (translation b is nonzero)")
@@ -190,9 +197,13 @@ def nu(task: VerificationTask, k: int, include_constant: bool = True) -> NuResul
         raise ValueError("step index must be nonnegative")
     images = task.init.vertices @ mat_pow(task.system.A, k).T
     obj = task.objective
-    vals = quad_forms(images, obj.Q) + images @ obj.q
-    if include_constant:
-        vals = vals + obj.constant
+    vals = quad_form_rows(images, obj.Q) + images @ obj.q
+    return vals + obj.constant if include_constant else vals
+
+
+def nu(task: VerificationTask, k: int, include_constant: bool = True) -> NuResult:
+    """Largest of :func:`vertex_values` at step k, at its first vertex."""
+    vals = vertex_values(task, k, include_constant)
     idx = int(vals.argmax())
     return NuResult(float(vals[idx]), task.init.vertices[idx], idx)
 

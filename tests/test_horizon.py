@@ -52,6 +52,7 @@ from support import (
     random_psd,
     random_stable_matrix,
     rotation_task,
+    vertex_values,
     weighted_opnorm,
 )
 
@@ -247,9 +248,9 @@ class TestScanMatchesStepLoop:
             objective=QuadraticObjective(Q=Q, q=q),
         )
         values = self._assert_scan_matches_loop(task, k_max)
-        lam, basis = horizon._scan_basis(task.objective)
+        lam, _ = horizon._scan_basis(task.objective)
         assert lam.size == np.linalg.matrix_rank(Q)
-        assert basis.shape[1] == lam.size + bool(q.any())
+        assert horizon._scan_rows(task)[1].shape[1] == lam.size + bool(q.any())
         if kind == "zero":
             assert not values.any()
 
@@ -307,6 +308,106 @@ class TestScanMatchesStepLoop:
             gc.enable()
 
 
+def _corner_task(seed: int, d: int, kind: str, box: bool) -> VerificationTask:
+    """A random linear task with Q = U diag(lam) U^T of the given kind on a box or a
+    vertex list: ``psd`` (full rank), ``indefinite`` (lam of both signs from
+    d = 2), ``near-singular`` (half the lam at 1e-18 of the rest, under the
+    scan's keep threshold), ``zero-Q`` (Q = 0, q != 0) or ``no-q`` (lam of
+    random signs, q = 0)."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    lam, q = rng.uniform(0.5, 2.0, d), rng.normal(0.0, 1.0, d)
+    half = rng.permutation(d)[: max(d // 2, 1)]
+    if kind == "indefinite":
+        lam[half] *= -1.0
+    elif kind == "near-singular":
+        lam[half] *= 1e-18 * rng.choice([-1.0, 1.0], half.size)
+    elif kind == "zero-Q":
+        lam[:] = 0.0
+    elif kind == "no-q":
+        lam *= rng.choice([-1.0, 1.0], d)
+        q = np.zeros(d)
+    Q = (u * lam) @ u.T
+    if box:
+        init = box_to_vertices(*random_box(rng, d, straddle=bool(rng.integers(0, 2))))
+    else:
+        init = InitialSet(vertices=rng.uniform(-1.0, 1.0, (int(rng.integers(1, 2 * d + 3)), d)))
+    return VerificationTask(
+        system=AffineSystem(A=random_stable_matrix(rng, d, rng.uniform(0.5, 0.95)), b=np.zeros(d)),
+        init=init,
+        objective=QuadraticObjective(Q=0.5 * (Q + Q.T), q=q),
+    )
+
+
+def _step_scale(task: VerificationTask, k: int) -> float:
+    """A bound on |x^T Q x + q^T x| over the states at step k:
+    |Q|_2 |A^k|_2^2 r^2 + |q| |A^k|_2 r, with r the largest vertex norm."""
+    power = np.linalg.norm(np.linalg.matrix_power(task.system.A, k), 2)
+    r = power * float(np.linalg.norm(task.init.vertices, axis=1).max())
+    obj = task.objective
+    return float(np.linalg.norm(obj.Q, 2)) * r * r + float(np.linalg.norm(obj.q)) * r
+
+
+class TestCornerScan:
+    """nu_sequence against the reference that steps each vertex by A^k and
+    evaluates it row by row (support.vertex_values)."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 12),
+        kind=st.sampled_from(["psd", "indefinite", "near-singular", "zero-Q", "no-q"]),
+        box=st.booleans(),
+        k_max=st.integers(0, 200),
+    )
+    def test_matches_reference(self, seed, d, kind, box, k_max):
+        task = _corner_task(seed, d, kind, box)
+        values, argmax = nu_sequence(task, k_max)
+        for k in sorted({0, min(1, k_max), k_max // 2, k_max}):
+            ref, scale = vertex_values(task, k), _step_scale(task, k)
+            assert abs(values[k] - ref.max()) <= 1e-12 * scale
+            top = np.sort(ref)[::-1]
+            if top.size == 1 or top[0] - top[1] > 1e-9 * scale:  # a unique maximizer
+                assert argmax[k] == int(ref.argmax())
+
+    @pytest.mark.parametrize("n", [3, 40])
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_duplicated_vertices_keep_the_first(self, n, d):
+        # every vertex listed twice; the second copy never wins
+        rng = np.random.default_rng(10 * n + d)
+        rows = rng.uniform(-1.0, 1.0, (n, d))
+        sym = rng.standard_normal((d, d))
+        task = VerificationTask(
+            system=AffineSystem(A=random_stable_matrix(rng, d, 0.9), b=np.zeros(d)),
+            init=InitialSet(vertices=np.concatenate([rows, rows[::-1]])),
+            objective=QuadraticObjective(Q=sym + sym.T, q=rng.normal(0.0, 1.0, d)),
+        )
+        values, argmax = nu_sequence(task, 300)
+        assert np.all(argmax < n)
+        for k in (0, 7, 300):
+            assert values[k] == pytest.approx(vertex_values(task, k).max(), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 11])
+    def test_mirrored_corners_keep_the_first(self, d):
+        # a box centered at 0 with q = 0 ties each corner with its mirror
+        # 2^d - 1 - i; the one with the first axis at its lower bound wins
+        rng = np.random.default_rng(d)
+        half = rng.uniform(0.5, 1.5, d)
+        task = VerificationTask(
+            system=AffineSystem(A=random_stable_matrix(rng, d, 0.9), b=np.zeros(d)),
+            init=box_to_vertices(-half, half),
+            objective=QuadraticObjective(Q=random_psd(rng, d), q=np.zeros(d)),
+        )
+        assert horizon._scan_rows(task)[0] is task.init.vertices
+        values, argmax = nu_sequence(task, 100)
+        assert np.all(argmax < 2 ** (d - 1))
+        for k in (0, 1, 100):
+            ref = vertex_values(task, k)
+            assert values[k] == pytest.approx(ref.max(), rel=1e-12)
+            mirror = 2**d - 1 - argmax[k]
+            assert ref[argmax[k]] == pytest.approx(ref[mirror], rel=1e-12)
+
+
 def _rank_one_box_task(seed: int, d: int, kind: str, translated: bool, degenerate: bool):
     """A random box task with a rank-1 objective c c^T of the given kind: ``square``
     (q = 0), ``slope`` (q in span(c)) or ``band`` (:func:`linear_range_property`);
@@ -357,7 +458,7 @@ class TestBoxSupportScan:
         corner_values, corner_argmax = nu_sequence(_corner_twin(task), k_max, include_constant=False)
         if rows is not task.init.support_rows:
             # homogenizing left q off span(c) by more than rounding: the corner scan
-            q, w = task.objective.q, basis[:, 0]
+            q, w = task.objective.q, horizon._scan_basis(task.objective)[1][:, 0]
             miss = q - (q @ w) * w
             assert miss @ miss > (d * np.finfo(float).eps) ** 2 * (q @ q)
             np.testing.assert_array_equal(values, corner_values)

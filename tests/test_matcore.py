@@ -5,13 +5,14 @@ import pytest
 
 from quadinv.errors import NotSymmetric, SingularSystem, Unstable
 from quadinv.horizon import stability_certificate
-from quadinv.matcore import frobenius, lyapunov_solve, solve_linear
+from quadinv.matcore import frobenius, lyapunov_solve, quad_forms, solve_linear
 from support import (
     HARMONIC_A,
     NotPositiveDefinite,
     generalized_lmax,
     inv_sqrt,
     mat_pow,
+    quad_form_rows,
     random_stable_matrix,
     sym_eig,
     weighted_opnorm,
@@ -65,6 +66,21 @@ class TestSymEig:
             rebuilt = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
             assert frobenius(rebuilt - m) <= 1e-9 * (1.0 + frobenius(m))
             assert frobenius(eig.vectors.T @ eig.vectors - np.eye(d)) <= 1e-9
+
+
+class TestQuadForms:
+    @pytest.mark.parametrize("lead", [(257,), (3, 50)], ids=["n-d", "m-n-d"])
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_matches_row_by_row(self, d, lead):
+        rng = np.random.default_rng(d)
+        b = rng.standard_normal((d, d))
+        m = b + b.T
+        points = rng.uniform(-2.0, 2.0, (*lead, d))
+        values = quad_forms(points, m)
+        assert values.shape == lead
+        # each evaluation is within d eps of |x|^T |M| |x|
+        scale = np.einsum("...i,ij,...j->...", np.abs(points), np.abs(m), np.abs(points))
+        assert np.all(np.abs(values - quad_form_rows(points, m)) <= 1e-12 * scale)
 
 
 class TestSolveLinear:

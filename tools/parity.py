@@ -9,9 +9,9 @@ Usage, from the root of a source checkout:
 ``dump`` runs ``quadinv.verify`` on seeds 1-3 of every workload in
 ``bench/workloads.py``, the known-defect probes included, and writes one
 record per task: status, optimum value, its step and vertex, K, the
-enumeration's stopping step, strategy, the winning pair's t and |A|_P, tail
-horizon, the tail fallback's last sampled step, witness length and, when
-verify raises, the error type.
+enumeration's stopping step, strategy, the winning pair's t, S, mu and
+|A|_P, tail horizon, the tail fallback's last sampled step, witness length
+and, when verify raises, the error type.
 For each task on the cutoff path it also records the candidate table of the
 bound command: ``horizon.evaluate_candidates`` on the homogenized task, as
 (strategy, K, t, V, mu) rows in order, or the error type; and the row of a
@@ -30,11 +30,12 @@ exact field (status, the optimum's step and vertex, K, stop, strategy, tail
 horizon and stop, witness length, error, the strategies and K of the
 candidate and user rows, and every CLI exit code, text output and non-float
 JSON leaf), one line each, and exits 1 when any differs.  The optimum's
-step and vertex show how each checkout breaks ties between vertices.  For each float field (value, t, norm_A_P, the
-t, V and mu of the candidate and user rows, and the float JSON leaves of
-each CLI run) it prints the number of tasks where it differs and the largest
-relative difference, and exits 1 when that exceeds ``FLOAT_REL`` (1e-12),
-or when a value is present in one record only.
+step and vertex show how each checkout breaks ties between vertices.  For
+each float field (value, t, S, mu, norm_A_P, the t, V and mu of the
+candidate and user rows, and the float JSON leaves of each CLI run) it
+prints the number of tasks where it differs and the largest relative
+difference, and exits 1 when that exceeds ``FLOAT_REL`` (1e-12), or when a
+value is present in one record only.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 ROWS = ("bound", "user")  # candidate tables: all shapes, and the user P's row
 COLUMNS = ("strategy", "K", "t", "V", "mu")
-FLOAT_FIELDS = ("value", "t", "norm_A_P") + tuple(
+FLOAT_FIELDS = ("value", "t", "S", "mu", "norm_A_P") + tuple(
     f"{rows}_{column}" for rows in ROWS for column in ("t", "V", "mu")
 )
 FLOAT_REL = 1e-12  # last-bit differences of a reordered sum stay far below this
@@ -158,6 +159,8 @@ def _record(verifier, task) -> dict:
         "stop": None if opt is None else opt.stop,
         "strategy": None if opt is None else opt.bound.strategy_id,
         "t": None if opt is None else opt.bound.scalars.t,
+        "S": None if opt is None else opt.bound.scalars.S,
+        "mu": None if opt is None else opt.bound.scalars.mu,
         "norm_A_P": None if opt is None else opt.bound.certificate.norm_A_P,
         "tail_horizon": None if tail is None else tail.horizon,
         "tail_stop": None if tail is None else tail.stop,
