@@ -50,12 +50,10 @@ in one of two ways (:func:`_scan_rows`):
   (q only when nonzero, the columns of lam > 0 first), and a step value is
   the max over vertices of |y+|^2 - |y-|^2 + y_q, the row-dots of the
   projections on the columns of lam > 0 and lam < 0: one product and one
-  row-dot per block.  Where the vertices outnumber the steps of a smallest
-  block, the product lays each step's projections of the vertices out in a
-  row (step-major), otherwise each vertex's steps (vertex-major), so the
-  row-dots and the max over vertices run along the longer axis.  The
-  layout is fixed per task, so a step's value does not depend on the block
-  that holds it.  A rank-1 property costs one column per step.
+  row-dot per block.  The product lays each step's projections of the
+  vertices out in a row, so the max over vertices runs along it, and a
+  step's value does not depend on the block that holds it.  A rank-1
+  property costs one column per step.
 - Box support: a box task whose basis keeps one eigenpair (lam > 0, w) and
   whose q is beta w up to rounding (|q - beta w| <= d eps |q|) has the
   rank-1 property g(s) = lam s^2 + beta s of s = w^T x.  Over the box's
@@ -72,15 +70,14 @@ in one of two ways (:func:`_scan_rows`):
 mu(P) and S's sup x^T Q x stay passes over the vertices, each one product
 and one row-dot (:func:`matcore.quad_forms`).
 
-Block lengths double from the smallest block up to the larger of that and
-ceil(sqrt(k_max + 1)) of the current reader's bound, and no block runs past
-that bound: a walk that stops early does little work, and a long one takes
-O(sqrt(k_max)) array operations.  SCAN_MIN_ELEMENTS and SCAN_BLOCK_ELEMENTS
-count entries of a block's (rows, steps * c) projection array, so the box
-support's blocks run longer than the corners'.  The smallest block holds
-SCAN_MIN_ELEMENTS (at least one step): a smaller block costs about its fixed
-overhead of some ten array operations, so a walk of a few hundred steps
-over few rows and columns is one or two blocks.
+Block lengths double from the smallest block up to the SCAN_BLOCK_ELEMENTS
+cap, and no block runs past the current reader's bound k_max, so a walk
+that stops early does little work.  SCAN_MIN_ELEMENTS and
+SCAN_BLOCK_ELEMENTS count entries of a block's (rows, steps * c) projection
+array, so the box support's blocks run longer than the corners'.  The
+smallest block holds SCAN_MIN_ELEMENTS (at least one step): a smaller block
+costs about its fixed overhead of some ten array operations, so a walk of a
+few hundred steps over few rows and columns is one or two blocks.
 SCAN_BLOCK_ELEMENTS caps a block's entries and, as the table holds fewer
 than twice the longest block's steps, the scan's memory.
 
@@ -272,11 +269,7 @@ def _scan_rows(task: VerificationTask):
     columns = basis * np.sqrt(np.abs(lam))
     if q.any():
         columns = np.concatenate((columns, q[:, None]), axis=1)
-    n = len(task.init.vertices)  # step-major where they outnumber a smallest block's steps
-    step_major = n > SCAN_MIN_ELEMENTS // (n * max(columns.shape[1], 1))
-    reduce = functools.partial(
-        _corner_values, step_major, int(np.count_nonzero(lam > 0.0)), lam.size
-    )
+    reduce = functools.partial(_corner_values, int(np.count_nonzero(lam > 0.0)), lam.size)
     return task.init.vertices, columns, reduce
 
 
@@ -293,36 +286,30 @@ def _support_slope(lam: np.ndarray, basis: np.ndarray, q: np.ndarray) -> float |
     return beta if miss @ miss <= (q.size * np.finfo(float).eps) ** 2 * (q @ q) else None
 
 
-def _corner_values(
-    step_major: bool, positive: int, rank: int, x: np.ndarray, table: np.ndarray, length: int
-):
+def _corner_values(positive: int, rank: int, x: np.ndarray, table: np.ndarray, length: int):
     """Step values of a block as the max over vertices, and a function giving the
     arg-max vertex of the steps at the offsets it is asked for.
 
     ``table`` holds (A^(k0 + j))^T [W_r sqrt|lam_r| | q] in its columns j * c
     to j * c + c - 1, of which the first ``positive`` of the r = ``rank``
     scaled eigenvectors have lam > 0; a value is |y+|^2 - |y-|^2 + y_q.
-    ``step_major`` lays each step's projections of the vertices out in rows
-    (module docstring).
     """
-    n, c = len(x), table.shape[1] // length
-    # y[j, :, i] (step-major) or y[i * length + j] projects A^(k0 + j) x_i on the
-    # columns; one product and one row-dot leave a block one array of its size
-    # and the values, as large transients make malloc hand memory back to the
-    # system and fault it in again on the next verify
-    if step_major:
-        y, rowdot = (table.T @ x.T).reshape(length, c, n), "jcn,jcn->jn"
-    else:
-        y, rowdot = (x @ table).reshape(n * length, c), "ic,ic->i"
+    c = table.shape[1] // length
+    # y[j, :, i] projects A^(k0 + j) x_i on the columns; one product and one
+    # row-dot leave a block one array of its size and the values, as large
+    # transients make malloc hand memory back to the system and fault it in
+    # again on the next verify
+    y = (table.T @ x.T).reshape(length, c, len(x))
     plus, minus = y[:, :positive], y[:, positive:rank]
-    vals = np.einsum(rowdot, plus, plus)
+    vals = np.einsum("jcn,jcn->jn", plus, plus)
     if rank > positive:
-        vals -= np.einsum(rowdot, minus, minus)
+        vals -= np.einsum("jcn,jcn->jn", minus, minus)
     if c > rank:
         vals += y[:, rank]
-    if not step_major:
-        vals = vals.reshape(n, length).T
-    return vals.max(axis=1), vals.argmax(axis=1).__getitem__
+    # each step's max read at its arg-max: numpy reduces a short row by max
+    # several times slower than by argmax
+    arg = vals.argmax(axis=1)
+    return vals[np.arange(length), arg], arg.__getitem__
 
 
 def _support_values(lam: float, beta: float, x: np.ndarray, table: np.ndarray, length: int):
@@ -375,14 +362,12 @@ def _step_value_blocks(task: VerificationTask, bound: list[int]):
     width = len(x) * max(c, 1)  # entries of a block's projections per step
     floor = SCAN_FLOOR * float(np.abs(x).max())
     cap = max(1, SCAN_BLOCK_ELEMENTS // width)
-    shortest = size = min(max(1, SCAN_MIN_ELEMENTS // width), cap)
+    size = min(max(1, SCAN_MIN_ELEMENTS // width), cap)
     # column block j of the table is (A^j)^T basis, j < steps; powers[i] is
     # (A^(2^i))^T, the last one (A^steps)^T
     table, powers, steps, k0 = basis, [A.T], 1, 0
     while True:
-        k_max = bound[0]
-        longest = min(max(math.isqrt(k_max) + 1, shortest), cap)
-        length = min(size, longest, k_max + 1 - k0)
+        length = min(size, bound[0] + 1 - k0)
         while steps < length:
             table = np.concatenate((table, powers[-1] @ table), axis=1)
             powers.append(powers[-1] @ powers[-1])
@@ -394,7 +379,7 @@ def _step_value_blocks(task: VerificationTask, bound: list[int]):
             if length >> i & 1:
                 x = x @ power
         x[(x < floor) & (x > -floor)] = 0.0  # |x| < floor, without a float temporary
-        size = min(2 * size, longest)
+        size = min(2 * size, cap)
 
 
 class _StepScan:
@@ -555,10 +540,7 @@ def _k_formula(
             f"log argument {g:.15g} outside (0, 1]: S or (t, P) violates a precondition"
         )
     ratio = math.log(min(g, 1.0)) / math.log(cert.norm_A_P)
-    k_val = int(math.floor(ratio + tol.log_arg_slack)) + 1
-    if k_val < 1:
-        raise NumeratorOutOfRange(f"computed cutoff {k_val} below one")
-    return k_val
+    return int(math.floor(ratio + tol.log_arg_slack)) + 1
 
 
 def K_of(

@@ -122,6 +122,8 @@ class InitialSet:
     @classmethod
     def from_vertices(cls, vertices, tol: Tolerances = DEFAULTS) -> InitialSet:
         v = np.atleast_2d(np.array(vertices, dtype=float))
+        if v.ndim > 2:  # before the rows are keyed; a single 1-D vertex is one row
+            raise DimensionMismatch(f"vertices must form a 2-D array, got shape {v.shape}")
         seen: set[tuple] = set()
         keep: list[int] = []
         for i, row in enumerate(v):

@@ -171,8 +171,8 @@ def verify(
 
     The homogenized task's step values are walked once: the k_strict search
     (bounded where the identity shape's envelope U falls below
-    ``strict_pos``), S, and then the enumeration (stopped where the winning
-    pair's U meets the running maximum, by the cutoff K) or the tail
+    ``strict_pos``), S, and then the enumeration (stopped where the identity
+    shape's U meets the running maximum, or at its cutoff K) or the tail
     fallback each continue the same scan.
     """
     alpha = task.objective.alpha if alpha is None else float(alpha)

@@ -1,12 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadinv
 from quadinv import horizon
@@ -15,6 +21,9 @@ from quadinv.errors import DimensionMismatch, ParseError
 from quadinv.horizon import evaluate_candidates, objective_scores
 from quadinv.model import homogenize, linear_range_property
 from support import HARMONIC_A, ROTATION_A, ROTATION_B, tail_style_task
+
+
+COMMANDS = ("verify", "bound", "simulate", "export")
 
 
 def write_json(path, doc):
@@ -107,6 +116,17 @@ class TestParseInput:
         path = write_json(tmp_path / "bad.json", doc)
         assert main(["verify", path, "--report", "json"]) == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_three_dimensional_vertices_exit_three(self, tmp_path, capsys, command):
+        doc = {
+            "A": [[0.5]],
+            "initial_set": {"vertices": [[[1.0]]]},
+            "property": {"Q": [[1.0]], "alpha": 1.0},
+        }
+        path = write_json(tmp_path / "deep.json", doc)
+        assert main([command, path, "--report", "json"]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "DimensionMismatch"
 
     def test_linear_range_matches_constructor(self, tmp_path):
         doc = {
@@ -233,6 +253,108 @@ class TestVerifyCommand:
 
     def test_missing_file_exit_three(self):
         assert main(["verify", "/nonexistent.json"]) == 3
+
+
+VERTICES = ("initial_set", "vertices")
+# every numeric field of a document, by its path
+FIELDS = (
+    ("dimension",), ("A",), ("b",),
+    ("initial_set", "box", "lower"), ("initial_set", "box", "upper"), VERTICES,
+    ("property", "Q"), ("property", "q"), ("property", "alpha"),
+    ("property", "linear_range", "c"), ("property", "linear_range", "lower"),
+    ("property", "linear_range", "upper"),
+)
+KINDS = ("type", "depth", "length", "finite")  # of a malformed field
+
+
+@st.composite
+def documents(draw, path, kind):
+    """A small document (d <= 3, a stable A, every optional field present) that
+    holds the field at ``path``, made malformed by ``kind``; with ``path``
+    None, a valid one."""
+    d = draw(st.integers(1, 3))
+
+    def vector(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=d, max_size=d))
+
+    def form(section, name):  # whether the section takes the form ``name``
+        return path[1] == name if path and path[0] == section else draw(st.booleans())
+
+    doc = {"dimension": d, "A": [vector(-0.3, 0.3) for _ in range(d)], "b": vector(-1, 1)}
+    if form("initial_set", "box"):
+        lower = vector(-1, 0)
+        doc["initial_set"] = {"box": {"lower": lower, "upper": [x + 1.0 for x in lower]}}
+    else:
+        # no zero vertex: the simplest document, which hypothesis tries first,
+        # then holds one vertex [x != 0] at d = 1
+        doc["initial_set"] = {"vertices": [vector(0.5, 1) for _ in range(draw(st.integers(1, 3)))]}
+    if form("property", "linear_range"):
+        doc["property"] = {"linear_range": {
+            "c": vector(0.5, 1), "lower": draw(st.floats(-2, -0.5)),
+            "upper": draw(st.floats(0.5, 2)),
+        }}
+    else:
+        doc["property"] = {
+            "Q": np.diag(vector(0, 1)).tolist(), "q": vector(-1, 1),
+            "alpha": draw(st.floats(0.5, 3.0)),
+        }
+    if path is not None:
+        holder = doc
+        for name in path[:-1]:
+            holder = holder[name]
+        holder[path[-1]] = _malformed(draw, path, kind, holder[path[-1]])
+    return doc
+
+
+def _malformed(draw, path, kind, value):
+    """``value`` of the field at ``path`` with a wrong type, nesting depth, length
+    or finiteness (:data:`KINDS`); a vertex list only gets deeper and keeps
+    its count, as a single 1-D vertex and another vertex are well formed."""
+    if kind == "type":
+        return draw(st.sampled_from(("x", {"a": 1})))
+    if kind == "depth":
+        unwrap = isinstance(value, list) and path != VERTICES and draw(st.booleans())
+        return value[0] if unwrap else [value]
+    if kind == "length":
+        if not isinstance(value, list):
+            return [value, value]
+        grow = draw(st.booleans())
+        if path == VERTICES:
+            return [row + row[-1:] if grow else row[:-1] for row in value]
+        return value + value[-1:] if grow else value[:-1]
+    return _with_leaf(draw, value, draw(st.sampled_from((math.nan, math.inf, -math.inf))))
+
+
+def _with_leaf(draw, value, bad):
+    """``value`` with one leaf, at a drawn position, replaced by ``bad``."""
+    if not isinstance(value, list):
+        return bad
+    i = draw(st.integers(0, len(value) - 1))
+    return value[:i] + [_with_leaf(draw, value[i], bad)] + value[i + 1 :]
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "path, kind", [*((p, k) for p in FIELDS for k in KINDS), (None, None)],
+        ids=lambda v: v if isinstance(v, str) else ".".join(v or ["valid"]),
+    )
+    @settings(max_examples=5, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_every_subcommand_exits_three_without_traceback(self, path, kind, data):
+        # (vertices, depth) is a 3-D vertex array, first [[[x]]]
+        doc = data.draw(documents(path, kind))
+        with tempfile.TemporaryDirectory() as tmp:
+            # json.dumps writes NaN and Infinity, which the parser reads
+            doc_path = write_json(Path(tmp) / "doc.json", doc)
+            for command in COMMANDS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, doc_path, "--report", "json"])
+                assert code in range(6), command
+                assert "Traceback" not in err.getvalue()
+                if path is not None:
+                    assert code == 3, (command, out.getvalue())
+                    assert "error" in json.loads(out.getvalue())
 
 
 def task_doc(task):

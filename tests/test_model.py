@@ -144,6 +144,15 @@ class TestInitialSet:
         with pytest.raises(DimensionMismatch):
             InitialSet(vertices=np.empty((0, 2)))
 
+    @pytest.mark.parametrize("vertices", [[[[1.0]]], np.zeros((2, 2, 2)), np.zeros((1, 3, 1))])
+    def test_deeper_than_two_rejected(self, vertices):
+        with pytest.raises(DimensionMismatch, match="2-D"):
+            InitialSet.from_vertices(vertices)
+
+    def test_single_vertex_accepted(self):
+        init = InitialSet.from_vertices([1.0, 2.0])
+        np.testing.assert_array_equal(init.vertices, [[1.0, 2.0]])
+
     @pytest.mark.parametrize("digits", [1.5, 12.0])
     def test_non_integer_sig_digits_rejected(self, digits):
         with pytest.raises(ValueError, match="vertex_sig_digits"):

@@ -9,9 +9,9 @@ Usage, from the root of a source checkout:
 ``dump`` runs ``quadinv.verify`` on seeds 1-3 of every workload in
 ``bench/workloads.py``, the known-defect probes included, and writes one
 record per task: status, optimum value, its step and vertex, K, the
-enumeration's stopping step, strategy, the winning pair's t, S, mu and
-|A|_P, tail horizon, the tail fallback's last sampled step, witness length
-and, when verify raises, the error type.
+enumeration's stopping step, strategy, the winning pair's t, S, mu,
+|A|_P and lmax(P), tail horizon, the tail fallback's last sampled step,
+witness length and, when verify raises, the error type.
 For each task on the cutoff path it also records the candidate table of the
 bound command: ``horizon.evaluate_candidates`` on the homogenized task, as
 (strategy, K, t, V, mu) rows in order, or the error type; and the row of a
@@ -31,11 +31,14 @@ horizon and stop, witness length, error, the strategies and K of the
 candidate and user rows, and every CLI exit code, text output and non-float
 JSON leaf), one line each, and exits 1 when any differs.  The optimum's
 step and vertex show how each checkout breaks ties between vertices.  For
-each float field (value, t, S, mu, norm_A_P, the t, V and mu of the
-candidate and user rows, and the float JSON leaves of each CLI run) it
+each float field (value, t, S, mu, norm_A_P, lmax_P, the t, V and mu of
+the candidate and user rows, and the float JSON leaves of each CLI run) it
 prints the number of tasks where it differs and the largest relative
 difference, and exits 1 when that exceeds ``FLOAT_REL`` (1e-12), or when a
-value is present in one record only.
+value is present in one record only.  A difference is relative to the
+larger magnitude, except for a CLI leaf named ``residual_margin``: that is
+lmin(P - A^T P A), which cancels, so it moves far more than P does, and it
+is read relative to the larger of its magnitudes and the task's lmax(P).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 ROWS = ("bound", "user")  # candidate tables: all shapes, and the user P's row
 COLUMNS = ("strategy", "K", "t", "V", "mu")
-FLOAT_FIELDS = ("value", "t", "S", "mu", "norm_A_P") + tuple(
+FLOAT_FIELDS = ("value", "t", "S", "mu", "norm_A_P", "lmax_P") + tuple(
     f"{rows}_{column}" for rows in ROWS for column in ("t", "V", "mu")
 )
 FLOAT_REL = 1e-12  # last-bit differences of a reordered sum stay far below this
@@ -162,6 +165,7 @@ def _record(verifier, task) -> dict:
         "S": None if opt is None else opt.bound.scalars.S,
         "mu": None if opt is None else opt.bound.scalars.mu,
         "norm_A_P": None if opt is None else opt.bound.certificate.norm_A_P,
+        "lmax_P": None if opt is None else opt.bound.certificate.lmax_P,
         "tail_horizon": None if tail is None else tail.horizon,
         "tail_stop": None if tail is None else tail.stop,
         "witness_len": None if verdict.witness is None else len(verdict.witness),
@@ -199,16 +203,17 @@ def dump(out: str, repo: Path) -> None:
     print(f"{len(records)} tasks written to {out}")
 
 
-def _relative(x, y) -> float:
-    """|x - y| relative to the larger magnitude, the largest over the entries of
-    lists of equal length; inf when only one is None or the lengths differ."""
+def _relative(x, y, scale: float = 0.0) -> float:
+    """|x - y| relative to the larger of the magnitudes and ``scale``, the largest
+    over the entries of lists of equal length; inf when only one is None or
+    the lengths differ."""
     if isinstance(x, list) and isinstance(y, list):
         if len(x) != len(y):
             return math.inf
-        return max(map(_relative, x, y), default=0.0)
+        return max((_relative(u, v, scale) for u, v in zip(x, y)), default=0.0)
     if x is None or y is None:
         return 0.0 if x is y else math.inf
-    return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+    return abs(x - y) / max(abs(x), abs(y), scale) if x != y else 0.0
 
 
 def diff(path_a: str, path_b: str) -> int:
@@ -217,11 +222,12 @@ def diff(path_a: str, path_b: str) -> int:
     exact, floats = 0, {field: [] for field in FLOAT_FIELDS}
     for key in sorted(a.keys() | b.keys()):
         ra, rb = _fields(a.get(key, {})), _fields(b.get(key, {}))
+        lmax_P = max(ra.get("lmax_P") or 0.0, rb.get("lmax_P") or 0.0)
         for field in sorted(ra.keys() | rb.keys()):
             x, y = ra.get(field), rb.get(field)
             group = _float_group(field, x, y)
             if group is not None:
-                rel = _relative(x, y)
+                rel = _relative(x, y, lmax_P if field.endswith(".residual_margin") else 0.0)
                 floats.setdefault(group, [])
                 if rel:
                     floats[group].append(rel)
