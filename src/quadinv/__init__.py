@@ -7,7 +7,6 @@ then decides the property by enumerating vertex trajectories.  It can both
 prove and disprove, returning a witness trajectory in the latter case.
 """
 
-from .config import DEFAULTS, Tolerances
 from .errors import (
     AssumptionViolated,
     DegenerateRange,

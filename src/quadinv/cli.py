@@ -14,8 +14,8 @@ Input is a single JSON document:
 ``{"vertices": [[...], ...]}``, and ``property`` alternatively takes
 ``{"linear_range": {"c": [...], "lower": a, "upper": b}}``.
 
-Every subcommand takes ``--report`` and ``--tol``; ``verify`` and ``bound``
-add ``--kstrict-cap``, ``verify`` also ``--horizon-cap`` and
+Every subcommand takes ``--report``; ``verify`` and ``bound`` add
+``--kstrict-cap``, ``verify`` also ``--horizon-cap`` and
 ``--alpha-override``, ``bound`` ``--user-P`` and ``--epsilon``, ``simulate``
 ``--oracle-horizon``, and ``export`` ``--epsilon``.  Any other flag is a
 usage error.  The parsed arguments are the run's configuration.
@@ -29,14 +29,12 @@ Exit codes: 0 proved (directly or by tail bound), 1 disproved,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
 from .errors import (
     InvalidUserP,
     ModelError,
@@ -107,11 +105,16 @@ def _numeric(doc: dict, key: str, where: str, ndim: int | None = None) -> np.nda
 
     Raises :class:`ParseError` naming the field when it is missing or not
     finite numbers or, with ``ndim`` given, has another number of dimensions.
+    A boolean or a string leaf is not a number either, though numpy reads
+    ``true`` as 1 and ``"2"`` as 2, even among numbers.
     """
+    value = _field(doc, key, where)
     try:
-        array = np.array(_field(doc, key, where), dtype=float)
+        array = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"field {key!r} in {where} is not numeric: {exc}") from exc
+    if any(isinstance(leaf, (bool, str)) for leaf in np.array(value, dtype=object).flat):
+        raise ParseError(f"field {key!r} in {where} holds a boolean or a string")
     if not np.all(np.isfinite(array)):
         raise ParseError(f"field {key!r} in {where} is not finite")
     if ndim is not None and array.ndim != ndim:
@@ -119,7 +122,7 @@ def _numeric(doc: dict, key: str, where: str, ndim: int | None = None) -> np.nda
     return array
 
 
-def parse_input(path: str, tol: Tolerances = DEFAULTS) -> VerificationTask:
+def parse_input(path: str) -> VerificationTask:
     """Load and validate a task document.
 
     Raises :class:`ParseError` for malformed documents and lets dimensional
@@ -131,9 +134,8 @@ def parse_input(path: str, tol: Tolerances = DEFAULTS) -> VerificationTask:
 
     a = _numeric(doc, "A", "document", ndim=2)
     d = a.shape[0]
-    declared = doc.get("dimension")
-    if declared is not None and declared != d:
-        raise ParseError(f"declared dimension {declared} does not match A ({d} rows)")
+    if doc.get("dimension") is not None and _numeric(doc, "dimension", "document", ndim=0) != d:
+        raise ParseError(f"declared dimension {doc['dimension']} does not match A ({d} rows)")
     b = _numeric(doc, "b", "document") if "b" in doc else np.zeros(d)
     system = AffineSystem(A=a, b=b)
 
@@ -143,11 +145,10 @@ def parse_input(path: str, tol: Tolerances = DEFAULTS) -> VerificationTask:
         init = box_to_vertices(
             _numeric(box, "lower", "initial_set.box"),
             _numeric(box, "upper", "initial_set.box"),
-            tol,
         )
     elif "vertices" in init_doc:
         vertices = _numeric(init_doc, "vertices", "initial_set")
-        init = InitialSet.from_vertices(vertices, tol)
+        init = InitialSet.from_vertices(vertices)
     else:
         raise ParseError("initial_set needs either 'box' or 'vertices'")
 
@@ -231,23 +232,19 @@ def _candidate_dict(bound: HorizonBound, hom: VerificationTask) -> dict:
     return entry
 
 
-def _run_verify(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict]:
+def _run_verify(task: VerificationTask, args) -> tuple[int, dict]:
     verdict = verify(
-        task,
-        alpha=args.alpha_override,
-        kstrict_cap=args.kstrict_cap,
-        tail_cap=args.horizon_cap,
-        tol=tol,
+        task, alpha=args.alpha_override, kstrict_cap=args.kstrict_cap, tail_cap=args.horizon_cap
     )
     return VERDICT_EXIT_CODES[verdict.status], _verdict_dict(verdict)
 
 
-def _run_bound(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict]:
+def _run_bound(task: VerificationTask, args) -> tuple[int, dict]:
     bounds = evaluate_candidates(
         task, user_P=load_user_matrix(args.user_p), epsilon=args.epsilon,
-        kstrict_cap=args.kstrict_cap, tol=tol,
+        kstrict_cap=args.kstrict_cap,
     )
-    hom = homogenize(task, tol)  # the scores are taken at the homogenized vertices
+    hom = homogenize(task)  # the scores are taken at the homogenized vertices
     return 0, {
         "command": "bound",
         "best": _candidate_dict(min(bounds, key=lambda bound: bound.K), hom),
@@ -255,8 +252,8 @@ def _run_bound(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict
     }
 
 
-def _run_simulate(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict]:
-    report = brute_force_oracle(task, args.oracle_horizon, tol)
+def _run_simulate(task: VerificationTask, args) -> tuple[int, dict]:
+    report = brute_force_oracle(task, args.oracle_horizon)
     return 0, {
         "command": "simulate",
         "horizon": report.horizon,
@@ -270,8 +267,8 @@ def _run_simulate(task: VerificationTask, args, tol: Tolerances) -> tuple[int, d
     }
 
 
-def _run_export(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dict]:
-    hom = homogenize(task, tol)
+def _run_export(task: VerificationTask, args) -> tuple[int, dict]:
+    hom = homogenize(task)
     objectives = [
         {"id": "F0", "kind": "max-vertex-energy", "of": "P"},
         {"id": "F1", "kind": "max-vertex-energy", "of": "P - Q"},
@@ -324,14 +321,12 @@ def _run_export(task: VerificationTask, args, tol: Tolerances) -> tuple[int, dic
 
 def run(args: argparse.Namespace) -> tuple[int, dict]:
     """Run a subcommand parsed by :func:`build_parser`; returns (exit_code, report)."""
-    tol = _tolerances_from(args.tol)
     for name in ("horizon_cap", "kstrict_cap", "oracle_horizon", "epsilon"):
         if name in args and not getattr(args, name) > 0:  # NaN fails too
             raise ParseError(f"--{name.replace('_', '-')} must be positive")
     if not math.isfinite(getattr(args, "alpha_override", None) or 0.0):  # None passes
         raise ParseError("--alpha-override must be finite")
-    task = parse_input(args.input, tol)
-    return args.handler(task, args, tol)
+    return args.handler(parse_input(args.input), args)
 
 
 def render_text(report: dict) -> str:
@@ -407,13 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="path to the JSON task document")
     common.add_argument("--report", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--tol",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="override a tolerance field (repeatable)",
-    )
 
     cutoff = argparse.ArgumentParser(add_help=False)
     cutoff.add_argument("--kstrict-cap", type=int, default=DEFAULT_KSTRICT_CAP)
@@ -448,20 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, parents=parents, help=help_text)
         cmd.set_defaults(handler=handler)
     return parser
-
-
-def _tolerances_from(pairs: list[str]) -> Tolerances:
-    tol = DEFAULTS
-    names = {f.name for f in dataclasses.fields(Tolerances)}
-    for pair in pairs:
-        name, _, raw = pair.partition("=")
-        if not _ or name not in names:
-            raise ParseError(f"unknown tolerance override {pair!r}")
-        try:  # Tolerances rejects values out of range
-            tol = tol.override(**{name: type(getattr(DEFAULTS, name))(raw)})
-        except ValueError as exc:
-            raise ParseError(f"bad tolerance value in {pair!r}: {exc}") from exc
-    return tol
 
 
 def _exit_code_for(exc: Exception) -> int:

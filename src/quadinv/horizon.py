@@ -36,7 +36,7 @@ rule: a walk ends at the first m with U(m + 1) at most the larger of the
 running maximum and a floor, where U is the decreasing envelope of
 :func:`tail_bound` (no later step can exceed that), at the first value above
 a level, or at the reader's bound k_max.  The k_strict search is bounded
-where the identity shape's U falls below strict_pos, the enumeration by K,
+where the identity shape's U falls below STRICT_POS, the enumeration by K,
 the tail fallback by the step where U certifies the level.
 
 The scan never forms the states A^k v.  Of Q = W diag(lam) W^T it keeps the
@@ -103,7 +103,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
+from .config import (
+    LOG_ARG_SLACK,
+    NORM_MARGIN,
+    PD_REL,
+    PSD_EIG_FLOOR,
+    PSD_SLACK_REL,
+    STRICT_POS,
+)
 from .errors import (
     AssumptionViolated,
     InfeasiblePair,
@@ -192,13 +199,13 @@ def _require_linear(task: VerificationTask) -> None:
         raise ValueError("task must be homogenized first (translation b is nonzero)")
 
 
-def _certificate_for(A: np.ndarray, P: np.ndarray, tol: Tolerances) -> StabilityCertificate:
+def _certificate_for(A: np.ndarray, P: np.ndarray) -> StabilityCertificate:
     """Validate an exactly symmetric P as a strict Lyapunov shape for A, or raise
     :class:`InfeasiblePair`; P is decomposed once, unchecked, and A^T P A
     symmetrized once, for both the margin and |A|_P."""
     values, vectors = np.linalg.eigh(P)
     lmin, lmax = float(values[0]), float(values[-1])
-    if lmin <= tol.pd_rel * max(1.0, lmax):
+    if lmin <= PD_REL * max(1.0, lmax):
         raise InfeasiblePair(f"shape matrix is not positive definite (lmin {lmin:.3e})")
     image = A.T @ P @ A
     image = 0.5 * (image + image.T)
@@ -209,14 +216,14 @@ def _certificate_for(A: np.ndarray, P: np.ndarray, tol: Tolerances) -> Stability
     # any upper bound on |A|_P is sound for K and U; the floor keeps ln |A|_P
     # finite when A^T P A = 0
     norm = max(math.sqrt(max(congruence_lmax(image, root), 0.0)), sys.float_info.min)
-    if not norm <= 1.0 - tol.norm_margin:
+    if not norm <= 1.0 - NORM_MARGIN:
         raise InfeasiblePair(f"|A|_P = {norm:.12f} is not strictly below one")
     return StabilityCertificate(
         P=P, residual_margin=margin, norm_A_P=norm, lmin_P=lmin, lmax_P=lmax, P_inv_sqrt=root,
     )
 
 
-def stability_certificate(a_matrix, tol: Tolerances = DEFAULTS) -> StabilityCertificate:
+def stability_certificate(a_matrix) -> StabilityCertificate:
     """Certify spectral radius < 1 by solving P - A^T P A = Id.
 
     Raises :class:`Unstable` when the Lyapunov doubling does not contract or
@@ -226,14 +233,14 @@ def stability_certificate(a_matrix, tol: Tolerances = DEFAULTS) -> StabilityCert
     """
     a = as_matrix(a_matrix, "A")
     try:
-        p = lyapunov_solve(a, np.eye(a.shape[0]), tol)
-        return _certificate_for(a, p, tol)
+        p = lyapunov_solve(a, np.eye(a.shape[0]))
+        return _certificate_for(a, p)
     except (SingularSystem, InfeasiblePair) as exc:
         raise Unstable(f"no quadratic stability certificate exists: {exc}") from exc
 
 
-def _warn_if_indefinite(task: VerificationTask, tol: Tolerances) -> None:
-    if task.objective.eig.lmin < -tol.psd_eig_floor:
+def _warn_if_indefinite(task: VerificationTask) -> None:
+    if task.objective.eig.lmin < -PSD_EIG_FLOOR:
         warnings.warn(
             "objective matrix has a negative eigenvalue; per-step maxima over "
             "vertices may underestimate the true supremum on the polytope",
@@ -468,36 +475,32 @@ def nu_sequence(
     return values, argmax
 
 
-def find_k_strict(
-    task: VerificationTask,
-    cap: int = DEFAULT_KSTRICT_CAP,
-    tol: Tolerances = DEFAULTS,
-) -> int | None:
+def find_k_strict(task: VerificationTask, cap: int = DEFAULT_KSTRICT_CAP) -> int | None:
     """First k with a strictly positive constant-free step value, or None.
 
     Step values are scanned for k = 0..cap; None means not found within the
     cap, which downgrades the pipeline to tail-bound mode.
     """
     _require_linear(task)
-    _, value, k, _ = _walk(_StepScan(task), cap, level=tol.strict_pos)
-    return k if value > tol.strict_pos else None
+    _, value, k, _ = _walk(_StepScan(task), cap, level=STRICT_POS)
+    return k if value > STRICT_POS else None
 
 
-def s_value(task: VerificationTask, k_strict: int, tol: Tolerances = DEFAULTS) -> float:
+def s_value(task: VerificationTask, k_strict: int) -> float:
     """Positive threshold S = min(sup x^T Q x, nu_{k_strict}) over vertices.
 
     Raises :class:`AssumptionViolated` when the result is not strictly
     positive; the verifier then falls back to tail-bound mode.
     """
     values, _ = nu_sequence(task, k_strict, include_constant=False)
-    return _threshold(task, float(values[-1]), tol)
+    return _threshold(task, float(values[-1]))
 
 
-def _threshold(task: VerificationTask, nu_k: float, tol: Tolerances) -> float:
+def _threshold(task: VerificationTask, nu_k: float) -> float:
     """S = min(sup x^T Q x, nu_k) over vertices, or AssumptionViolated."""
     sup_q = float(quad_forms(task.init.vertices, task.objective.Q).max())
     s = min(sup_q, nu_k)
-    if s <= tol.strict_pos:
+    if s <= STRICT_POS:
         raise AssumptionViolated(
             f"threshold S = {s:.3e} is not positive; the horizon bound is undefined"
         )
@@ -522,48 +525,40 @@ def _log_arg(S: float, t: float, v_term: float, mu_val: float) -> float:
     return S / ((math.sqrt(S + v_term * v_term) + v_term) * math.sqrt(t) * mu_val)
 
 
-def _k_formula(
-    cert: StabilityCertificate, task: VerificationTask, scalars: BoundScalars, tol: Tolerances
-) -> int:
+def _k_formula(cert: StabilityCertificate, task: VerificationTask, scalars: BoundScalars) -> int:
     """Evaluate the cutoff formula for a certified P and its scalars (t > 0)."""
     q_mat = task.objective.Q
     feas = float(np.linalg.eigvalsh(scalars.t * cert.P - q_mat)[0])
-    if feas < -tol.psd_slack_rel * frobenius(q_mat):
+    if feas < -PSD_SLACK_REL * frobenius(q_mat):
         raise InfeasiblePair(
             f"t*P - Q has negative eigenvalue {feas:.3e}; pair is infeasible"
         )
     if scalars.mu <= 0.0:
         raise AssumptionViolated("initial set is reduced to the origin")
     g = _log_arg(scalars.S, scalars.t, scalars.V, scalars.mu)
-    if not 0.0 < g <= 1.0 + tol.log_arg_slack:
+    if not 0.0 < g <= 1.0 + LOG_ARG_SLACK:
         raise NumeratorOutOfRange(
             f"log argument {g:.15g} outside (0, 1]: S or (t, P) violates a precondition"
         )
     ratio = math.log(min(g, 1.0)) / math.log(cert.norm_A_P)
-    return int(math.floor(ratio + tol.log_arg_slack)) + 1
+    return int(math.floor(ratio + LOG_ARG_SLACK)) + 1
 
 
-def K_of(
-    t: float,
-    p_matrix,
-    task: VerificationTask,
-    S: float,
-    tol: Tolerances = DEFAULTS,
-) -> int:
+def K_of(t: float, p_matrix, task: VerificationTask, S: float) -> int:
     """Certified cutoff K(t, P) for a feasible pair; always a positive integer.
 
     A t that is not finite and positive raises :class:`InfeasiblePair`, such
     an S :class:`AssumptionViolated`.
     """
     _require_linear(task)
-    p = _check_symmetric(as_matrix(p_matrix, "P"), tol, "P")
-    cert, t, S = _certificate_for(task.system.A, p, tol), float(t), float(S)
+    p = _check_symmetric(as_matrix(p_matrix, "P"), "P")
+    cert, t, S = _certificate_for(task.system.A, p), float(t), float(S)
     if not (math.isfinite(t) and t > 0.0):
         raise InfeasiblePair(f"scaling t = {t} must be finite and positive")
     if not (math.isfinite(S) and S > 0.0):
         raise AssumptionViolated(f"threshold S = {S} must be finite and positive")
     scalars = BoundScalars(t, S, _v_term(task, t, cert.lmin_P), mu(cert.P, task.init), 0)
-    return _k_formula(cert, task, scalars, tol)
+    return _k_formula(cert, task, scalars)
 
 
 def tail_bound(k: int | np.ndarray, scalars: BoundScalars, norm_A_P: float):
@@ -605,8 +600,8 @@ def objective_scores(
     report candidates; they never affect soundness.  P and Q must be
     symmetric (:class:`NotSymmetric`) either way.
     """
-    p = _check_symmetric(as_matrix(p_matrix, "P"), DEFAULTS, "P")
-    q = _check_symmetric(as_matrix(q_matrix, "Q"), DEFAULTS, "Q")
+    p = _check_symmetric(as_matrix(p_matrix, "P"), "P")
+    q = _check_symmetric(as_matrix(q_matrix, "Q"), "Q")
     verts = init.vertices
     energies_p = quad_forms(verts, p)
     energies_pq = quad_forms(verts, p - q)
@@ -635,31 +630,31 @@ class _Staged(NamedTuple):
     identity: _Shape  # P0, the shape that certifies A
 
 
-def _shape(sid: str, cert: StabilityCertificate, hom: VerificationTask, tol: Tolerances) -> _Shape:
+def _shape(sid: str, cert: StabilityCertificate, hom: VerificationTask) -> _Shape:
     """A certified shape with the scalars of its envelope U at its smallest t.
 
     Any t >= lmax(P^-1/2 Q P^-1/2) is feasible, and U and K improve as t
-    shrinks; where that bound is not positive, t = strict_pos keeps V = |q| /
+    shrinks; where that bound is not positive, t = STRICT_POS keeps V = |q| /
     (2 sqrt(t lmin)) finite.  ``hom`` is the homogenized task, at whose q and
     vertices V and mu are measured.  U needs no S or k_strict.
     """
     t = congruence_lmax(hom.objective.Q, cert.P_inv_sqrt)
-    t = t if t > 0.0 else tol.strict_pos
+    t = t if t > 0.0 else STRICT_POS
     V, mu_val = _v_term(hom, t, cert.lmin_P), mu(cert.P, hom.init)
     return _Shape(sid, cert, BoundScalars(t=t, S=0.0, V=V, mu=mu_val, k_strict=0))
 
 
-def _stage(task: VerificationTask, tol: Tolerances) -> _Staged:
+def _stage(task: VerificationTask) -> _Staged:
     """What every cutoff entry point builds before the cutoff, in this order: the
     certificate of A, the homogenized task with its scan (nothing is scanned
     yet), and the identity shape, whose scalars are taken on the homogenized
     task."""
-    cert = stability_certificate(task.system.A, tol)
-    hom = homogenize(task, tol)
-    return _Staged(_StepScan(hom), _shape("identity", cert, hom, tol))
+    cert = stability_certificate(task.system.A)
+    hom = homogenize(task)
+    return _Staged(_StepScan(hom), _shape("identity", cert, hom))
 
 
-def _user_shapes(staged: _Staged, user_P, epsilon: float, tol: Tolerances) -> list[_Shape]:
+def _user_shapes(staged: _Staged, user_P, epsilon: float) -> list[_Shape]:
     """``user-min-scale``, the shape of the supplied ``user_P``, or nothing.
 
     It must pass the built-in shapes' certificate and P - A^T P A >= epsilon*Id,
@@ -670,20 +665,20 @@ def _user_shapes(staged: _Staged, user_P, epsilon: float, tol: Tolerances) -> li
         return []
     hom = staged.scan.task
     try:
-        p = _check_symmetric(as_matrix(user_P, "user P"), tol, "user P")
-        cert = _certificate_for(hom.system.A, p, tol)
+        p = _check_symmetric(as_matrix(user_P, "user P"), "user P")
+        cert = _certificate_for(hom.system.A, p)
     except (ValueError, NotSymmetric, InfeasiblePair) as exc:
         raise InvalidUserP(f"user P is not a valid shape matrix: {exc}") from exc
-    slack = tol.psd_slack_rel * max(1.0, frobenius(cert.P))
+    slack = PSD_SLACK_REL * max(1.0, frobenius(cert.P))
     if not cert.residual_margin - epsilon >= -slack:  # a NaN epsilon fails too
         raise InvalidUserP(
             f"user P violates P - A^T P A >= {epsilon}*Id by "
             f"{epsilon - cert.residual_margin:.3e}"
         )
-    return [_shape("user-min-scale", cert, hom, tol)]
+    return [_shape("user-min-scale", cert, hom)]
 
 
-def _shapes(staged: _Staged, tol: Tolerances) -> list[_Shape]:
+def _shapes(staged: _Staged) -> list[_Shape]:
     """Every built-in shape that passes its certificate, in evaluation order.
 
     The built-in shapes are theta P0 + (1 - theta) P1, where P0 solves
@@ -692,47 +687,47 @@ def _shapes(staged: _Staged, tol: Tolerances) -> list[_Shape]:
     ``blend-*`` the weights in between (:data:`SHAPES`).
     """
     hom, identity = staged.scan.task, staged.identity
-    if hom.objective.eig.lmin < -tol.psd_eig_floor:
+    if hom.objective.eig.lmin < -PSD_EIG_FLOOR:
         return [identity]
     a, p0 = hom.system.A, identity.certificate.P
-    p1 = lyapunov_solve(a, np.eye(hom.dim) + hom.objective.Q, tol)
+    p1 = lyapunov_solve(a, np.eye(hom.dim) + hom.objective.Q)
     out = []
     for sid, w in SHAPES.items():
         if w == 1.0:
             out.append(identity)
             continue
         try:
-            cert = _certificate_for(a, p1 if w == 0.0 else w * p0 + (1.0 - w) * p1, tol)
+            cert = _certificate_for(a, p1 if w == 0.0 else w * p0 + (1.0 - w) * p1)
         except InfeasiblePair:
             continue
-        out.append(_shape(sid, cert, hom, tol))
+        out.append(_shape(sid, cert, hom))
     return out
 
 
-def _positive_step(staged: _Staged, kstrict_cap: int, tol: Tolerances) -> tuple[int, float]:
+def _positive_step(staged: _Staged, kstrict_cap: int) -> tuple[int, float]:
     """k_strict and S of the staged task.
 
     The k_strict search scans at most ``kstrict_cap`` steps, and ends where
-    the identity shape's U falls below strict_pos, as no later value can
+    the identity shape's U falls below STRICT_POS, as no later value can
     exceed it.  Raises :class:`AssumptionViolated` when no strictly positive
     step value is found.
     """
     scan, identity = staged.scan, staged.identity
-    _warn_if_indefinite(scan.task, tol)
+    _warn_if_indefinite(scan.task)
     envelope = (identity.envelope, identity.certificate.norm_A_P)
-    last = max(_envelope_horizon(*envelope, tol.strict_pos, kstrict_cap + 1) - 1, 0)
+    last = max(_envelope_horizon(*envelope, STRICT_POS, kstrict_cap + 1) - 1, 0)
     # the walk ends at the first value above the level, so its largest is nu_{k_strict}
-    _, nu_k, k_strict, _ = _walk(scan, last, level=tol.strict_pos)
-    if not nu_k > tol.strict_pos:
+    _, nu_k, k_strict, _ = _walk(scan, last, level=STRICT_POS)
+    if not nu_k > STRICT_POS:
         after = f"; the envelope rules one out after step {last}" if last < kstrict_cap else ""
         raise AssumptionViolated(
             f"no strictly positive step value within cap {kstrict_cap}{after}"
         )
-    return k_strict, _threshold(scan.task, nu_k, tol)
+    return k_strict, _threshold(scan.task, nu_k)
 
 
 def _cutoffs(
-    task: VerificationTask, shapes: list[_Shape], k_strict: int, S: float, tol: Tolerances
+    task: VerificationTask, shapes: list[_Shape], k_strict: int, S: float
 ) -> list[HorizonBound]:
     """The cutoff of each shape at its smallest t, in order.
 
@@ -743,7 +738,7 @@ def _cutoffs(
         t, V, mu_val = shape.envelope.t, shape.envelope.V, shape.envelope.mu
         scalars = BoundScalars(t=t, S=S, V=V, mu=mu_val, k_strict=int(k_strict))
         try:
-            k_val = _k_formula(shape.certificate, task, scalars, tol)
+            k_val = _k_formula(shape.certificate, task, scalars)
         except (InfeasiblePair, NumeratorOutOfRange):
             continue
         bounds.append(HorizonBound(k_val, scalars, shape.certificate, shape.id))
@@ -757,7 +752,6 @@ def evaluate_candidates(
     user_P=None,
     epsilon: float = DEFAULT_EPSILON,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
-    tol: Tolerances = DEFAULTS,
 ) -> list[HorizonBound]:
     """The cutoff of every built-in shape (:func:`_shapes`), then of ``user_P``.
 
@@ -767,7 +761,7 @@ def evaluate_candidates(
     are those of the homogenized task.  Raises :class:`AssumptionViolated`
     when no strictly positive step value exists within the scan cap.
     """
-    staged = _stage(task, tol)
-    users = _user_shapes(staged, user_P, epsilon, tol)
-    k_strict, S = _positive_step(staged, kstrict_cap, tol)
-    return _cutoffs(staged.scan.task, [*_shapes(staged, tol), *users], k_strict, S, tol)
+    staged = _stage(task)
+    users = _user_shapes(staged, user_P, epsilon)
+    k_strict, S = _positive_step(staged, kstrict_cap)
+    return _cutoffs(staged.scan.task, [*_shapes(staged), *users], k_strict, S)

@@ -4,7 +4,7 @@ The factorizations are LAPACK's, through ``numpy.linalg``: ``eigh`` for
 symmetric eigenproblems and an LU ``solve`` for linear systems.  The discrete
 Lyapunov equation is solved by Smith's doubling, in d x d products only.  A
 matrix is checked once, where it enters the program: the model's constructors
-and the user ``P`` require symmetry within ``tol.symmetry_rel``.  Here,
+and the user ``P`` require symmetry within ``SYMMETRY_REL``.  Here,
 :func:`as_matrix` and :func:`as_vector` check shape and finiteness,
 :func:`solve_linear` a square matrix and :func:`lyapunov_solve` a square A and
 a symmetric C; :func:`congruence_lmax`, :func:`quad_forms` and
@@ -12,9 +12,9 @@ a symmetric C; :func:`congruence_lmax`, :func:`quad_forms` and
 ones is exactly symmetric by construction, so the engine's own eigenproblems
 call ``numpy.linalg`` directly.  The soundness guards run on every matrix: a
 linear or Lyapunov solve raises :class:`SingularSystem` when its solution grows
-past its right-hand side over ``tol.pivot_rel`` times the operator's largest
+past its right-hand side over ``PIVOT_REL`` times the operator's largest
 entry, the doubling also when it has not contracted within its step cap, and a
-Lyapunov solution must meet ``tol.lyap_residual``; the certificate checks live
+Lyapunov solution must meet ``LYAP_RESIDUAL``; the certificate checks live
 in :mod:`quadinv.horizon`.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays,
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
+from .config import LYAP_RESIDUAL, PIVOT_REL, SYMMETRY_REL
 from .errors import NotSymmetric, SingularSystem
 
 __all__ = [
@@ -87,11 +87,11 @@ def _require_square(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
 
 
-def _check_symmetric(m: np.ndarray, tol: Tolerances, name: str) -> np.ndarray:
+def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     """Validate symmetry within tolerance and return the symmetrized copy."""
     _require_square(m, name)
     asym = frobenius(m - m.T)
-    if asym > tol.symmetry_rel * max(1.0, frobenius(m)):
+    if asym > SYMMETRY_REL * max(1.0, frobenius(m)):
         raise NotSymmetric(f"{name} is not symmetric (asymmetry {asym:.3e})")
     return 0.5 * (m + m.T)
 
@@ -113,13 +113,13 @@ class SymEig:
         return float(self.values[0])
 
 
-def solve_linear(matrix, rhs, tol: Tolerances = DEFAULTS) -> np.ndarray:
+def solve_linear(matrix, rhs) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` by LU factorization with partial pivoting.
 
     ``rhs`` may be a vector or a matrix of stacked right-hand sides.  Raises
     :class:`SingularSystem` when some solution column exceeds its right-hand
     side by more than a factor ``1 / pivot_floor``, where ``pivot_floor`` is
-    ``tol.pivot_rel`` times the magnitude of the largest input entry.  An
+    ``PIVOT_REL`` times the magnitude of the largest input entry.  An
     extra right-hand side of alternating signs is solved alongside, so a
     near-singular matrix is caught even when the given right-hand side is
     consistent with it.
@@ -130,7 +130,7 @@ def solve_linear(matrix, rhs, tol: Tolerances = DEFAULTS) -> np.ndarray:
     n = a.shape[0]
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},) or ({n}, k)")
-    pivot_floor = tol.pivot_rel * max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    pivot_floor = PIVOT_REL * max(1.0, float(np.max(np.abs(a), initial=0.0)))
     probe = np.where(np.arange(n) % 2, -1.0, 1.0)
     stacked = np.column_stack([b, probe])
     try:
@@ -147,7 +147,7 @@ def solve_linear(matrix, rhs, tol: Tolerances = DEFAULTS) -> np.ndarray:
     return x[:, 0] if b.ndim == 1 else x[:, :-1]
 
 
-def lyapunov_solve(a_matrix, c_matrix, tol: Tolerances = DEFAULTS) -> np.ndarray:
+def lyapunov_solve(a_matrix, c_matrix) -> np.ndarray:
     """Solve the discrete Lyapunov equation ``P - A^T P A = C`` for symmetric C.
 
     Smith's doubling sums ``P = sum_j (A^j)^T C A^j``: from ``P = C`` and
@@ -155,17 +155,17 @@ def lyapunov_solve(a_matrix, c_matrix, tol: Tolerances = DEFAULTS) -> np.ndarray
     ``(d |M|_F)^2 < eps / 16`` puts the next term below rounding, about
     ``log2(ln eps / ln rho)`` steps at spectral radius rho.  Raises
     :class:`SingularSystem` when M has not contracted in :data:`_DOUBLING_STEPS`
-    steps, or when ``max|P|`` passes ``max(1, max|C|) / (tol.pivot_rel *
+    steps, or when ``max|P|`` passes ``max(1, max|C|) / (PIVOT_REL *
     max(1, max|A|)^2)``: the growth bound :func:`solve_linear` puts on the
     operator ``Id - kron(A^T, A^T)``, whose largest entry is about
     ``max|A|^2``.  Unlike :func:`solve_linear` it solves no alternating-sign
     probe, so ``C = 0`` gives ``P = 0`` wherever M contracts.  P is symmetrized
-    and refined once if its residual fails ``tol.lyap_residual * (1 + |C|_F)``;
+    and refined once if its residual fails ``LYAP_RESIDUAL * (1 + |C|_F)``;
     it raises if it fails again.
     """
     a = as_matrix(a_matrix, "A")
     _require_square(a, "A")
-    c = _check_symmetric(as_matrix(c_matrix, "C"), tol, "C")
+    c = _check_symmetric(as_matrix(c_matrix, "C"), "C")
     if c.shape != a.shape:
         raise ValueError(f"C has shape {c.shape}, expected {a.shape}")
     p, m, powers = c, a, []
@@ -178,14 +178,14 @@ def lyapunov_solve(a_matrix, c_matrix, tol: Tolerances = DEFAULTS) -> np.ndarray
                 break
         else:
             raise SingularSystem(f"Lyapunov doubling did not contract in {_DOUBLING_STEPS} steps")
-    floor = tol.pivot_rel * max(1.0, float(np.max(np.abs(a), initial=0.0))) ** 2
+    floor = PIVOT_REL * max(1.0, float(np.max(np.abs(a), initial=0.0))) ** 2
     scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
     if not np.max(np.abs(p), initial=0.0) * floor <= scale:
         raise SingularSystem(
             f"Lyapunov solution grows past {scale:.3e} / {floor:.3e}, the pivot threshold"
         )
     p = 0.5 * (p + p.T)
-    bound = tol.lyap_residual * (1.0 + frobenius(c))
+    bound = LYAP_RESIDUAL * (1.0 + frobenius(c))
     residual = p - a.T @ p @ a - c
     if frobenius(residual) > bound:
         # doubling is accurate but not backward stable, and can fail where the

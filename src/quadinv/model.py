@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
+from .config import VERTEX_SIG_DIGITS
 from .errors import (
     DegenerateRange,
     DimensionMismatch,
@@ -60,8 +60,8 @@ class AffineSystem:
 
     def __post_init__(self):
         a = as_matrix(self.A, "A")
-        if a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"A must be square, got shape {a.shape}")
+        if a.shape[0] != a.shape[1] or a.size == 0:
+            raise DimensionMismatch(f"A must be square and nonempty, got shape {a.shape}")
         b = as_vector(self.b, "b")
         if b.shape[0] != a.shape[0]:
             raise DimensionMismatch(f"b has length {b.shape[0]}, expected {a.shape[0]}")
@@ -80,8 +80,8 @@ class AffineSystem:
         return self.A @ x + self.b
 
 
-def _canonical_key(vertex: np.ndarray, sig_digits: int) -> tuple:
-    fmt = f"%.{sig_digits - 1}e"
+def _canonical_key(vertex: np.ndarray) -> tuple:
+    fmt = f"%.{VERTEX_SIG_DIGITS - 1}e"
     return tuple("0" if x == 0 else fmt % x for x in vertex)
 
 
@@ -103,7 +103,7 @@ class InitialSet:
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[0] == 0:
+        if v.ndim != 2 or v.size == 0:  # no vertex, or vertices of no coordinates
             raise DimensionMismatch(
                 f"vertices must form a nonempty 2-D array, got shape {v.shape}"
             )
@@ -120,14 +120,14 @@ class InitialSet:
             object.__setattr__(self, "box", (lower, upper))
 
     @classmethod
-    def from_vertices(cls, vertices, tol: Tolerances = DEFAULTS) -> InitialSet:
+    def from_vertices(cls, vertices) -> InitialSet:
         v = np.atleast_2d(np.array(vertices, dtype=float))
         if v.ndim > 2:  # before the rows are keyed; a single 1-D vertex is one row
             raise DimensionMismatch(f"vertices must form a 2-D array, got shape {v.shape}")
         seen: set[tuple] = set()
         keep: list[int] = []
         for i, row in enumerate(v):
-            key = _canonical_key(row, tol.vertex_sig_digits)
+            key = _canonical_key(row)
             if key not in seen:
                 seen.add(key)
                 keep.append(i)
@@ -165,7 +165,7 @@ class InitialSet:
         return InitialSet(vertices=self.vertices - offset, box=box)
 
 
-def box_to_vertices(lower, upper, tol: Tolerances = DEFAULTS) -> InitialSet:
+def box_to_vertices(lower, upper) -> InitialSet:
     """Expand a box into its corner vertices, keeping the box.
 
     Degenerate axes (lower == upper) contribute a single value, so the
@@ -209,7 +209,7 @@ class QuadraticObjective:
     constant: float = 0.0
 
     def __post_init__(self):
-        q_mat = _check_symmetric(as_matrix(self.Q, "Q"), DEFAULTS, "Q")
+        q_mat = _check_symmetric(as_matrix(self.Q, "Q"), "Q")
         q_vec = as_vector(self.q, "q")
         if q_vec.shape[0] != q_mat.shape[0]:
             raise DimensionMismatch(
@@ -282,17 +282,17 @@ class VerificationTask:
         return self.system.dim
 
 
-def fixed_point(system: AffineSystem, tol: Tolerances = DEFAULTS) -> np.ndarray:
+def fixed_point(system: AffineSystem) -> np.ndarray:
     """Fixed point (Id - A)^-1 b of the affine map."""
     if system.is_linear:
         return np.zeros(system.dim)
     try:
-        return solve_linear(np.eye(system.dim) - system.A, system.b, tol)
+        return solve_linear(np.eye(system.dim) - system.A, system.b)
     except SingularSystem as exc:
         raise SingularShift("Id - A is numerically singular") from exc
 
 
-def homogenize(task: VerificationTask, tol: Tolerances = DEFAULTS) -> VerificationTask:
+def homogenize(task: VerificationTask) -> VerificationTask:
     """Rewrite an affine task as an equivalent linear one (b = 0).
 
     With the shift s = (Id - A)^-1 b, trajectories satisfy x_k = A^k y_0 + s
@@ -302,7 +302,7 @@ def homogenize(task: VerificationTask, tol: Tolerances = DEFAULTS) -> Verificati
     """
     if task.system.is_linear:
         return task
-    shift = fixed_point(task.system, tol)
+    shift = fixed_point(task.system)
     obj = task.objective
     new_objective = QuadraticObjective(
         Q=obj.Q,

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
+from .config import ALPHA_SLACK, STRICT_POS
 from .errors import AssumptionViolated
 from .horizon import (
     DEFAULT_KSTRICT_CAP,
@@ -121,28 +121,22 @@ def trajectory(system: AffineSystem, x0, k: int) -> np.ndarray:
     return out
 
 
-def optimize(
-    task: VerificationTask,
-    kstrict_cap: int = DEFAULT_KSTRICT_CAP,
-    tol: Tolerances = DEFAULTS,
-) -> Optimum:
+def optimize(task: VerificationTask, kstrict_cap: int = DEFAULT_KSTRICT_CAP) -> Optimum:
     """Exact supremum of the objective over all reachable states.
 
     The cutoff comes from the identity shape (see :func:`verify`).  The
     maximizer is reported in original coordinates.  Propagates
     :class:`Unstable` and :class:`AssumptionViolated` from the pipeline.
     """
-    return _optimum(task, _stage(task, tol), kstrict_cap, tol)
+    return _optimum(task, _stage(task), kstrict_cap)
 
 
-def _optimum(
-    task: VerificationTask, staged: _Staged, kstrict_cap: int, tol: Tolerances
-) -> Optimum:
+def _optimum(task: VerificationTask, staged: _Staged, kstrict_cap: int) -> Optimum:
     """The supremum over the homogenized task's steps, walked under the envelope of
     the identity shape's cutoff."""
     scan = staged.scan
-    k_strict, S = _positive_step(staged, kstrict_cap, tol)
-    [bound] = _cutoffs(scan.task, [staged.identity], k_strict, S, tol)
+    k_strict, S = _positive_step(staged, kstrict_cap)
+    [bound] = _cutoffs(scan.task, [staged.identity], k_strict, S)
     stop, value, arg_k, vertex = _walk(
         scan, bound.K, (bound.scalars, bound.certificate.norm_A_P), scan.task.objective.constant
     )
@@ -154,7 +148,6 @@ def verify(
     alpha: float | None = None,
     kstrict_cap: int = DEFAULT_KSTRICT_CAP,
     tail_cap: int = DEFAULT_TAIL_CAP,
-    tol: Tolerances = DEFAULTS,
 ) -> Verdict:
     """Decide whether the sublevel set {objective <= alpha} is invariant.
 
@@ -171,19 +164,18 @@ def verify(
 
     The homogenized task's step values are walked once: the k_strict search
     (bounded where the identity shape's envelope U falls below
-    ``strict_pos``), S, and then the enumeration (stopped where the identity
+    ``STRICT_POS``), S, and then the enumeration (stopped where the identity
     shape's U meets the running maximum, or at its cutoff K) or the tail
     fallback each continue the same scan.
     """
     alpha = task.objective.alpha if alpha is None else float(alpha)
     if alpha is None or not math.isfinite(alpha):
         raise ValueError(f"verify requires a finite level alpha, got {alpha}")
-    staged = _stage(task, tol)
+    staged = _stage(task)
     try:
-        optimum = _optimum(task, staged, kstrict_cap, tol)
+        optimum = _optimum(task, staged, kstrict_cap)
     except AssumptionViolated:
-        return _tail_verdict(task, staged, alpha, tail_cap, tol)
-    slack = tol.alpha_slack
+        return _tail_verdict(task, staged, alpha, tail_cap)
     if optimum.value <= alpha:
         return Verdict(
             status=VerdictStatus.PROVED,
@@ -191,7 +183,7 @@ def verify(
             optimum=optimum,
             message=f"supremum {optimum.value:.12g} <= {alpha:.12g}",
         )
-    if optimum.value > alpha + slack:
+    if optimum.value > alpha + ALPHA_SLACK:
         return Verdict(
             status=VerdictStatus.DISPROVED,
             alpha=alpha,
@@ -208,14 +200,12 @@ def verify(
         optimum=optimum,
         message=(
             f"supremum {optimum.value:.17g} and level {alpha:.17g} differ by "
-            f"less than the decision slack {slack:g}"
+            f"less than the decision slack {ALPHA_SLACK:g}"
         ),
     )
 
 
-def _tail_verdict(
-    task: VerificationTask, staged: _Staged, alpha: float, cap: int, tol: Tolerances
-) -> Verdict:
+def _tail_verdict(task: VerificationTask, staged: _Staged, alpha: float, cap: int) -> Verdict:
     """Fallback when no strictly positive step value was found.
 
     The decreasing envelope U(k) of the identity shape (its scalars from
@@ -235,7 +225,7 @@ def _tail_verdict(
     # the verdict is Disproved or Inconclusive, and no sample past the step
     # where U falls to the level plus the slack can violate it
     capped = not envelope < target
-    level = alpha + tol.alpha_slack
+    level = alpha + ALPHA_SLACK
     stop, peak, first, vertex = _walk(
         scan, horizon, (scalars, norm), const, level,
         level - const if capped else -math.inf,
@@ -275,9 +265,7 @@ def _first_index(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def brute_force_oracle(
-    task: VerificationTask, horizon: int, tol: Tolerances = DEFAULTS
-) -> OracleReport:
+def brute_force_oracle(task: VerificationTask, horizon: int) -> OracleReport:
     """Scan step values up to the horizon and read off empirical ranks.
 
     Steps the states x -> A x + b of every task itself, sharing no code with
@@ -287,7 +275,7 @@ def brute_force_oracle(
     """
     if horizon < 1:
         raise ValueError("oracle horizon must be at least 1")
-    _warn_if_indefinite(task, tol)
+    _warn_if_indefinite(task)
     x = task.init.vertices.copy()
     values = np.empty(horizon + 1)
     for k in range(horizon + 1):
@@ -303,8 +291,8 @@ def brute_force_oracle(
         horizon=horizon,
         nu_samples=values,
         sup_emp=float(values.max()),
-        k_strict_emp=_first_index(values > tol.strict_pos),
-        k_geq_emp=_first_index(values >= -tol.strict_pos),
+        k_strict_emp=_first_index(values > STRICT_POS),
+        k_geq_emp=_first_index(values >= -STRICT_POS),
         K_strict_emp=strict,
         K_geq_emp=weak,
     )

@@ -15,7 +15,7 @@ from quadinv import (
     VerificationTask,
     box_to_vertices,
 )
-from quadinv.config import DEFAULTS, Tolerances
+from quadinv.config import PD_REL, SYMMETRY_REL
 from quadinv.errors import MatrixError
 from quadinv.matcore import (
     SymEig,
@@ -212,41 +212,41 @@ class NotPositiveDefinite(MatrixError):
     """A matrix required to be positive definite fails the eigenvalue test."""
 
 
-def sym_eig(matrix, tol: Tolerances = DEFAULTS) -> SymEig:
+def sym_eig(matrix) -> SymEig:
     """Full eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
-    Raises ``NotSymmetric`` when the input fails ``tol.symmetry_rel``; the
+    Raises ``NotSymmetric`` when the input fails ``SYMMETRY_REL``; the
     symmetrized input is decomposed.
     """
-    a = _check_symmetric(as_matrix(matrix, "matrix"), tol, "matrix")
+    a = _check_symmetric(as_matrix(matrix, "matrix"), "matrix")
     return SymEig(*np.linalg.eigh(a))
 
 
-def inv_sqrt(matrix, tol: Tolerances = DEFAULTS) -> np.ndarray:
+def inv_sqrt(matrix) -> np.ndarray:
     """``V diag(values^-1/2) V^T`` of a symmetric positive definite matrix;
     raises :class:`NotPositiveDefinite` when the smallest eigenvalue fails
-    ``tol.pd_rel * max(1, lmax)``."""
-    eig = sym_eig(matrix, tol)
+    ``PD_REL * max(1, lmax)``."""
+    eig = sym_eig(matrix)
     lmax = float(eig.values[-1])
-    if eig.lmin <= tol.pd_rel * max(1.0, lmax):
+    if eig.lmin <= PD_REL * max(1.0, lmax):
         raise NotPositiveDefinite(
             f"matrix is not positive definite (lmin {eig.lmin:.3e}, lmax {lmax:.3e})"
         )
     return (eig.vectors * eig.values**-0.5) @ eig.vectors.T
 
 
-def generalized_lmax(q_matrix, p_matrix, tol: Tolerances = DEFAULTS) -> float:
+def generalized_lmax(q_matrix, p_matrix) -> float:
     """``lmax(P^-1/2 Q P^-1/2)``, the smallest t with ``t*P - Q`` positive
     semidefinite, from checked inputs and this module's :func:`inv_sqrt`."""
-    q = _check_symmetric(as_matrix(q_matrix, "Q"), tol, "Q")
-    return congruence_lmax(q, inv_sqrt(p_matrix, tol))
+    q = _check_symmetric(as_matrix(q_matrix, "Q"), "Q")
+    return congruence_lmax(q, inv_sqrt(p_matrix))
 
 
-def weighted_opnorm(a_matrix, p_matrix, tol: Tolerances = DEFAULTS) -> float:
+def weighted_opnorm(a_matrix, p_matrix) -> float:
     """``|A|_P = sqrt(generalized_lmax(A^T P A, P))``, invariant under positive
     scaling of P; a reference for the certificate's ``norm_A_P``."""
     a = as_matrix(a_matrix, "A")
     _require_square(a, "A")
-    p = _check_symmetric(as_matrix(p_matrix, "P"), tol, "P")
+    p = _check_symmetric(as_matrix(p_matrix, "P"), "P")
     image = a.T @ p @ a
-    return math.sqrt(max(generalized_lmax(0.5 * (image + image.T), p, tol), 0.0))
+    return math.sqrt(max(generalized_lmax(0.5 * (image + image.T), p), 0.0))

@@ -118,6 +118,38 @@ class TestParseInput:
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_boolean_and_string_leaves_exit_three(self, tmp_path, capsys, command):
+        # numpy reads true as 1 and "2" as 2: a Proved task if they were numbers
+        doc = {
+            "dimension": True,
+            "A": [["0.5"]],
+            "initial_set": {"vertices": [[True]]},
+            "property": {"Q": [[1.0]], "alpha": "2"},
+        }
+        path = write_json(tmp_path / "typed.json", doc)
+        assert main([command, path, "--report", "json"]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("dimension",), True), (("initial_set", "vertices"), [[True], [0.5]]),
+         (("property", "q"), ["0.5"])],
+        ids=["dimension", "vertices", "q"],
+    )
+    def test_boolean_or_string_among_numbers_rejected(self, tmp_path, path, value):
+        doc = {
+            "dimension": 1,
+            "A": [[0.5]],
+            "initial_set": {"vertices": [[1.0], [0.5]]},
+            "property": {"Q": [[1.0]], "q": [0.0], "alpha": 2.0},
+        }
+        parse_input(write_json(tmp_path / "ok.json", doc))
+        holder = doc if len(path) == 1 else doc[path[0]]
+        holder[path[-1]] = value
+        with pytest.raises(ParseError, match=repr(path[-1])):
+            parse_input(write_json(tmp_path / "mixed.json", doc))
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_three_dimensional_vertices_exit_three(self, tmp_path, capsys, command):
         doc = {
             "A": [[0.5]],
@@ -264,7 +296,7 @@ FIELDS = (
     ("property", "linear_range", "c"), ("property", "linear_range", "lower"),
     ("property", "linear_range", "upper"),
 )
-KINDS = ("type", "depth", "length", "finite")  # of a malformed field
+KINDS = ("type", "depth", "length", "finite", "boolean", "string")  # of a malformed field
 
 
 @st.composite
@@ -308,8 +340,9 @@ def documents(draw, path, kind):
 
 def _malformed(draw, path, kind, value):
     """``value`` of the field at ``path`` with a wrong type, nesting depth, length
-    or finiteness (:data:`KINDS`); a vertex list only gets deeper and keeps
-    its count, as a single 1-D vertex and another vertex are well formed."""
+    or finiteness, or a boolean or numeric-string leaf (:data:`KINDS`); a
+    vertex list only gets deeper and keeps its count, as a single 1-D vertex
+    and another vertex are well formed."""
     if kind == "type":
         return draw(st.sampled_from(("x", {"a": 1})))
     if kind == "depth":
@@ -322,6 +355,10 @@ def _malformed(draw, path, kind, value):
         if path == VERTICES:
             return [row + row[-1:] if grow else row[:-1] for row in value]
         return value + value[-1:] if grow else value[:-1]
+    if kind == "boolean":
+        return _with_leaf(draw, value, draw(st.booleans()))
+    if kind == "string":
+        return _with_leaf(draw, value, repr(draw(st.floats(-1, 1))))
     return _with_leaf(draw, value, draw(st.sampled_from((math.nan, math.inf, -math.inf))))
 
 
@@ -475,6 +512,17 @@ class TestBoundCommand:
         assert report["candidates"][-1]["strategy"] == "user-min-scale"
         assert report["candidates"][-1]["K"] == 1
 
+    def test_boolean_user_p_is_parse_error(self, tmp_path, capsys):
+        # read as the identity, which gives this task a unit cutoff
+        task_path = write_json(
+            tmp_path / "rot.json", rotation_doc(np.eye(2), translated=False)
+        )
+        p_path = write_json(tmp_path / "p.json", {"P": [[True, 0.0], [0.0, 1.0]]})
+        code = main(["bound", task_path, "--user-P", p_path, "--report", "json"])
+        assert code == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ParseError" and "'P'" in error["message"]
+
     def test_invalid_user_p_exit_three(self, tmp_path):
         task_path = write_json(tmp_path / "h.json", harmonic_doc(np.eye(2)))
         p_path = write_json(tmp_path / "p.json", [[1.0, 0.0], [0.0, 1.0]])
@@ -584,32 +632,13 @@ class TestReports:
         text = render_text({"error": {"type": "ParseError", "message": "nope"}})
         assert "ParseError" in text and "nope" in text
 
-    def test_tolerance_override_flag(self, tmp_path):
-        path = write_json(
-            tmp_path / "t.json", harmonic_doc(np.diag([0.0, 1.0]), alpha=1.0)
-        )
-        assert main(["verify", path, "--tol", "alpha_slack=1e-6"]) == 0
-        assert main(["verify", path, "--tol", "no_such_field=1"]) == 3
-        assert main(["verify", path, "--tol", "alpha_slack=abc"]) == 3
-
-    def test_integer_tolerance_override(self, tmp_path):
-        doc = harmonic_doc(np.diag([0.0, 1.0]), alpha=1.0)
-        doc["initial_set"] = {"vertices": [[-1, -1], [1, 1], [1, -1], [-1, 1]]}
-        path = write_json(tmp_path / "t.json", doc)
-        assert main(["verify", path, "--tol", "vertex_sig_digits=10"]) == 0
-        assert main(["verify", path, "--tol", "vertex_sig_digits=10.5"]) == 3
-
     @pytest.mark.parametrize(
         "alpha, extra, field",
         [
-            (1.0, ["--tol", "alpha_slack=nan"], "alpha_slack"),
-            (1.0, ["--tol", "strict_pos=nan"], "strict_pos"),
-            (1.0, ["--tol", "pd_rel=-1"], "pd_rel"),
             (1.0, ["--alpha-override", "nan"], "--alpha-override"),
             (float("nan"), [], "'alpha'"),
         ],
-        ids=["alpha-slack-nan", "strict-pos-nan", "pd-rel-negative",
-             "alpha-override-nan", "document-alpha-nan"],
+        ids=["alpha-override-nan", "document-alpha-nan"],
     )
     def test_non_finite_setting_is_json_parse_error(
         self, tmp_path, capsys, alpha, extra, field
@@ -628,12 +657,6 @@ class TestReports:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ParseError" and field in error["message"]
 
-    def test_removed_tolerance_is_a_parse_error(self, tmp_path, capsys):
-        path = write_json(tmp_path / "t.json", harmonic_doc(np.eye(2), alpha=2.0))
-        code = main(["verify", path, "--tol", "eig_max_sweeps=5", "--report", "json"])
-        assert code == 3
-        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
-
     def test_usage_error_exit_three(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify"])  # missing input path
@@ -643,10 +666,10 @@ class TestReports:
 
 class TestSurface:
     FLAGS = {
-        "verify": {"--report", "--tol", "--kstrict-cap", "--horizon-cap", "--alpha-override"},
-        "bound": {"--report", "--tol", "--kstrict-cap", "--user-P", "--epsilon"},
-        "simulate": {"--report", "--tol", "--oracle-horizon"},
-        "export": {"--report", "--tol", "--epsilon"},
+        "verify": {"--report", "--kstrict-cap", "--horizon-cap", "--alpha-override"},
+        "bound": {"--report", "--kstrict-cap", "--user-P", "--epsilon"},
+        "simulate": {"--report", "--oracle-horizon"},
+        "export": {"--report", "--epsilon"},
     }
 
     def test_each_subcommand_registers_only_its_flags(self):

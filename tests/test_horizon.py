@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadinv import horizon
-from quadinv.config import DEFAULTS
+from quadinv.config import STRICT_POS
 from quadinv.errors import (
     AssumptionViolated,
     InfeasiblePair,
@@ -163,7 +163,7 @@ class TestFindKStrict:
 
     def test_tiny_box_is_not_strictly_positive(self):
         # Q definite and every vertex nonzero, yet the step-0 value 2e-14 is
-        # below strict_pos: the scan finds nothing and verify takes the tail path
+        # below STRICT_POS: the scan finds nothing and verify takes the tail path
         task = VerificationTask(
             system=AffineSystem(A=0.5 * np.eye(2), b=np.zeros(2)),
             init=box_to_vertices([-1e-7, -1e-7], [1e-7, 1e-7]),
@@ -218,7 +218,7 @@ class TestScanMatchesStepLoop:
             x = x @ task.system.A.T
         values, _ = nu_sequence(task, k_max)
         np.testing.assert_allclose(values, loop, rtol=0.0, atol=1e-9)
-        hits = np.flatnonzero(np.array(loop) > DEFAULTS.strict_pos)
+        hits = np.flatnonzero(np.array(loop) > STRICT_POS)
         assert find_k_strict(task, cap=k_max) == (int(hits[0]) if hits.size else None)
         return values
 
@@ -565,15 +565,15 @@ class TestEnvelopeStops:
                 Q=g @ g.T if psd else 0.5 * (g + g.T), q=rng.normal(0.0, 1.0, d)
             ),
         ))
-        # the k_strict search capped where the identity shape's U falls below strict_pos
+        # the k_strict search capped where the identity shape's U falls below STRICT_POS
         cert = stability_certificate(task.system.A)
-        envelope = horizon._shape("identity", cert, task, DEFAULTS).envelope
+        envelope = horizon._shape("identity", cert, task).envelope
         last = horizon._envelope_horizon(
-            envelope, cert.norm_A_P, DEFAULTS.strict_pos, DEFAULT_KSTRICT_CAP + 1
+            envelope, cert.norm_A_P, STRICT_POS, DEFAULT_KSTRICT_CAP + 1
         )
         cap = max(last - 1, 0)
         free, _ = nu_sequence(task, DEFAULT_KSTRICT_CAP, include_constant=False)
-        assert np.all(free[cap + 1 :] <= DEFAULTS.strict_pos)
+        assert np.all(free[cap + 1 :] <= STRICT_POS)
         k_strict = find_k_strict(task)
         assert find_k_strict(task, cap) == k_strict
         if k_strict is None:

@@ -204,7 +204,7 @@ class TestLyapunovSolve:
     @pytest.mark.parametrize(("entry", "solves"), [(300.0, True), (1e3, False), (1e4, False)])
     def test_growth_bound_scales_with_entries_of_A(self, entry, solves):
         # at radius 0.9, max|P| is about 264 entry^2, against a bound of
-        # 1 / (pivot_rel entry^2): the Kronecker solve's limit, whose operator
+        # 1 / (PIVOT_REL entry^2): the Kronecker solve's limit, whose operator
         # Id - kron(A^T, A^T) has entries up to entry^2
         a = np.array([[0.9, entry], [0.0, 0.9]])
         if solves:

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from quadinv.config import Tolerances
 from quadinv.errors import (
     DegenerateRange,
     DimensionMismatch,
@@ -144,6 +143,19 @@ class TestInitialSet:
         with pytest.raises(DimensionMismatch):
             InitialSet(vertices=np.empty((0, 2)))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: InitialSet.from_vertices([]),
+            lambda: InitialSet(vertices=np.empty((3, 0))),
+            lambda: box_to_vertices([], []),
+        ],
+        ids=["from-vertices", "constructor", "box"],
+    )
+    def test_no_coordinates_rejected(self, build):
+        with pytest.raises(DimensionMismatch):
+            build()
+
     @pytest.mark.parametrize("vertices", [[[[1.0]]], np.zeros((2, 2, 2)), np.zeros((1, 3, 1))])
     def test_deeper_than_two_rejected(self, vertices):
         with pytest.raises(DimensionMismatch, match="2-D"):
@@ -152,15 +164,6 @@ class TestInitialSet:
     def test_single_vertex_accepted(self):
         init = InitialSet.from_vertices([1.0, 2.0])
         np.testing.assert_array_equal(init.vertices, [[1.0, 2.0]])
-
-    @pytest.mark.parametrize("digits", [1.5, 12.0])
-    def test_non_integer_sig_digits_rejected(self, digits):
-        with pytest.raises(ValueError, match="vertex_sig_digits"):
-            Tolerances(vertex_sig_digits=digits)
-
-    def test_numpy_integer_sig_digits_accepted(self):
-        tol = Tolerances(vertex_sig_digits=np.int64(2))
-        assert InitialSet.from_vertices([[1.0], [1.04]], tol).n_vertices == 1
 
     def test_shifted_keeps_rows(self):
         init = box_to_vertices([-1.0, 0.0], [1.0, 2.0])
@@ -215,6 +218,12 @@ class TestQuadraticObjective:
         np.testing.assert_allclose(
             obj.values(points), [obj.value(x) for x in points], atol=1e-12
         )
+
+
+class TestAffineSystem:
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            AffineSystem(A=np.empty((0, 0)), b=[])
 
 
 class TestVerificationTask:

@@ -1,13 +1,17 @@
-"""The package's public surface: every exported name exists, and the
+"""The package's public surface: every exported name exists, the
 linear algebra kept in ``support`` as test references has no copy in the
-package."""
+package, and the numeric thresholds are fixed constants, not settings."""
 
 import importlib
+import inspect
+import json
 import pkgutil
 
 import pytest
 
 import quadinv
+from quadinv.cli import main
+from quadinv.model import InitialSet
 
 EXPORTING = ("matcore", "horizon", "model", "verifier", "cli")
 TEST_ONLY = (
@@ -35,3 +39,31 @@ def test_no_module_defines_test_only_names():
     assert "quadinv.matcore" in [m.__name__ for m in modules]
     found = [(m.__name__, n) for m in modules for n in TEST_ONLY if hasattr(m, n)]
     assert found == []
+
+
+def test_no_public_callable_takes_a_tolerance():
+    callables = [InitialSet.from_vertices] + [
+        getattr(module, n)
+        for module in map(importlib.import_module, (f"quadinv.{m}" for m in EXPORTING))
+        for n in module.__all__
+        if callable(getattr(module, n))
+    ]
+    takes = [f.__qualname__ for f in callables if "tol" in inspect.signature(f).parameters]
+    assert takes == []
+
+
+@pytest.mark.parametrize("name", ["Tolerances", "DEFAULTS"])
+def test_no_tolerance_record_is_exported(name):
+    assert not hasattr(quadinv, name)
+
+
+@pytest.mark.parametrize("command", ["verify", "bound", "simulate", "export"])
+def test_tolerance_flag_is_a_usage_error(tmp_path, capsys, command):
+    doc = {"A": [[0.5]], "initial_set": {"vertices": [[1.0]]},
+           "property": {"Q": [[1.0]], "alpha": 2.0}}
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(path), "--tol", "x=1"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments" in capsys.readouterr().err

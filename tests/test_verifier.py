@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadinv import horizon, verifier
-from quadinv.config import DEFAULTS
+from quadinv.config import STRICT_POS
 from quadinv.errors import AssumptionViolated, InvalidUserP, Unstable
 from quadinv.horizon import (
     DEFAULT_KSTRICT_CAP,
@@ -160,8 +160,6 @@ class TestVerify:
         task = harmonic_task(np.eye(2))
         with pytest.raises(ValueError, match="finite"):
             verify(task, alpha=float("nan"))
-        with pytest.raises(ValueError, match="strict_pos"):
-            verify(task, alpha=1.0, tol=DEFAULTS.override(strict_pos=float("nan")))
 
     @pytest.mark.parametrize("b", [[0.0, 0.0], [0.5, -0.25]], ids=["zero", "reset"])
     def test_zero_map(self, b):
@@ -545,9 +543,9 @@ class TestSharedWork:
     def test_optimize_stops_at_envelope_cap(self, monkeypatch):
         task = tail_style_task(3, 0.0)
         cert = stability_certificate(task.system.A)
-        envelope = horizon._shape("identity", cert, task, DEFAULTS).envelope
+        envelope = horizon._shape("identity", cert, task).envelope
         steps = np.arange(DEFAULT_KSTRICT_CAP + 2)
-        below = np.flatnonzero(tail_bound(steps, envelope, cert.norm_A_P) < DEFAULTS.strict_pos)
+        below = np.flatnonzero(tail_bound(steps, envelope, cert.norm_A_P) < STRICT_POS)
         ranges = self._record_blocks(monkeypatch)
         with pytest.raises(AssumptionViolated):
             optimize(task)
@@ -569,7 +567,7 @@ class TestBuiltMatricesUnchecked:
     @pytest.mark.parametrize("proved", [False, True], ids=["disproved", "proved"])
     def test_rotation_at_radius_near_one_decided(self, d, proved):
         # the rounding asymmetry of A^T P A here, some 1e-11 against |P| of
-        # about 1e5, is past symmetry_rel, so no check may see that product
+        # about 1e5, is past SYMMETRY_REL, so no check may see that product
         task = rotation_near_one_task(2, d, proved)
         assert stability_certificate(task.system.A).norm_A_P < 1.0
         verdict = verify(task)

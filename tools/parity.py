@@ -18,11 +18,12 @@ bound command: ``horizon.evaluate_candidates`` on the homogenized task, as
 user P, twice the identity shape P0, from the same call with ``user_P``.
 Both calls take the homogenized task, which every checkout accepts.  Every
 task's document is also written to a temporary directory and run through
-``quadinv.cli.main`` in-process as ``verify --report json``, text ``verify``
-and ``bound --report json`` (:data:`COMMANDS`); each run records its exit
-code, stdout (parsed when it is JSON) and stderr.  quadinv and the workload
-generators are imported from the checkout at ``--repo`` (default: the one
-holding this script), so one copy of the script can record an older
+``quadinv.cli.main`` in-process as ``verify --report json``, text ``verify``,
+``bound --report json``, ``simulate --report json`` and ``export --report
+json`` (:data:`COMMANDS`), so every subcommand is covered; each run records
+its exit code, stdout (parsed when it is JSON) and stderr.  quadinv and the
+workload generators are imported from the checkout at ``--repo`` (default:
+the one holding this script), so one copy of the script can record an older
 checkout.  The generators are only read.
 
 ``diff`` compares two records field by field.  It prints every differing
@@ -65,6 +66,8 @@ COMMANDS = {
     "verify_json": ("verify", "--report", "json"),
     "verify_text": ("verify",),
     "bound_json": ("bound", "--report", "json"),
+    "simulate_json": ("simulate", "--report", "json"),
+    "export_json": ("export", "--report", "json"),
 }
 
 
