@@ -12,7 +12,13 @@ with V = |q|_2 / (2 sqrt(t lmin(P))), mu(P) the largest P-norm over initial
 vertices, and S the positive threshold min(sup x^T Q x, nu_{k_strict}).
 
 Every cutoff (verify, optimize, the bound command, evaluate_candidates) is
-staged by :func:`_stage`: certify A, homogenize, open the scan.  verify and
+staged by :func:`_stage`: certify A, homogenize, open the scan.  A was
+checked where it entered (:class:`model.AffineSystem`), so the stage
+certifies it through the unchecked doubling of
+:func:`matcore._lyapunov_doubling`, whose solve forms each d x d product
+once: the certificate takes the A^T P A of its residual check, and the scan
+takes its squarings A^(2^i), transposed, as the first powers of its table.
+The public :func:`stability_certificate` checks A first.  verify and
 optimize cut off with the identity shape P0 alone: any certified pair gives
 the same supremum.  :func:`evaluate_candidates` is the one place where
 shapes are compared: every built-in shape, plus a user P, checked before any
@@ -67,19 +73,23 @@ in one of two ways (:func:`_scan_rows`):
   projection has the sign of the winning end, lower ones elsewhere, and the
   smaller index on a tie, as the corner scan's first arg-max gives.
 
-mu(P) and S's sup x^T Q x stay passes over the vertices, each one product
-and one row-dot (:func:`matcore.quad_forms`).
+S's sup x^T Q x is read off the first block's step-0 projections: the max
+of |y+|^2 - |y-|^2 over the corners, or lam max((s0 + r)^2, (s0 - r)^2) for
+a box's support.  mu(P) stays a pass over the vertices, one product and one
+row-dot (:func:`matcore.quad_forms`).
 
 Block lengths double from the smallest block up to the SCAN_BLOCK_ELEMENTS
 cap, and no block runs past the current reader's bound k_max, so a walk
-that stops early does little work.  SCAN_MIN_ELEMENTS and
-SCAN_BLOCK_ELEMENTS count entries of a block's (rows, steps * c) projection
-array, so the box support's blocks run longer than the corners'.  The
-smallest block holds SCAN_MIN_ELEMENTS (at least one step): a smaller block
-costs about its fixed overhead of some ten array operations, so a walk of a
-few hundred steps over few rows and columns is one or two blocks.
-SCAN_BLOCK_ELEMENTS caps a block's entries and, as the table holds fewer
-than twice the longest block's steps, the scan's memory.
+that stops early does little work.  SCAN_BLOCK_ELEMENTS counts entries of a
+block's (rows, steps * c) projection array, so the box support's blocks run
+longer than the corners'; it caps a block's entries and, as the table holds
+fewer than twice the longest block's steps, the scan's memory.  The
+smallest block (at least one step) holds SCAN_MIN_ELEMENTS entries of what
+a step costs: its rows x c projections and its d x c column of the table,
+which the table's doubling forms; a smaller block costs about its fixed
+overhead of some twenty array operations.  So a walk of a few hundred steps
+over few rows and columns is one or two blocks; the support scan of a d = 2
+box, 3 rows on 1 column, starts with 819 steps.
 
 At each block start, coordinates below SCAN_FLOOR times the largest start
 row coordinate are set to zero.  The states of a contracting system otherwise
@@ -122,6 +132,8 @@ from .errors import (
 )
 from .matcore import (
     _check_symmetric,
+    _lyapunov_doubling,
+    _require_square,
     as_matrix,
     congruence_lmax,
     frobenius,
@@ -152,7 +164,7 @@ SHAPES = {"identity": 1.0, "blend-0.25": 0.25, "blend-0.5": 0.5, "blend-0.75": 0
 DEFAULT_KSTRICT_CAP = 10_000
 DEFAULT_EPSILON = 0.01
 SCAN_BLOCK_ELEMENTS = 1 << 16  # 512 KiB of float64 per block projection array
-SCAN_MIN_ELEMENTS = 1 << 12  # a smaller block costs about its fixed overhead
+SCAN_MIN_ELEMENTS = 1 << 12  # in a step's entries: a smaller block costs about its fixed overhead
 SCAN_FLOOR = 2.0**-511  # relative to the largest initial coordinate
 
 
@@ -199,15 +211,18 @@ def _require_linear(task: VerificationTask) -> None:
         raise ValueError("task must be homogenized first (translation b is nonzero)")
 
 
-def _certificate_for(A: np.ndarray, P: np.ndarray) -> StabilityCertificate:
+def _certificate_for(
+    A: np.ndarray, P: np.ndarray, image: np.ndarray | None = None
+) -> StabilityCertificate:
     """Validate an exactly symmetric P as a strict Lyapunov shape for A, or raise
     :class:`InfeasiblePair`; P is decomposed once, unchecked, and A^T P A
-    symmetrized once, for both the margin and |A|_P."""
+    (``image``, when the caller has formed it) symmetrized once, for both the
+    margin and |A|_P."""
     values, vectors = np.linalg.eigh(P)
     lmin, lmax = float(values[0]), float(values[-1])
     if lmin <= PD_REL * max(1.0, lmax):
         raise InfeasiblePair(f"shape matrix is not positive definite (lmin {lmin:.3e})")
-    image = A.T @ P @ A
+    image = A.T @ P @ A if image is None else image
     image = 0.5 * (image + image.T)
     margin = float(np.linalg.eigvalsh(P - image)[0])
     if margin <= 0.0:
@@ -232,9 +247,16 @@ def stability_certificate(a_matrix) -> StabilityCertificate:
     apply to such systems.
     """
     a = as_matrix(a_matrix, "A")
+    _require_square(a, "A")
+    return _certify(a)[0]
+
+
+def _certify(a: np.ndarray) -> tuple[StabilityCertificate, list[np.ndarray]]:
+    """:func:`stability_certificate` of a square, finite A, which is not checked,
+    and the squarings A^(2^i) its doubling formed (:func:`matcore._lyapunov_doubling`)."""
     try:
-        p = lyapunov_solve(a, np.eye(a.shape[0]))
-        return _certificate_for(a, p)
+        p, image, powers = _lyapunov_doubling(a, np.eye(len(a)))
+        return _certificate_for(a, p, image), powers
     except (SingularSystem, InfeasiblePair) as exc:
         raise Unstable(f"no quadratic stability certificate exists: {exc}") from exc
 
@@ -293,49 +315,59 @@ def _support_slope(lam: np.ndarray, basis: np.ndarray, q: np.ndarray) -> float |
     return beta if miss @ miss <= (q.size * np.finfo(float).eps) ** 2 * (q @ q) else None
 
 
-def _corner_values(positive: int, rank: int, x: np.ndarray, table: np.ndarray, length: int):
-    """Step values of a block as the max over vertices, and a function giving the
-    arg-max vertex of the steps at the offsets it is asked for.
+def _corner_values(
+    positive: int, rank: int, x: np.ndarray, table: np.ndarray, length: int, first: bool
+):
+    """Step values of a block as the max over vertices, a function giving the
+    arg-max vertex of the steps at the offsets it is asked for, and, for the
+    ``first`` block, sup x^T Q x over the vertices (None for the others).
 
     ``table`` holds (A^(k0 + j))^T [W_r sqrt|lam_r| | q] in its columns j * c
     to j * c + c - 1, of which the first ``positive`` of the r = ``rank``
-    scaled eigenvectors have lam > 0; a value is |y+|^2 - |y-|^2 + y_q.
+    scaled eigenvectors have lam > 0; a value is |y+|^2 - |y-|^2 + y_q, and
+    x^T Q x at step 0 is |y+|^2 - |y-|^2.
     """
     c = table.shape[1] // length
     # y[j, :, i] projects A^(k0 + j) x_i on the columns; one product and one
     # row-dot leave a block one array of its size and the values, as large
     # transients make malloc hand memory back to the system and fault it in
     # again on the next verify
-    y = (table.T @ x.T).reshape(length, c, len(x))
+    y = table.T.dot(x.T).reshape(length, c, len(x))
     plus, minus = y[:, :positive], y[:, positive:rank]
     vals = np.einsum("jcn,jcn->jn", plus, plus)
     if rank > positive:
         vals -= np.einsum("jcn,jcn->jn", minus, minus)
+    quad = float(vals[0].max()) if first else None
     if c > rank:
         vals += y[:, rank]
     # each step's max read at its arg-max: numpy reduces a short row by max
     # several times slower than by argmax
     arg = vals.argmax(axis=1)
-    return vals[np.arange(length), arg], arg.__getitem__
+    return vals[np.arange(length), arg], arg.__getitem__, quad
 
 
-def _support_values(lam: float, beta: float, x: np.ndarray, table: np.ndarray, length: int):
+def _support_values(
+    lam: float, beta: float, x: np.ndarray, table: np.ndarray, length: int, first: bool
+):
     """Step values of a box block as max(g(s0 + r), g(s0 - r)), g(s) = lam s^2 + beta s,
-    and a function giving the arg-max vertex of the steps at the offsets it is
-    asked for (:func:`_support_vertex`).
+    a function giving the arg-max vertex of the steps at the offsets it is
+    asked for (:func:`_support_vertex`), and, for the ``first`` block, sup
+    x^T Q x = lam max((s0 + r)^2, (s0 - r)^2) over the corners (None for the
+    others).
 
     ``table`` holds (A^(k0 + j))^T w in its column j; projected on it, the
     center row gives s0 and the half-width rows the terms of r.
     """
-    y = (x @ table).reshape(len(x), length)
+    y = x.dot(table).reshape(len(x), length)
     s0, r = y[0], np.abs(y[1:]).sum(axis=0)
     up, down = s0 + r, s0 - r
     g_up, g_down = lam * up**2, lam * down**2
+    quad = float(max(g_up[0], g_down[0])) if first else None
     if beta:
         g_up += beta * up
         g_down += beta * down
     vertex = functools.partial(_support_vertex, y[1:], g_up, g_down)
-    return np.maximum(g_up, g_down), vertex
+    return np.maximum(g_up, g_down), vertex, quad
 
 
 def _support_vertex(sides: np.ndarray, g_up: np.ndarray, g_down: np.ndarray, j):
@@ -354,37 +386,40 @@ def _support_vertex(sides: np.ndarray, g_up: np.ndarray, g_down: np.ndarray, j):
     return np.minimum(up + past * down_wins, down + past * up_wins)
 
 
-def _step_value_blocks(task: VerificationTask, bound: list[int]):
+def _step_value_blocks(task: VerificationTask, bound: list[int], powers: list[np.ndarray]):
     """Constant-free step values from step 0 on, one block at a time.
 
-    Yields ``(k0, values, vertex)``: the max over vertices of
-    (A^k v)^T Q (A^k v) + q^T (A^k v) for k = k0 .. k0 + len(values) - 1, and
-    a function taking offsets j into the block (an integer or an array) to
-    the arg-max vertex index of step k0 + j.  ``bound[0]`` is the k_max of
-    the reader asking for the next block, which ends by it.
+    Yields ``(k0, values, vertex, quad)``: the max over vertices of
+    (A^k v)^T Q (A^k v) + q^T (A^k v) for k = k0 .. k0 + len(values) - 1, a
+    function taking offsets j into the block (an integer or an array) to the
+    arg-max vertex index of step k0 + j, and, for the block at step 0, sup
+    x^T Q x over the vertices, read off its projections (None for the
+    others).  ``bound[0]`` is the k_max of the reader asking for the next
+    block, which ends by it.  ``powers[i]`` is (A^(2^i))^T from i = 0 on;
+    the source appends the squarings it needs past the last one.
     """
-    A = task.system.A
     x, basis, reduce = _scan_rows(task)
-    c = basis.shape[1]
-    width = len(x) * max(c, 1)  # entries of a block's projections per step
-    floor = SCAN_FLOOR * float(np.abs(x).max())
+    d, c = basis.shape[0], max(basis.shape[1], 1)
+    width = len(x) * c  # entries of a block's projections per step
+    floor = SCAN_FLOOR * float(max(x.max(), -x.min()))
     cap = max(1, SCAN_BLOCK_ELEMENTS // width)
-    size = min(max(1, SCAN_MIN_ELEMENTS // width), cap)
-    # column block j of the table is (A^j)^T basis, j < steps; powers[i] is
-    # (A^(2^i))^T, the last one (A^steps)^T
-    table, powers, steps, k0 = basis, [A.T], 1, 0
+    size = min(max(1, SCAN_MIN_ELEMENTS // (width + d * c)), cap)  # and its table column
+    # column block j of the table is (A^j)^T basis, j < 2^n
+    table, n, k0 = basis, 0, 0
     while True:
         length = min(size, bound[0] + 1 - k0)
-        while steps < length:
-            table = np.concatenate((table, powers[-1] @ table), axis=1)
-            powers.append(powers[-1] @ powers[-1])
-            steps *= 2
+        # ndarray.dot: the product of @ at about half its per-call cost (matcore)
+        while 1 << n < length:
+            table = np.concatenate((table, powers[n].dot(table)), axis=1)
+            n += 1
+            if n == len(powers):
+                powers.append(powers[-1].dot(powers[-1]))
         # one product for the block, in the reduction
-        yield (k0, *reduce(x, table[:, : length * c], length))
+        yield (k0, *reduce(x, table[:, : length * c], length, k0 == 0))
         k0 += length
-        for i, power in enumerate(powers):  # x (A^length)^T, by the bits of length
+        for i in range(length.bit_length()):  # x (A^length)^T, by the bits of length
             if length >> i & 1:
-                x = x @ power
+                x = x.dot(powers[i])
         x[(x < floor) & (x > -floor)] = 0.0  # |x| < floor, without a float temporary
         size = min(2 * size, cap)
 
@@ -392,38 +427,51 @@ def _step_value_blocks(task: VerificationTask, bound: list[int]):
 class _StepScan:
     """The step values of one homogenized task, each computed once.
 
-    :meth:`blocks` replays the recorded blocks of :func:`_step_value_blocks`
-    and records the new ones it draws.
+    :meth:`block` replays the recorded blocks of :func:`_step_value_blocks`
+    and records the new ones it draws; ``sup_q``, sup x^T Q x over the
+    vertices, comes with the first.  ``powers``, (A^(2^i))^T from i = 0 on,
+    seeds the source's table (by default A^T alone).
     """
 
-    def __init__(self, task: VerificationTask):
+    def __init__(self, task: VerificationTask, powers: list[np.ndarray] | None = None):
         self.task = task
+        self.sup_q = math.nan
         # read by the source as each new block starts; the source holds no
         # reference to the scan, so no cycle keeps its arrays past the last reader
         self._bound = [0]
         self._next = 0  # the first step not yet computed
         self._record: list[tuple[int, np.ndarray, Callable]] = []
-        self._source = _step_value_blocks(task, self._bound)
+        powers = [task.system.A.T] if powers is None else powers
+        self._source = _step_value_blocks(task, self._bound, powers)
+
+    def block(self, i: int, k_max: int):
+        """Block i cut at k_max, drawn when it is new, or None when it starts past k_max."""
+        if i == len(self._record):
+            if self._next > k_max:
+                return None
+            self._bound[0] = k_max
+            k0, values, vertex, quad = next(self._source)
+            if quad is not None:
+                self.sup_q = quad
+            self._record.append((k0, values, vertex))
+            self._next += len(values)
+        k0, values, vertex = self._record[i]
+        return None if k0 > k_max else (k0, values[: k_max + 1 - k0], vertex)
 
     def blocks(self, k_max: int):
         """Blocks covering k = 0..k_max, the recorded ones first."""
         if k_max < 0:
             raise ValueError(f"step bound {k_max} must be nonnegative")
-        self._bound[0], i = k_max, 0
-        while i < len(self._record) or self._next <= k_max:
-            if i == len(self._record):
-                self._record.append(next(self._source))
-                self._next += len(self._record[-1][1])
-            k0, values, vertex = self._record[i]
-            if k0 > k_max:
-                return
-            yield k0, values[: k_max + 1 - k0], vertex
+        i = 0
+        while (block := self.block(i, k_max)) is not None:
+            yield block
             i += 1
 
 
 def _walk(
     scan: _StepScan, k_max: int, envelope: tuple[BoundScalars, float] | None = None,
     shift: float = 0.0, level: float = math.inf, floor: float = -math.inf,
+    positive: Callable[[int, float], int] | None = None,
 ) -> tuple[int, float, int, Callable[[], int]]:
     """Walk a scan from step 0: ``(m, value, arg_k, vertex)``.
 
@@ -434,24 +482,45 @@ def _walk(
     maximized with ``shift`` added: ``value`` is the largest over steps
     0..m, at its first step ``arg_k``, and ``vertex()`` gives the arg-max
     vertex index of that step alone, derived when called.
+
+    With ``positive``, the walk first searches for k_strict, the first step
+    whose constant-free value nu exceeds STRICT_POS, and tests U only from
+    the block that holds it on: no earlier step can meet U, since U(m + 1)
+    <= STRICT_POS rules out a positive value after m.  There
+    ``positive(k_strict, nu)`` gives the walk's new k_max, at least k_strict
+    (a cutoff K exceeds it, as U(K) < S <= nu); a walk that finds no such
+    step ends at the k_max it was given, without calling it.
     """
     # the best value, its step, and the block's vertex function with its offset
-    best, peak, stop = (-math.inf, 0, lambda j: 0, 0), floor, k_max
-    for k0, block, vertex in scan.blocks(k_max):
+    best, peak, i = (-math.inf, 0, lambda j: 0, 0), floor, 0
+    while (found := scan.block(i, k_max)) is not None:
+        k0, block, vertex = found
+        i += 1
+        if positive is not None:
+            hit = block > STRICT_POS
+            if hit.any():
+                j = int(hit.argmax())
+                k_max = positive(k0 + j, float(block[j]))
+                block, positive = block[: k_max + 1 - k0], None
         vals = block + shift if shift else block
         done = vals > level
-        if envelope is not None:
+        if envelope is not None and positive is None:
             running = np.maximum.accumulate(np.maximum(block, peak))
             steps = np.arange(k0 + 1, k0 + len(block) + 1)
             done |= tail_bound(steps, *envelope) <= running
             peak = running[-1]
-        n = int(done.argmax()) + 1 if done.any() else len(block)
+        elif envelope is not None:
+            peak = max(peak, block.max())
+        ended = done.any()
+        n = int(done.argmax()) + 1 if ended else len(block)
         j = int(vals[:n].argmax())
         if vals[j] > best[0]:
             best = (float(vals[j]), k0 + j, vertex, j)
-        if done.any():
+        if ended:
             stop = k0 + n - 1
             break
+    else:
+        stop = k_max
     value, arg_k, vertex, j = best
     return stop, value, arg_k, lambda: int(vertex(j))
 
@@ -492,14 +561,16 @@ def s_value(task: VerificationTask, k_strict: int) -> float:
     Raises :class:`AssumptionViolated` when the result is not strictly
     positive; the verifier then falls back to tail-bound mode.
     """
-    values, _ = nu_sequence(task, k_strict, include_constant=False)
-    return _threshold(task, float(values[-1]))
+    _require_linear(task)
+    scan = _StepScan(task)
+    for _, values, _ in scan.blocks(k_strict):
+        pass
+    return _threshold(scan, float(values[-1]))
 
 
-def _threshold(task: VerificationTask, nu_k: float) -> float:
-    """S = min(sup x^T Q x, nu_k) over vertices, or AssumptionViolated."""
-    sup_q = float(quad_forms(task.init.vertices, task.objective.Q).max())
-    s = min(sup_q, nu_k)
+def _threshold(scan: _StepScan, nu_k: float) -> float:
+    """S = min(sup x^T Q x, nu_k) over the scan's vertices, or AssumptionViolated."""
+    s = min(scan.sup_q, nu_k)
     if s <= STRICT_POS:
         raise AssumptionViolated(
             f"threshold S = {s:.3e} is not positive; the horizon bound is undefined"
@@ -649,9 +720,9 @@ def _stage(task: VerificationTask) -> _Staged:
     certificate of A, the homogenized task with its scan (nothing is scanned
     yet), and the identity shape, whose scalars are taken on the homogenized
     task."""
-    cert = stability_certificate(task.system.A)
+    cert, powers = _certify(task.system.A)
     hom = homogenize(task)
-    return _Staged(_StepScan(hom), _shape("identity", cert, hom))
+    return _Staged(_StepScan(hom, [m.T for m in powers]), _shape("identity", cert, hom))
 
 
 def _user_shapes(staged: _Staged, user_P, epsilon: float) -> list[_Shape]:
@@ -704,26 +775,48 @@ def _shapes(staged: _Staged) -> list[_Shape]:
     return out
 
 
-def _positive_step(staged: _Staged, kstrict_cap: int) -> tuple[int, float]:
-    """k_strict and S of the staged task.
+def _search(
+    staged: _Staged, kstrict_cap: int, positive: Callable[[int, float], int],
+    envelope: tuple[BoundScalars, float] | None = None, shift: float = 0.0,
+):
+    """Walk the staged scan (:func:`_walk`) through the k_strict search, where
+    ``positive(k_strict, S)`` gives the walk's new k_max.
 
-    The k_strict search scans at most ``kstrict_cap`` steps, and ends where
-    the identity shape's U falls below STRICT_POS, as no later value can
-    exceed it.  Raises :class:`AssumptionViolated` when no strictly positive
-    step value is found.
+    The search scans at most ``kstrict_cap`` steps, and ends where the
+    identity shape's U falls below STRICT_POS, as no later value can exceed
+    it.  Returns the walk's ``(m, value, arg_k, vertex)``; raises
+    :class:`AssumptionViolated` when no strictly positive step value is
+    found, or when S is not positive.
     """
     scan, identity = staged.scan, staged.identity
     _warn_if_indefinite(scan.task)
-    envelope = (identity.envelope, identity.certificate.norm_A_P)
-    last = max(_envelope_horizon(*envelope, STRICT_POS, kstrict_cap + 1) - 1, 0)
-    # the walk ends at the first value above the level, so its largest is nu_{k_strict}
-    _, nu_k, k_strict, _ = _walk(scan, last, level=STRICT_POS)
-    if not nu_k > STRICT_POS:
+    bounding = (identity.envelope, identity.certificate.norm_A_P)
+    last = max(_envelope_horizon(*bounding, STRICT_POS, kstrict_cap + 1) - 1, 0)
+    found = []
+
+    def at(k_strict: int, nu_k: float) -> int:
+        found.append(k_strict)
+        return positive(k_strict, _threshold(scan, nu_k))
+
+    walked = _walk(scan, last, envelope, shift, positive=at)
+    if not found:
         after = f"; the envelope rules one out after step {last}" if last < kstrict_cap else ""
         raise AssumptionViolated(
             f"no strictly positive step value within cap {kstrict_cap}{after}"
         )
-    return k_strict, _threshold(scan.task, nu_k)
+    return walked
+
+
+def _positive_step(staged: _Staged, kstrict_cap: int) -> tuple[int, float]:
+    """k_strict and S of the staged task (:func:`_search`), scanned no further."""
+    found = []
+
+    def at(k_strict: int, S: float) -> int:
+        found.append((k_strict, S))
+        return k_strict
+
+    _search(staged, kstrict_cap, at)
+    return found[0]
 
 
 def _cutoffs(

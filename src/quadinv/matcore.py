@@ -8,18 +8,24 @@ and the user ``P`` require symmetry within ``SYMMETRY_REL``.  Here,
 :func:`as_matrix` and :func:`as_vector` check shape and finiteness,
 :func:`solve_linear` a square matrix and :func:`lyapunov_solve` a square A and
 a symmetric C; :func:`congruence_lmax`, :func:`quad_forms` and
-:func:`frobenius` check nothing.  Every matrix the engine builds from checked
+:func:`frobenius` check nothing, and neither does
+:func:`_lyapunov_doubling`, the solve behind :func:`lyapunov_solve`, which
+the engine calls on the A its model already checked and on right-hand
+sides it builds symmetric.  Every matrix the engine builds from checked
 ones is exactly symmetric by construction, so the engine's own eigenproblems
 call ``numpy.linalg`` directly.  The soundness guards run on every matrix: a
 linear or Lyapunov solve raises :class:`SingularSystem` when its solution grows
 past its right-hand side over ``PIVOT_REL`` times the operator's largest
 entry, the doubling also when it has not contracted within its step cap, and a
 Lyapunov solution must meet ``LYAP_RESIDUAL``; the certificate checks live
-in :mod:`quadinv.horizon`.
+in :mod:`quadinv.horizon`.  The products repeated on every verify (the
+doubling's here, the scan's and the witness's) call ``ndarray.dot``, which
+runs the BLAS product of ``@`` at about half its per-call cost.
 
-All functions are pure: inputs are never mutated, outputs are fresh arrays,
-and results do not depend on call order, so values can be shared freely
-across threads.
+All functions are pure: inputs are never mutated, outputs are fresh arrays
+(save the first of :func:`_lyapunov_doubling`'s powers, A itself), and
+results do not depend on call order, so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -168,12 +174,23 @@ def lyapunov_solve(a_matrix, c_matrix) -> np.ndarray:
     c = _check_symmetric(as_matrix(c_matrix, "C"), "C")
     if c.shape != a.shape:
         raise ValueError(f"C has shape {c.shape}, expected {a.shape}")
-    p, m, powers = c, a, []
+    return _lyapunov_doubling(a, c)[0]
+
+
+def _lyapunov_doubling(a: np.ndarray, c: np.ndarray):
+    """:func:`lyapunov_solve` for a square, finite A and an exactly symmetric C of
+    its shape, which are not checked, under every guard of that function.
+
+    Returns ``(P, image, powers)``: ``image`` is the ``A^T P A`` of the final
+    residual check, and ``powers`` holds the squarings ``A^(2^i)`` the doubling
+    formed, from ``A`` itself to the one that contracted.
+    """
+    p, m, powers = c.copy(), a, []
     with np.errstate(over="ignore", invalid="ignore"):  # an unstable A overflows to inf, NaN
         for _ in range(_DOUBLING_STEPS):
             powers.append(m)
-            p = p + m.T @ p @ m
-            m = m @ m
+            p += m.T.dot(p.dot(m))
+            m = m.dot(m)
             if a.size * np.vdot(m, m) < _CONTRACTED:  # a.size = d^2
                 break
         else:
@@ -186,26 +203,29 @@ def lyapunov_solve(a_matrix, c_matrix) -> np.ndarray:
         )
     p = 0.5 * (p + p.T)
     bound = LYAP_RESIDUAL * (1.0 + frobenius(c))
-    residual = p - a.T @ p @ a - c
+    image = a.T @ p @ a
+    residual = p - image - c
     if frobenius(residual) > bound:
         # doubling is accurate but not backward stable, and can fail where the
         # exact P rounded passes: refine by E - A^T E A = residual, same series
         e = residual
-        for m in powers:
-            e = e + m.T @ e @ m
+        for power in powers:
+            e = e + power.T @ e @ power
         p = p - 0.5 * (e + e.T)
-        residual = frobenius(p - a.T @ p @ a - c)
+        image = a.T @ p @ a
+        residual = frobenius(p - image - c)
         if residual > bound:
             raise SingularSystem(
                 f"Lyapunov solve residual {residual:.3e} exceeds tolerance; "
                 "the system is too close to the stability boundary"
             )
-    return p
+    powers.append(m)
+    return p, image, powers
 
 
 def congruence_lmax(m: np.ndarray, root: np.ndarray) -> float:
     """Largest eigenvalue of ``root @ m @ root``, symmetrized, for symmetric
     inputs, which are not checked; with ``root = P^-1/2`` it is the smallest
     t with ``t*P - m`` positive semidefinite."""
-    middle = root @ m @ root
+    middle = root.dot(m).dot(root)
     return float(np.linalg.eigvalsh(0.5 * (middle + middle.T))[-1])

@@ -26,7 +26,7 @@ from .horizon import (
     HorizonBound,
     _cutoffs,
     _envelope_horizon,
-    _positive_step,
+    _search,
     _stage,
     _Staged,
     _walk,
@@ -114,10 +114,11 @@ def trajectory(system: AffineSystem, x0, k: int) -> np.ndarray:
     out = np.empty((k + 1, system.dim))
     out[0] = x0
     power, shift, m = system.A.T, system.b, 1  # (A^m)^T and c_m
+    # ndarray.dot: the product of @ at about half its per-call cost (matcore)
     while m <= k:
         grow = min(m, k + 1 - m)
-        out[m : m + grow] = out[:grow] @ power + shift
-        power, shift, m = power @ power, shift @ power + shift, 2 * m
+        out[m : m + grow] = out[:grow].dot(power) + shift
+        power, shift, m = power.dot(power), shift.dot(power) + shift, 2 * m
     return out
 
 
@@ -132,15 +133,20 @@ def optimize(task: VerificationTask, kstrict_cap: int = DEFAULT_KSTRICT_CAP) -> 
 
 
 def _optimum(task: VerificationTask, staged: _Staged, kstrict_cap: int) -> Optimum:
-    """The supremum over the homogenized task's steps, walked under the envelope of
-    the identity shape's cutoff."""
-    scan = staged.scan
-    k_strict, S = _positive_step(staged, kstrict_cap)
-    [bound] = _cutoffs(scan.task, [staged.identity], k_strict, S)
-    stop, value, arg_k, vertex = _walk(
-        scan, bound.K, (bound.scalars, bound.certificate.norm_A_P), scan.task.objective.constant
+    """The supremum over the homogenized task's steps, in one walk: the k_strict
+    search, S and the identity shape's cutoff K, then the enumeration under
+    that shape's envelope."""
+    scan, identity, bounds = staged.scan, staged.identity, []
+
+    def cutoff(k_strict: int, S: float) -> int:
+        bounds.extend(_cutoffs(scan.task, [identity], k_strict, S))
+        return bounds[0].K
+
+    stop, value, arg_k, vertex = _search(
+        staged, kstrict_cap, cutoff,
+        (identity.envelope, identity.certificate.norm_A_P), scan.task.objective.constant,
     )
-    return Optimum(value, arg_k, task.init.vertices[vertex()], bound, stop)
+    return Optimum(value, arg_k, task.init.vertices[vertex()], bounds[0], stop)
 
 
 def verify(

@@ -415,8 +415,8 @@ class TestBoundStaging:
         steps = []
         original = horizon._step_value_blocks
 
-        def counting(task, bound):
-            for block in original(task, bound):
+        def counting(*args):
+            for block in original(*args):
                 steps[-1] += len(block[1])
                 yield block
 

@@ -47,3 +47,10 @@ class TestDiff:
         b["task"]["cli"]["verify_json"]["stdout"]["optimum"]["bound"]["norm_A_P"] *= 1.0 + 1e-8
         assert diff(tmp_path, record(), b) == 1
         capsys.readouterr()
+
+    def test_work_is_printed_not_compared(self, tmp_path, capsys):
+        a, b = record(), record()
+        a["task"].update(steps_computed=1365, stop=3)
+        b["task"].update(steps_computed=819, stop=3)
+        assert diff(tmp_path, a, b) == 0
+        assert "task: steps computed 1365 -> 819, read 4 -> 4" in capsys.readouterr().out

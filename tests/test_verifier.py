@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from support import (
     rotation_task,
     rotation_near_one_task,
     tail_style_task,
+    two_walk_optimum,
 )
 
 
@@ -384,10 +387,11 @@ class TestSharedWork:
     def test_identity_lyapunov_solved_once(self, monkeypatch):
         calls = []
         identity_rhs = lambda a, c, *rest: np.array_equal(c, np.eye(len(c)))
-        self._count(monkeypatch, horizon, "lyapunov_solve", calls, identity_rhs)
+        for name in ("lyapunov_solve", "_lyapunov_doubling"):
+            self._count(monkeypatch, horizon, name, calls, identity_rhs)
         verdict = verify(rotation_task(np.diag([1.0, 0.0]), alpha=16.0))
         assert verdict.status is VerdictStatus.PROVED
-        assert calls == ["lyapunov_solve"]
+        assert calls == ["_lyapunov_doubling"]
 
     def test_objective_decomposed_once(self, monkeypatch):
         task = harmonic_task(np.diag([1.0, 0.0]), alpha=1.0)
@@ -407,14 +411,15 @@ class TestSharedWork:
             return original(a, p, *rest, **kwargs)
 
         monkeypatch.setattr(horizon, "_certificate_for", recording)
-        self._count(monkeypatch, horizon, "lyapunov_solve", solves)
+        for name in ("lyapunov_solve", "_lyapunov_doubling"):
+            self._count(monkeypatch, horizon, name, solves)
         # verify certifies only the identity shape P0 of the stage, and never
         # looks at the built-in shapes
         with monkeypatch.context() as hidden:
             hidden.delattr(horizon, "SHAPES")
             hidden.delattr(horizon, "_shapes")
             assert verify(parity_task(1005, 5)).optimum is not None
-        assert len(shapes) == 1 and solves == ["lyapunov_solve"]
+        assert len(shapes) == 1 and solves == ["_lyapunov_doubling"]
         shapes.clear()
         evaluate_candidates(parity_task(1005, 5))
         # identity, q-augmented and three blends
@@ -435,9 +440,10 @@ class TestSharedWork:
         recording(horizon, "_certificate_for", shapes, 1)
         for name in ("eigh", "eigvalsh"):
             recording(np.linalg, name, decomposed, 0)
-        self._count(monkeypatch, horizon, "lyapunov_solve", solves)
+        for name in ("lyapunov_solve", "_lyapunov_doubling"):
+            self._count(monkeypatch, horizon, name, solves)
         verify(parity_task(1005, 5))
-        assert len(shapes) == 1 and solves == ["lyapunov_solve"]
+        assert len(shapes) == 1 and solves == ["_lyapunov_doubling"]
         assert sum(np.array_equal(m, shapes[0]) for m in decomposed) == 1
         shapes.clear()
         decomposed.clear()
@@ -474,8 +480,8 @@ class TestSharedWork:
         ranges = []
         original = horizon._step_value_blocks
 
-        def recording(task, bound):
-            for block in original(task, bound):
+        def recording(*args):
+            for block in original(*args):
                 ranges.append(range(block[0], block[0] + len(block[1])))
                 yield block
 
@@ -551,13 +557,107 @@ class TestSharedWork:
             optimize(task)
         assert sum(len(block) for block in ranges) <= int(below[0])
 
+    def test_scan_squares_only_powers_the_solve_did_not_form(self, monkeypatch):
+        # at radius 0.8 the doubling contracts after 7 squarings, so the table
+        # of a 3 000-step walk needs powers past the last one it formed
+        solves, handed = [], []
+        doubling, source = horizon._lyapunov_doubling, horizon._step_value_blocks
+
+        def solving(*args):
+            result = doubling(*args)
+            solves.append(result[2])
+            return result
+
+        def sourcing(task, bound, powers):
+            handed.append(powers)
+            return source(task, bound, powers)
+
+        monkeypatch.setattr(horizon, "_lyapunov_doubling", solving)
+        monkeypatch.setattr(horizon, "_step_value_blocks", sourcing)
+        staged = horizon._stage(rotation_task(np.diag([1.0, 0.0])))
+        horizon._walk(staged.scan, 3_000)
+        [formed], [powers] = solves, handed
+        assert len(formed) < len(powers)
+        for power, solved in zip(powers, formed):
+            assert power.base is solved  # (A^(2^i))^T, a view of the solve's A^(2^i)
+        for i in range(len(formed), len(powers)):
+            np.testing.assert_array_equal(powers[i], powers[i - 1] @ powers[i - 1])
+
+    def test_support_rotation_computes_one_smallest_block(self, monkeypatch):
+        # a d = 2 box scanned by its support function: a step adds 3 x 1
+        # projection entries and a 2 x 1 table column, so the smallest block
+        # holds 4096 // 5 = 819 steps, and a walk that stops at step 3
+        # computes no other block
+        theta = 0.5
+        rotation = [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
+        task = VerificationTask(
+            system=AffineSystem(A=0.999 * np.array(rotation), b=np.zeros(2)),
+            init=box_to_vertices([-1.0, -0.1], [1.0, 0.1]),
+            objective=QuadraticObjective(Q=np.diag([0.0, 1.0]), q=np.zeros(2), alpha=2.0),
+        )
+        ranges = self._record_blocks(monkeypatch)
+        verdict = verify(task)
+        assert verdict.status is VerdictStatus.PROVED
+        assert (verdict.optimum.bound.scalars.k_strict, verdict.optimum.stop) == (0, 3)
+        assert ranges == [range(0, 819)]
+
     def test_tail_path_reuses_certificate(self, monkeypatch):
         calls = []
-        self._count(monkeypatch, horizon, "stability_certificate", calls)
-        self._count(monkeypatch, horizon, "homogenize", calls)
+        for name in ("stability_certificate", "_certify", "homogenize"):
+            self._count(monkeypatch, horizon, name, calls)
         verdict = verify(counterexample_task(alpha=0.1), kstrict_cap=100)
         assert verdict.status is VerdictStatus.PROVED_TAIL
-        assert sorted(calls) == ["homogenize", "stability_certificate"]
+        assert sorted(calls) == ["_certify", "homogenize"]
+
+
+def _one_walk(task: VerificationTask):
+    opt = optimize(task)
+    scalars = opt.bound.scalars
+    return (scalars.k_strict, scalars.S, opt.bound.K, opt.stop, opt.value, opt.arg_k,
+            opt.arg_vertex.tolist())
+
+
+class TestOneWalk:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5),
+           kind=st.sampled_from(["box", "rank-1 box", "vertices", "tail"]),
+           affine=st.booleans(), radius=st.sampled_from([None, 0.99, 0.999]))
+    def test_matches_two_walks(self, seed, d, kind, affine, radius):
+        # the k_strict search, S, K and the enumeration in one walk give what
+        # the search and then the enumeration from step 0 give: the cutoff,
+        # the stop, and the optimum with its step and vertex, bit for bit
+        rng = np.random.default_rng(seed)
+        if radius is None:
+            A = random_stable_matrix(rng, d)
+        else:  # a scaled orthogonal matrix: every eigenvalue at that radius
+            A = radius * np.linalg.qr(rng.standard_normal((d, d)))[0]
+        if kind == "tail":
+            A, Q, q = np.diag(rng.uniform(0.3, 0.9, d)), np.eye(d), -np.ones(d)
+            init = InitialSet.from_vertices(rng.uniform(0.05, 0.95, (d + 2, d)))
+        elif kind == "rank-1 box":
+            c = rng.standard_normal(d)
+            Q, q = np.outer(c, c), rng.normal(0.0, 0.5) * c
+            init = box_to_vertices(*random_box(rng, d, straddle=bool(seed % 2)))
+        elif kind == "box":
+            Q, q = random_psd(rng, d), rng.normal(0.0, 0.5, d)
+            init = box_to_vertices(*random_box(rng, d, straddle=bool(seed % 2)))
+        else:
+            Q = rng.standard_normal((d, d))
+            Q, q = Q + Q.T, rng.normal(0.0, 0.5, d)
+            init = InitialSet.from_vertices(rng.uniform(-1.0, 1.0, (d + 3, d)))
+        b = rng.normal(0.0, 0.5, d) if affine and kind != "tail" else np.zeros(d)
+        task = VerificationTask(system=AffineSystem(A=A, b=b), init=init,
+                                objective=QuadraticObjective(Q=Q, q=q))
+        outcomes = []
+        for walks in (two_walk_optimum, _one_walk):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # an indefinite Q
+                try:
+                    outcomes.append(walks(task))
+                except AssumptionViolated:
+                    outcomes.append(AssumptionViolated)
+        assert outcomes[0] == outcomes[1]
+        assert kind != "tail" or outcomes[0] is AssumptionViolated
 
 
 class TestBuiltMatricesUnchecked:

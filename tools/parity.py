@@ -11,7 +11,9 @@ Usage, from the root of a source checkout:
 record per task: status, optimum value, its step and vertex, K, the
 enumeration's stopping step, strategy, the winning pair's t, S, mu,
 |A|_P and lmax(P), tail horizon, the tail fallback's last sampled step,
-witness length and, when verify raises, the error type.
+witness length and, when verify raises, the error type.  It also records
+the work of that verify: the steps its scan computed, the sum of the lengths
+of the blocks ``horizon._step_value_blocks`` yielded.
 For each task on the cutoff path it also records the candidate table of the
 bound command: ``horizon.evaluate_candidates`` on the homogenized task, as
 (strategy, K, t, V, mu) rows in order, or the error type; and the row of a
@@ -40,6 +42,9 @@ value is present in one record only.  A difference is relative to the
 larger magnitude, except for a CLI leaf named ``residual_margin``: that is
 lmin(P - A^T P A), which cancels, so it moves far more than P does, and it
 is read relative to the larger of its magnitudes and the task's lmax(P).
+``diff`` then prints, for each workload and each record, the sums of the
+steps verify computed and of the steps it read (``stop + 1`` or
+``tail_stop + 1``), as information: they do not change the exit code.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ FLOAT_FIELDS = ("value", "t", "S", "mu", "norm_A_P", "lmax_P") + tuple(
     f"{rows}_{column}" for rows in ROWS for column in ("t", "V", "mu")
 )
 FLOAT_REL = 1e-12  # last-bit differences of a reordered sum stay far below this
+WORK = "steps_computed"  # information, never compared
 # CLI runs by record name: the subcommand and the flags after the document path
 COMMANDS = {
     "verify_json": ("verify", "--report", "json"),
@@ -150,13 +156,24 @@ def _float_group(field: str, x, y) -> str | None:
     return None
 
 
-def _record(verifier, task) -> dict:
+def _record(verifier, horizon, task) -> dict:
+    steps, original = [0], horizon._step_value_blocks
+
+    def counting(*args):  # the block source, adding up the lengths of its blocks
+        for block in original(*args):
+            steps[0] += len(block[1])
+            yield block
+
+    horizon._step_value_blocks = counting
     try:
         verdict = verifier.verify(task)
     except Exception as exc:  # every failure is recorded by its type
-        return {"error": type(exc).__name__}
+        return {"error": type(exc).__name__, WORK: steps[0]}
+    finally:
+        horizon._step_value_blocks = original
     opt, tail = verdict.optimum, verdict.tail_info
     return {
+        WORK: steps[0],
         "status": verdict.status.value,
         "value": None if opt is None else opt.value,
         "arg_k": None if opt is None else opt.arg_k,
@@ -196,7 +213,7 @@ def dump(out: str, repo: Path) -> None:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
                         task = _task(model, spec)
-                        record = _record(verifier, task)
+                        record = _record(verifier, horizon, task)
                         if record.get("K") is not None:
                             record["bound"] = _candidates(horizon, model, task)
                             record["user"] = _candidates(horizon, model, task, user=True)
@@ -219,12 +236,26 @@ def _relative(x, y, scale: float = 0.0) -> float:
     return abs(x - y) / max(abs(x), abs(y), scale) if x != y else 0.0
 
 
+def _work(records: dict) -> dict:
+    """Per workload, the sums of the steps computed and of the steps read."""
+    sums = {}
+    for key, record in records.items():
+        stop = record.get("stop")
+        stop = record.get("tail_stop") if stop is None else stop
+        total = sums.setdefault(key.split("/")[0], [0, 0])
+        total[0] += record.get(WORK) or 0
+        total[1] += 0 if stop is None else stop + 1
+    return sums
+
+
 def diff(path_a: str, path_b: str) -> int:
     a = json.loads(Path(path_a).read_text(encoding="utf-8"))
     b = json.loads(Path(path_b).read_text(encoding="utf-8"))
     exact, floats = 0, {field: [] for field in FLOAT_FIELDS}
     for key in sorted(a.keys() | b.keys()):
         ra, rb = _fields(a.get(key, {})), _fields(b.get(key, {}))
+        ra.pop(WORK, None)
+        rb.pop(WORK, None)
         lmax_P = max(ra.get("lmax_P") or 0.0, rb.get("lmax_P") or 0.0)
         for field in sorted(ra.keys() | rb.keys()):
             x, y = ra.get(field), rb.get(field)
@@ -240,6 +271,13 @@ def diff(path_a: str, path_b: str) -> int:
     for field, rels in floats.items():
         print(f"{field}: {len(rels)} differing, largest relative difference "
               f"{max(rels, default=0.0):.3g}")
+    work_a, work_b = _work(a), _work(b)
+    for workload in sorted(work_a.keys() | work_b.keys()):
+        (computed_a, read_a), (computed_b, read_b) = (
+            work.get(workload, (0, 0)) for work in (work_a, work_b)
+        )
+        print(f"{workload}: steps computed {computed_a} -> {computed_b}, "
+              f"read {read_a} -> {read_b}")
     print(f"{len(a.keys() | b.keys())} tasks, {exact} differing exact fields")
     beyond = any(rel > FLOAT_REL for rels in floats.values() for rel in rels)
     return 1 if exact or beyond else 0
