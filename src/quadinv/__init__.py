@@ -29,15 +29,9 @@ from .horizon import (
     BoundScalars,
     HorizonBound,
     StabilityCertificate,
-    K_of,
     evaluate_candidates,
-    find_k_strict,
-    mu,
-    nu_sequence,
     objective_scores,
-    s_value,
     stability_certificate,
-    tail_bound,
 )
 from .matcore import SymEig, lyapunov_solve
 from .model import (

@@ -27,11 +27,8 @@ its smallest t, taken once on the homogenized task (:func:`_shape`); a
 cutoff adds S and k_strict, always computed here, never supplied.
 
 Step values nu_k here are always the *constant-free* part of the objective,
-max over vertices of (A^k v)^T Q (A^k v) + q^T (A^k v).  The public
-:func:`nu_sequence` adds the objective's constant back by default, so it
-reports the values of the original (pre-homogenization) objective; the bound
-theory needs the constant-free sequence because only that sequence decays
-to zero.
+max over vertices of (A^k v)^T Q (A^k v) + q^T (A^k v), the sequence that
+decays to zero; readers that report values add the constant back.
 
 Every reader walks one replayable scan of this sequence from step 0: steps
 already computed are replayed from its record, and later ones are computed
@@ -147,12 +144,6 @@ __all__ = [
     "BoundScalars",
     "HorizonBound",
     "stability_certificate",
-    "nu_sequence",
-    "find_k_strict",
-    "s_value",
-    "mu",
-    "K_of",
-    "tail_bound",
     "objective_scores",
     "evaluate_candidates",
 ]
@@ -204,11 +195,6 @@ class HorizonBound:
     scalars: BoundScalars
     certificate: StabilityCertificate
     strategy_id: str
-
-
-def _require_linear(task: VerificationTask) -> None:
-    if not task.system.is_linear:
-        raise ValueError("task must be homogenized first (translation b is nonzero)")
 
 
 def _certificate_for(
@@ -430,10 +416,11 @@ class _StepScan:
     :meth:`block` replays the recorded blocks of :func:`_step_value_blocks`
     and records the new ones it draws; ``sup_q``, sup x^T Q x over the
     vertices, comes with the first.  ``powers``, (A^(2^i))^T from i = 0 on,
-    seeds the source's table (by default A^T alone).
+    seeds the source's table: the squarings of the Lyapunov solve that
+    certified A (:func:`_stage`).
     """
 
-    def __init__(self, task: VerificationTask, powers: list[np.ndarray] | None = None):
+    def __init__(self, task: VerificationTask, powers: list[np.ndarray]):
         self.task = task
         self.sup_q = math.nan
         # read by the source as each new block starts; the source holds no
@@ -441,7 +428,6 @@ class _StepScan:
         self._bound = [0]
         self._next = 0  # the first step not yet computed
         self._record: list[tuple[int, np.ndarray, Callable]] = []
-        powers = [task.system.A.T] if powers is None else powers
         self._source = _step_value_blocks(task, self._bound, powers)
 
     def block(self, i: int, k_max: int):
@@ -457,15 +443,6 @@ class _StepScan:
             self._next += len(values)
         k0, values, vertex = self._record[i]
         return None if k0 > k_max else (k0, values[: k_max + 1 - k0], vertex)
-
-    def blocks(self, k_max: int):
-        """Blocks covering k = 0..k_max, the recorded ones first."""
-        if k_max < 0:
-            raise ValueError(f"step bound {k_max} must be nonnegative")
-        i = 0
-        while (block := self.block(i, k_max)) is not None:
-            yield block
-            i += 1
 
 
 def _walk(
@@ -525,49 +502,6 @@ def _walk(
     return stop, value, arg_k, lambda: int(vertex(j))
 
 
-def nu_sequence(
-    task: VerificationTask,
-    k_max: int,
-    include_constant: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step values for k = 0..k_max plus per-step arg-max vertex indices."""
-    _require_linear(task)
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    values = np.empty(k_max + 1)
-    argmax = np.empty(k_max + 1, dtype=int)
-    for k0, block, vertex in _StepScan(task).blocks(k_max):
-        values[k0 : k0 + len(block)] = block
-        argmax[k0 : k0 + len(block)] = vertex(np.arange(len(block)))
-    if include_constant and task.objective.constant:
-        values = values + task.objective.constant
-    return values, argmax
-
-
-def find_k_strict(task: VerificationTask, cap: int = DEFAULT_KSTRICT_CAP) -> int | None:
-    """First k with a strictly positive constant-free step value, or None.
-
-    Step values are scanned for k = 0..cap; None means not found within the
-    cap, which downgrades the pipeline to tail-bound mode.
-    """
-    _require_linear(task)
-    _, value, k, _ = _walk(_StepScan(task), cap, level=STRICT_POS)
-    return k if value > STRICT_POS else None
-
-
-def s_value(task: VerificationTask, k_strict: int) -> float:
-    """Positive threshold S = min(sup x^T Q x, nu_{k_strict}) over vertices.
-
-    Raises :class:`AssumptionViolated` when the result is not strictly
-    positive; the verifier then falls back to tail-bound mode.
-    """
-    _require_linear(task)
-    scan = _StepScan(task)
-    for _, values, _ in scan.blocks(k_strict):
-        pass
-    return _threshold(scan, float(values[-1]))
-
-
 def _threshold(scan: _StepScan, nu_k: float) -> float:
     """S = min(sup x^T Q x, nu_k) over the scan's vertices, or AssumptionViolated."""
     s = min(scan.sup_q, nu_k)
@@ -615,23 +549,6 @@ def _k_formula(cert: StabilityCertificate, task: VerificationTask, scalars: Boun
     return int(math.floor(ratio + LOG_ARG_SLACK)) + 1
 
 
-def K_of(t: float, p_matrix, task: VerificationTask, S: float) -> int:
-    """Certified cutoff K(t, P) for a feasible pair; always a positive integer.
-
-    A t that is not finite and positive raises :class:`InfeasiblePair`, such
-    an S :class:`AssumptionViolated`.
-    """
-    _require_linear(task)
-    p = _check_symmetric(as_matrix(p_matrix, "P"), "P")
-    cert, t, S = _certificate_for(task.system.A, p), float(t), float(S)
-    if not (math.isfinite(t) and t > 0.0):
-        raise InfeasiblePair(f"scaling t = {t} must be finite and positive")
-    if not (math.isfinite(S) and S > 0.0):
-        raise AssumptionViolated(f"threshold S = {S} must be finite and positive")
-    scalars = BoundScalars(t, S, _v_term(task, t, cert.lmin_P), mu(cert.P, task.init), 0)
-    return _k_formula(cert, task, scalars)
-
-
 def tail_bound(k: int | np.ndarray, scalars: BoundScalars, norm_A_P: float):
     """Decreasing upper envelope U(k) = (sqrt(t) mu |A|_P^k + V)^2 - V^2.
 
@@ -647,15 +564,17 @@ def _envelope_horizon(scalars: BoundScalars, norm_A_P: float, level: float, cap:
     """First k <= cap with U(k) < level, from the closed form ln g / ln |A|_P.
 
     Gives cap when U does not fall below the level by then, and 0 when mu = 0.
+    The closed form, which rounds either way on a tie U(k) = level, only
+    starts a search on both sides; at 0 where g >= 1 or g underflows to 0.
     """
     if scalars.mu == 0.0:
         return 0
     if level <= 0.0:
         return cap
     g = _log_arg(level, scalars.t, scalars.V, scalars.mu)
-    if g >= 1.0:
-        return 0
-    k = min(max(math.ceil(math.log(g) / math.log(norm_A_P)), 0), cap)
+    k = min(math.ceil(math.log(g) / math.log(norm_A_P)), cap) if 0.0 < g < 1.0 else 0
+    while k > 0 and tail_bound(k - 1, scalars, norm_A_P) < level:
+        k -= 1
     while not tail_bound(k, scalars, norm_A_P) < level and k < cap:
         k += 1
     return k
@@ -776,27 +695,28 @@ def _shapes(staged: _Staged) -> list[_Shape]:
 
 
 def _search(
-    staged: _Staged, kstrict_cap: int, positive: Callable[[int, float], int],
-    envelope: tuple[BoundScalars, float] | None = None, shift: float = 0.0,
-):
-    """Walk the staged scan (:func:`_walk`) through the k_strict search, where
-    ``positive(k_strict, S)`` gives the walk's new k_max.
+    staged: _Staged, kstrict_cap: int, cutoff: Callable[[int, float], int] | None = None,
+    shift: float = 0.0,
+) -> tuple[tuple[int, float], tuple[int, float, int, Callable[[], int]]]:
+    """k_strict and S of the staged task, and the walk (:func:`_walk`) that found
+    them: ``((k_strict, S), (m, value, arg_k, vertex))``.
 
     The search scans at most ``kstrict_cap`` steps, and ends where the
     identity shape's U falls below STRICT_POS, as no later value can exceed
-    it.  Returns the walk's ``(m, value, arg_k, vertex)``; raises
-    :class:`AssumptionViolated` when no strictly positive step value is
-    found, or when S is not positive.
+    it.  The walk then goes on under that U to ``cutoff(k_strict, S)``, its
+    new k_max, with ``shift`` added to its values; without a cutoff it ends
+    at k_strict.  Raises :class:`AssumptionViolated` when no strictly
+    positive step value is found, or when S is not positive.
     """
     scan, identity = staged.scan, staged.identity
     _warn_if_indefinite(scan.task)
-    bounding = (identity.envelope, identity.certificate.norm_A_P)
-    last = max(_envelope_horizon(*bounding, STRICT_POS, kstrict_cap + 1) - 1, 0)
+    envelope = (identity.envelope, identity.certificate.norm_A_P)
+    last = max(_envelope_horizon(*envelope, STRICT_POS, kstrict_cap + 1) - 1, 0)
     found = []
 
     def at(k_strict: int, nu_k: float) -> int:
-        found.append(k_strict)
-        return positive(k_strict, _threshold(scan, nu_k))
+        found.append((k_strict, _threshold(scan, nu_k)))
+        return k_strict if cutoff is None else cutoff(*found[0])
 
     walked = _walk(scan, last, envelope, shift, positive=at)
     if not found:
@@ -804,19 +724,7 @@ def _search(
         raise AssumptionViolated(
             f"no strictly positive step value within cap {kstrict_cap}{after}"
         )
-    return walked
-
-
-def _positive_step(staged: _Staged, kstrict_cap: int) -> tuple[int, float]:
-    """k_strict and S of the staged task (:func:`_search`), scanned no further."""
-    found = []
-
-    def at(k_strict: int, S: float) -> int:
-        found.append((k_strict, S))
-        return k_strict
-
-    _search(staged, kstrict_cap, at)
-    return found[0]
+    return found[0], walked
 
 
 def _cutoffs(
@@ -856,5 +764,5 @@ def evaluate_candidates(
     """
     staged = _stage(task)
     users = _user_shapes(staged, user_P, epsilon)
-    k_strict, S = _positive_step(staged, kstrict_cap)
+    (k_strict, S), _ = _search(staged, kstrict_cap)
     return _cutoffs(staged.scan.task, [*_shapes(staged), *users], k_strict, S)

@@ -142,9 +142,8 @@ def _optimum(task: VerificationTask, staged: _Staged, kstrict_cap: int) -> Optim
         bounds.extend(_cutoffs(scan.task, [identity], k_strict, S))
         return bounds[0].K
 
-    stop, value, arg_k, vertex = _search(
-        staged, kstrict_cap, cutoff,
-        (identity.envelope, identity.certificate.norm_A_P), scan.task.objective.constant,
+    _, (stop, value, arg_k, vertex) = _search(
+        staged, kstrict_cap, cutoff, scan.task.objective.constant
     )
     return Optimum(value, arg_k, task.init.vertices[vertex()], bounds[0], stop)
 

@@ -1,5 +1,7 @@
-"""Shared builders for paper systems and random task generation, and
-independent references for the engine's step values and linear algebra."""
+"""Shared builders for paper systems and random task generation, independent
+references for the engine's step values and linear algebra, and the step-level
+pipeline (nu_sequence, find_k_strict, s_value, K_of) built on the engine's own
+scan and cutoff formula."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from quadinv import (
 )
 from quadinv import horizon
 from quadinv.config import PD_REL, STRICT_POS, SYMMETRY_REL
-from quadinv.errors import MatrixError
+from quadinv.errors import InfeasiblePair, MatrixError
 from quadinv.matcore import (
     SymEig,
     _check_symmetric,
@@ -186,6 +188,11 @@ def quad_form_rows(points, m) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(p.shape[:-1])
 
 
+def _require_linear(task: VerificationTask) -> None:
+    if not task.system.is_linear:
+        raise ValueError("task must be homogenized first (translation b is nonzero)")
+
+
 def vertex_values(task: VerificationTask, k: int, include_constant: bool = True) -> np.ndarray:
     """The objective at every initial vertex propagated k steps, from the k-th power
     of A and :func:`quad_form_rows`; a reference for the engine's scan.
@@ -193,8 +200,7 @@ def vertex_values(task: VerificationTask, k: int, include_constant: bool = True)
     Requires a homogenized task; with the objective's constant included, the
     values are the original objective's at step k.
     """
-    if not task.system.is_linear:
-        raise ValueError("task must be homogenized first (translation b is nonzero)")
+    _require_linear(task)
     if k < 0:
         raise ValueError("step index must be nonnegative")
     images = task.init.vertices @ mat_pow(task.system.A, k).T
@@ -276,3 +282,69 @@ def two_walk_optimum(task: VerificationTask, kstrict_cap: int = horizon.DEFAULT_
         scan, bound.K, envelope, scan.task.objective.constant
     )
     return k_strict, S, bound.K, stop, value, arg_k, task.init.vertices[vertex()].tolist()
+
+
+def scan_blocks(scan: horizon._StepScan, k_max: int):
+    """The blocks of an engine scan covering k = 0..k_max, the recorded ones first."""
+    if k_max < 0:
+        raise ValueError(f"step bound {k_max} must be nonnegative")
+    i = 0
+    while (block := scan.block(i, k_max)) is not None:
+        yield block
+        i += 1
+
+
+def _scan(task: VerificationTask) -> horizon._StepScan:
+    """The engine's scan of a homogenized task, its table seeded with A^T alone."""
+    _require_linear(task)
+    return horizon._StepScan(task, [task.system.A.T])
+
+
+def nu_sequence(
+    task: VerificationTask, k_max: int, include_constant: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's step values for k = 0..k_max plus per-step arg-max vertex
+    indices; with the objective's constant included, the values are the
+    original objective's."""
+    values = np.empty(k_max + 1)
+    argmax = np.empty(k_max + 1, dtype=int)
+    for k0, block, vertex in scan_blocks(_scan(task), k_max):
+        values[k0 : k0 + len(block)] = block
+        argmax[k0 : k0 + len(block)] = vertex(np.arange(len(block)))
+    if include_constant and task.objective.constant:
+        values = values + task.objective.constant
+    return values, argmax
+
+
+def find_k_strict(task: VerificationTask, cap: int = horizon.DEFAULT_KSTRICT_CAP) -> int | None:
+    """First k <= cap with a constant-free step value above STRICT_POS, or None,
+    from one engine walk to that level."""
+    _, value, k, _ = horizon._walk(_scan(task), cap, level=STRICT_POS)
+    return k if value > STRICT_POS else None
+
+
+def s_value(task: VerificationTask, k_strict: int) -> float:
+    """S = min(sup x^T Q x, nu_{k_strict}) over vertices, from the engine's scan;
+    :class:`AssumptionViolated` when it is not strictly positive."""
+    scan = _scan(task)
+    for _, values, _ in scan_blocks(scan, k_strict):
+        pass
+    return horizon._threshold(scan, float(values[-1]))
+
+
+def K_of(t: float, p_matrix, task: VerificationTask, S: float) -> int:
+    """The engine's certified cutoff K(t, P) of a homogenized task.
+
+    A P that fails the certificate, or a t that is not finite and positive,
+    raises :class:`InfeasiblePair`, such an S :class:`AssumptionViolated`.
+    """
+    _require_linear(task)
+    p = _check_symmetric(as_matrix(p_matrix, "P"), "P")
+    cert, t, S = horizon._certificate_for(task.system.A, p), float(t), float(S)
+    if not (math.isfinite(t) and t > 0.0):
+        raise InfeasiblePair(f"scaling t = {t} must be finite and positive")
+    if not (math.isfinite(S) and S > 0.0):
+        raise AssumptionViolated(f"threshold S = {S} must be finite and positive")
+    V = horizon._v_term(task, t, cert.lmin_P)
+    scalars = horizon.BoundScalars(t, S, V, horizon.mu(cert.P, task.init), 0)
+    return horizon._k_formula(cert, task, scalars)

@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from quadinv.errors import AssumptionViolated
-from quadinv.horizon import (
-    K_of,
-    evaluate_candidates,
-    find_k_strict,
-    nu_sequence,
-    s_value,
-)
+from quadinv.horizon import evaluate_candidates
 from quadinv.matcore import frobenius, lyapunov_solve
 from quadinv.model import homogenize
 from quadinv.verifier import (
@@ -28,13 +22,17 @@ from quadinv.verifier import (
     verify,
 )
 from support import (
+    K_of,
     counterexample_task,
+    find_k_strict,
     generalized_lmax,
     harmonic_task,
+    nu_sequence,
     random_linear_task,
     random_psd,
     random_stable_matrix,
     rotation_task,
+    s_value,
     sym_eig,
     weighted_opnorm,
 )

@@ -21,13 +21,9 @@ from quadinv.errors import (
 from quadinv.horizon import (
     DEFAULT_KSTRICT_CAP,
     BoundScalars,
-    K_of,
     evaluate_candidates,
-    find_k_strict,
     mu,
-    nu_sequence,
     objective_scores,
-    s_value,
     stability_certificate,
     tail_bound,
 )
@@ -43,15 +39,20 @@ from quadinv.model import (
 )
 from quadinv.verifier import VerdictStatus, brute_force_oracle, optimize, verify
 from support import (
+    K_of,
     counterexample_task,
+    find_k_strict,
     generalized_lmax,
     harmonic_task,
     nu,
+    nu_sequence,
     random_box,
     random_linear_task,
     random_psd,
     random_stable_matrix,
     rotation_task,
+    s_value,
+    scan_blocks,
     vertex_values,
     weighted_opnorm,
 )
@@ -297,8 +298,9 @@ class TestScanMatchesStepLoop:
 
     def test_scan_freed_without_cycle_collector(self):
         # a scan's arrays go with its last reader, not at the next collection
-        scan = horizon._StepScan(scalar_demo_task())
-        assert len(list(scan.blocks(5_000))) > 1
+        task = scalar_demo_task()
+        scan = horizon._StepScan(task, [task.system.A.T])
+        assert len(list(scan_blocks(scan, 5_000))) > 1
         gc.disable()
         try:
             ref = weakref.ref(scan)
@@ -589,7 +591,7 @@ class TestEnvelopeStops:
         first = int(values.argmax())
         envelope = (bound.scalars, bound.certificate.norm_A_P)
         stop, value, arg_k, index = horizon._walk(
-            horizon._StepScan(task), bound.K, envelope, task.objective.constant
+            horizon._StepScan(task, [task.system.A.T]), bound.K, envelope, task.objective.constant
         )
         assert (value, arg_k, index()) == (values[first], first, argmax[first])
         assert stop <= bound.K
@@ -778,6 +780,48 @@ class TestTailBound:
                 / math.sqrt(cert.lmin_P)
             )
             assert abs(values[k]) <= tail_bound(k, scalars, cert.norm_A_P) + linear_decay + 1e-9
+
+
+def _first_below(scalars: BoundScalars, norm: float, level: float, cap: int) -> int:
+    """The first k <= cap with U(k) < level by a linear search, cap when none."""
+    return next((k for k in range(cap + 1) if tail_bound(k, scalars, norm) < level), cap)
+
+
+class TestEnvelopeHorizon:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        # floats, or powers of two, whose logarithms tie on integers
+        t=st.one_of(st.floats(1e-6, 1e6), st.integers(-8, 8).map(lambda e: 4.0**e)),
+        V=st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 1.0])),
+        mu_val=st.one_of(st.floats(1e-6, 1e3), st.integers(-8, 8).map(lambda e: 2.0**e)),
+        norm=st.one_of(st.floats(1e-3, 1.0 - 1e-9), st.integers(1, 4).map(lambda e: 2.0**-e)),
+        # a level, or U(m) at a step m, one float below, at or above it: a tie
+        level=st.one_of(
+            st.floats(-1.0, 1e6),
+            st.floats(0.0, 1e-300),
+            st.tuples(st.integers(0, 2_000), st.sampled_from([-math.inf, 0.0, math.inf])),
+        ),
+        cap=st.integers(0, 2_000),
+    )
+    def test_first_step_below_the_level(self, t, V, mu_val, norm, level, cap):
+        scalars = BoundScalars(t=t, S=0.0, V=V, mu=mu_val, k_strict=0)
+        if isinstance(level, tuple):
+            m, side = level
+            level = float(tail_bound(m, scalars, norm))
+            level = float(np.nextafter(level, side)) if side else level
+        expected = _first_below(scalars, norm, level, cap)
+        assert horizon._envelope_horizon(scalars, norm, level, cap) == expected
+
+    def test_exact_tie_takes_the_next_step(self):
+        # U(j) = 4^-j, so U(k) ties the level and k + 1 is the first step below it
+        scalars = BoundScalars(t=1.0, S=0.0, V=0.0, mu=1.0, k_strict=0)
+        found = [horizon._envelope_horizon(scalars, 0.5, 4.0**-k, 100) for k in range(60)]
+        assert found == list(range(1, 61))
+
+    def test_level_whose_log_argument_underflows(self):
+        # g = 5e-324 / 2 rounds to 0; U(k) = 4^-k + 2^(1-k) is 0 from k = 1075 on
+        scalars = BoundScalars(t=1.0, S=0.0, V=1.0, mu=1.0, k_strict=0)
+        assert horizon._envelope_horizon(scalars, 0.5, 5e-324, 2_000) == 1_075
 
 
 class TestMinimalScalingIsTight:

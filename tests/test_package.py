@@ -1,6 +1,7 @@
-"""The package's public surface: every exported name exists, the
-linear algebra kept in ``support`` as test references has no copy in the
-package, and the numeric thresholds are fixed constants, not settings."""
+"""The package's public surface: every exported name exists, the package
+re-exports exactly what its modules export, the linear algebra and step-level
+pipeline kept in ``support`` as test references have no copy in the package,
+and the numeric thresholds are fixed constants, not settings."""
 
 import importlib
 import inspect
@@ -10,6 +11,7 @@ import pkgutil
 import pytest
 
 import quadinv
+from quadinv import horizon
 from quadinv.cli import main
 from quadinv.model import InitialSet
 
@@ -22,6 +24,10 @@ TEST_ONLY = (
     "mat_pow",
     "nu",
     "NotPositiveDefinite",
+    "K_of",
+    "find_k_strict",
+    "s_value",
+    "nu_sequence",
 )
 
 
@@ -39,6 +45,22 @@ def test_no_module_defines_test_only_names():
     assert "quadinv.matcore" in [m.__name__ for m in modules]
     found = [(m.__name__, n) for m in modules for n in TEST_ONLY if hasattr(m, n)]
     assert found == []
+
+
+@pytest.mark.parametrize("name", ["horizon", "model", "verifier"])
+def test_package_reexports_exactly_the_module_exports(name):
+    module = importlib.import_module(f"quadinv.{name}")
+    reexported = {
+        n for n, value in vars(quadinv).items()
+        if getattr(value, "__module__", None) == module.__name__
+    }
+    assert reexported == set(module.__all__)
+
+
+@pytest.mark.parametrize("name", ["mu", "tail_bound"])
+def test_envelope_pieces_are_not_exported(name):
+    assert not hasattr(quadinv, name)
+    assert name not in horizon.__all__
 
 
 def test_no_public_callable_takes_a_tolerance():

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadinv import horizon, verifier
-from quadinv.config import STRICT_POS
+from quadinv.config import ALPHA_SLACK, STRICT_POS
 from quadinv.errors import AssumptionViolated, InvalidUserP, Unstable
 from quadinv.horizon import (
     DEFAULT_KSTRICT_CAP,
     evaluate_candidates,
-    nu_sequence,
     stability_certificate,
     tail_bound,
 )
@@ -34,6 +33,7 @@ from support import (
     counterexample_task,
     harmonic_task,
     mat_pow,
+    nu_sequence,
     random_box,
     random_linear_task,
     random_psd,
@@ -224,6 +224,26 @@ class TestTailBoundMode:
             verdict = verify(task)
         assert verdict.status is VerdictStatus.PROVED_TAIL
         assert verdict.tail_info.bound <= 0.5
+
+    def test_fixed_point_initial_set(self):
+        # the one vertex is the fixed point (2, 0) of x -> x / 2 + (1, 0): the
+        # homogenized vertex is 0, so mu = 0, and the objective is 4 at every step
+        task = VerificationTask(
+            system=AffineSystem(A=0.5 * np.eye(2), b=[1.0, 0.0]),
+            init=InitialSet.from_vertices([[2.0, 0.0]]),
+            objective=QuadraticObjective(Q=np.eye(2), q=np.zeros(2)),
+        )
+        assert horizon._stage(task).identity.envelope.mu == 0.0
+        assert homogenize(task).objective.constant == 4.0
+        proved = verify(task, alpha=4.5)
+        assert proved.status is VerdictStatus.PROVED_TAIL
+        assert (proved.tail_info.horizon, proved.tail_info.stop) == (0, 0)
+        for alpha in (3.0, 4.0 - 2.0 * ALPHA_SLACK):
+            disproved = verify(task, alpha=alpha)
+            assert disproved.status is VerdictStatus.DISPROVED
+            np.testing.assert_array_equal(disproved.witness, [[2.0, 0.0]])
+        with pytest.raises(AssumptionViolated):
+            optimize(task)
 
 
 class TestEnvelopeStop:
@@ -755,7 +775,8 @@ class TestIdentityDefault:
         for bound in evaluate_candidates(hom):
             envelope = (bound.scalars, bound.certificate.norm_A_P)
             _, value, arg_k, index = horizon._walk(
-                horizon._StepScan(hom), bound.K, envelope, hom.objective.constant
+                horizon._StepScan(hom, [hom.system.A.T]), bound.K, envelope,
+                hom.objective.constant,
             )
             assert (value, arg_k) == (opt.value, opt.arg_k)
             np.testing.assert_array_equal(task.init.vertices[index()], opt.arg_vertex)
