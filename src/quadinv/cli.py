@@ -47,7 +47,8 @@ from .horizon import (
     DEFAULT_EPSILON,
     DEFAULT_KSTRICT_CAP,
     HorizonBound,
-    evaluate_candidates,
+    _candidates,
+    _stage,
     objective_scores,
 )
 from .model import (
@@ -240,11 +241,9 @@ def _run_verify(task: VerificationTask, args) -> tuple[int, dict]:
 
 
 def _run_bound(task: VerificationTask, args) -> tuple[int, dict]:
-    bounds = evaluate_candidates(
-        task, user_P=load_user_matrix(args.user_p), epsilon=args.epsilon,
-        kstrict_cap=args.kstrict_cap,
-    )
-    hom = homogenize(task)  # the scores are taken at the homogenized vertices
+    user_P, staged = load_user_matrix(args.user_p), _stage(task)
+    bounds = _candidates(staged, user_P, args.epsilon, args.kstrict_cap)
+    hom = staged.scan.task  # the scores are taken at the homogenized vertices
     return 0, {
         "command": "bound",
         "best": _candidate_dict(min(bounds, key=lambda bound: bound.K), hom),

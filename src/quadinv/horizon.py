@@ -32,15 +32,16 @@ decays to zero; readers that report values add the constant back.
 
 Every reader walks one replayable scan of this sequence from step 0: steps
 already computed are replayed from its record, and later ones are computed
-in blocks of consecutive steps and recorded.  The readers of one verify (the
-k_strict search, S, then the enumeration or the tail fallback) share one
-scan, so each step is computed once.  :func:`_walk` holds the one stopping
-rule: a walk ends at the first m with U(m + 1) at most the larger of the
-running maximum and a floor, where U is the decreasing envelope of
-:func:`tail_bound` (no later step can exceed that), at the first value above
-a level, or at the reader's bound k_max.  The k_strict search is bounded
-where the identity shape's U falls below STRICT_POS, the enumeration by K,
-the tail fallback by the step where U certifies the level.
+in blocks of consecutive steps and recorded.  One verify walks one scan
+twice: the k_strict search, which gives S and K, then the enumeration or the
+tail fallback, which replays the steps the search computed, so each step is
+computed once.  :func:`_walk` holds the one stopping rule: a walk ends at
+the first m with U(m + 1) at most the larger of the running maximum and a
+floor, where U is the decreasing envelope of :func:`tail_bound` (no later
+step can exceed that), at the first value above a level, or at the reader's
+bound k_max.  The k_strict search ends at the first value above STRICT_POS,
+bounded where the identity shape's U falls below it; the enumeration is
+bounded by K, the tail fallback by the step where U certifies the level.
 
 The scan never forms the states A^k v.  Of Q = W diag(lam) W^T it keeps the
 r eigenpairs with |lam_j| > d eps max|lam|; a dropped term moves x^T Q x by
@@ -448,7 +449,6 @@ class _StepScan:
 def _walk(
     scan: _StepScan, k_max: int, envelope: tuple[BoundScalars, float] | None = None,
     shift: float = 0.0, level: float = math.inf, floor: float = -math.inf,
-    positive: Callable[[int, float], int] | None = None,
 ) -> tuple[int, float, int, Callable[[], int]]:
     """Walk a scan from step 0: ``(m, value, arg_k, vertex)``.
 
@@ -459,35 +459,19 @@ def _walk(
     maximized with ``shift`` added: ``value`` is the largest over steps
     0..m, at its first step ``arg_k``, and ``vertex()`` gives the arg-max
     vertex index of that step alone, derived when called.
-
-    With ``positive``, the walk first searches for k_strict, the first step
-    whose constant-free value nu exceeds STRICT_POS, and tests U only from
-    the block that holds it on: no earlier step can meet U, since U(m + 1)
-    <= STRICT_POS rules out a positive value after m.  There
-    ``positive(k_strict, nu)`` gives the walk's new k_max, at least k_strict
-    (a cutoff K exceeds it, as U(K) < S <= nu); a walk that finds no such
-    step ends at the k_max it was given, without calling it.
     """
     # the best value, its step, and the block's vertex function with its offset
     best, peak, i = (-math.inf, 0, lambda j: 0, 0), floor, 0
     while (found := scan.block(i, k_max)) is not None:
         k0, block, vertex = found
         i += 1
-        if positive is not None:
-            hit = block > STRICT_POS
-            if hit.any():
-                j = int(hit.argmax())
-                k_max = positive(k0 + j, float(block[j]))
-                block, positive = block[: k_max + 1 - k0], None
         vals = block + shift if shift else block
         done = vals > level
-        if envelope is not None and positive is None:
+        if envelope is not None:
             running = np.maximum.accumulate(np.maximum(block, peak))
             steps = np.arange(k0 + 1, k0 + len(block) + 1)
             done |= tail_bound(steps, *envelope) <= running
             peak = running[-1]
-        elif envelope is not None:
-            peak = max(peak, block.max())
         ended = done.any()
         n = int(done.argmax()) + 1 if ended else len(block)
         j = int(vals[:n].argmax())
@@ -694,37 +678,26 @@ def _shapes(staged: _Staged) -> list[_Shape]:
     return out
 
 
-def _search(
-    staged: _Staged, kstrict_cap: int, cutoff: Callable[[int, float], int] | None = None,
-    shift: float = 0.0,
-) -> tuple[tuple[int, float], tuple[int, float, int, Callable[[], int]]]:
-    """k_strict and S of the staged task, and the walk (:func:`_walk`) that found
-    them: ``((k_strict, S), (m, value, arg_k, vertex))``.
+def _search(staged: _Staged, kstrict_cap: int) -> tuple[int, float]:
+    """``(k_strict, S)`` of the staged task, from one walk (:func:`_walk`) to the
+    first constant-free step value above STRICT_POS.
 
-    The search scans at most ``kstrict_cap`` steps, and ends where the
-    identity shape's U falls below STRICT_POS, as no later value can exceed
-    it.  The walk then goes on under that U to ``cutoff(k_strict, S)``, its
-    new k_max, with ``shift`` added to its values; without a cutoff it ends
-    at k_strict.  Raises :class:`AssumptionViolated` when no strictly
-    positive step value is found, or when S is not positive.
+    The walk scans at most ``kstrict_cap`` steps, and ends where the identity
+    shape's U falls below STRICT_POS, as no later value can exceed it.
+    Raises :class:`AssumptionViolated` when no strictly positive step value
+    is found, or when S is not positive.
     """
     scan, identity = staged.scan, staged.identity
     _warn_if_indefinite(scan.task)
     envelope = (identity.envelope, identity.certificate.norm_A_P)
     last = max(_envelope_horizon(*envelope, STRICT_POS, kstrict_cap + 1) - 1, 0)
-    found = []
-
-    def at(k_strict: int, nu_k: float) -> int:
-        found.append((k_strict, _threshold(scan, nu_k)))
-        return k_strict if cutoff is None else cutoff(*found[0])
-
-    walked = _walk(scan, last, envelope, shift, positive=at)
-    if not found:
+    _, nu_k, k_strict, _ = _walk(scan, last, level=STRICT_POS)
+    if not nu_k > STRICT_POS:
         after = f"; the envelope rules one out after step {last}" if last < kstrict_cap else ""
         raise AssumptionViolated(
             f"no strictly positive step value within cap {kstrict_cap}{after}"
         )
-    return found[0], walked
+    return k_strict, _threshold(scan, nu_k)
 
 
 def _cutoffs(
@@ -762,7 +735,12 @@ def evaluate_candidates(
     are those of the homogenized task.  Raises :class:`AssumptionViolated`
     when no strictly positive step value exists within the scan cap.
     """
-    staged = _stage(task)
+    return _candidates(_stage(task), user_P, epsilon, kstrict_cap)
+
+
+def _candidates(staged: _Staged, user_P, epsilon: float, kstrict_cap: int) -> list[HorizonBound]:
+    """:func:`evaluate_candidates` of a staged task, for a caller that reads the
+    homogenized task too (the bound command's scores)."""
     users = _user_shapes(staged, user_P, epsilon)
-    (k_strict, S), _ = _search(staged, kstrict_cap)
+    k_strict, S = _search(staged, kstrict_cap)
     return _cutoffs(staged.scan.task, [*_shapes(staged), *users], k_strict, S)

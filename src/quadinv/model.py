@@ -76,9 +76,6 @@ class AffineSystem:
     def is_linear(self) -> bool:
         return not self.b.any()
 
-    def step(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.b
-
 
 def _canonical_key(vertex: np.ndarray) -> tuple:
     fmt = f"%.{VERTEX_SIG_DIGITS - 1}e"

@@ -133,19 +133,14 @@ def optimize(task: VerificationTask, kstrict_cap: int = DEFAULT_KSTRICT_CAP) -> 
 
 
 def _optimum(task: VerificationTask, staged: _Staged, kstrict_cap: int) -> Optimum:
-    """The supremum over the homogenized task's steps, in one walk: the k_strict
-    search, S and the identity shape's cutoff K, then the enumeration under
-    that shape's envelope."""
-    scan, identity, bounds = staged.scan, staged.identity, []
-
-    def cutoff(k_strict: int, S: float) -> int:
-        bounds.extend(_cutoffs(scan.task, [identity], k_strict, S))
-        return bounds[0].K
-
-    _, (stop, value, arg_k, vertex) = _search(
-        staged, kstrict_cap, cutoff, scan.task.objective.constant
-    )
-    return Optimum(value, arg_k, task.init.vertices[vertex()], bounds[0], stop)
+    """The supremum over the homogenized task's steps, from two walks of one scan:
+    the k_strict search, which gives S and the identity shape's cutoff K, then
+    the enumeration from step 0 under that shape's envelope, bounded by K."""
+    scan, identity = staged.scan, staged.identity
+    [bound] = _cutoffs(scan.task, [identity], *_search(staged, kstrict_cap))
+    envelope = (identity.envelope, identity.certificate.norm_A_P)
+    stop, value, arg_k, vertex = _walk(scan, bound.K, envelope, scan.task.objective.constant)
+    return Optimum(value, arg_k, task.init.vertices[vertex()], bound, stop)
 
 
 def verify(
@@ -167,11 +162,13 @@ def verify(
     sets the scan's length.  The bound command
     (:func:`horizon.evaluate_candidates`) compares the other shapes.
 
-    The homogenized task's step values are walked once: the k_strict search
-    (bounded where the identity shape's envelope U falls below
-    ``STRICT_POS``), S, and then the enumeration (stopped where the identity
-    shape's U meets the running maximum, or at its cutoff K) or the tail
-    fallback each continue the same scan.
+    The homogenized task's step values are walked twice, from step 0, on one
+    scan that computes each step once: the k_strict search (to the first
+    value above ``STRICT_POS``, bounded where the identity shape's envelope
+    U falls below it), which gives S, and then either the enumeration
+    (stopped where the identity shape's U meets the running maximum, or at
+    its cutoff K) or the tail fallback, each replaying the steps the search
+    computed.
     """
     alpha = task.objective.alpha if alpha is None else float(alpha)
     if alpha is None or not math.isfinite(alpha):
@@ -226,10 +223,13 @@ def _tail_verdict(task: VerificationTask, staged: _Staged, alpha: float, cap: in
     target = alpha - const
     horizon = _envelope_horizon(scalars, norm, target, cap)
     envelope = tail_bound(horizon, scalars, norm)
-    # capped: the envelope never strictly certified the tail within the cap, so
-    # the verdict is Disproved or Inconclusive, and no sample past the step
-    # where U falls to the level plus the slack can violate it
-    capped = not envelope < target
+    # capped: the envelope never certified the tail within the cap, so the
+    # verdict is Disproved or Inconclusive, and no sample past the step where
+    # U falls to the level plus the slack can violate it.  U certifies below
+    # the target, and at a target of 0 where every homogenized vertex is 0 (an
+    # initial set at the fixed point), as every constant-free value is then 0
+    at_rest = target >= 0.0 and not scan.task.init.vertices.any()
+    capped = not (envelope < target or at_rest)
     level = alpha + ALPHA_SLACK
     stop, peak, first, vertex = _walk(
         scan, horizon, (scalars, norm), const, level,

@@ -260,30 +260,6 @@ def weighted_opnorm(a_matrix, p_matrix) -> float:
     return math.sqrt(max(generalized_lmax(0.5 * (image + image.T), p), 0.0))
 
 
-def two_walk_optimum(task: VerificationTask, kstrict_cap: int = horizon.DEFAULT_KSTRICT_CAP):
-    """``(k_strict, S, K, stop, value, arg_k, vertex)`` of the supremum, from two
-    walks of one scan: the k_strict search to the first value above the level
-    STRICT_POS, then the enumeration from step 0 under the identity shape's
-    envelope, bounded by its cutoff K; a reference for the one walk of
-    :func:`quadinv.optimize`.  ``vertex`` is the maximizer in original
-    coordinates, as a list.
-    """
-    staged = horizon._stage(task)
-    scan, identity = staged.scan, staged.identity
-    horizon._warn_if_indefinite(scan.task)
-    envelope = (identity.envelope, identity.certificate.norm_A_P)
-    last = max(horizon._envelope_horizon(*envelope, STRICT_POS, kstrict_cap + 1) - 1, 0)
-    _, nu_k, k_strict, _ = horizon._walk(scan, last, level=STRICT_POS)
-    if not nu_k > STRICT_POS:
-        raise AssumptionViolated(f"no strictly positive step value within cap {kstrict_cap}")
-    S = horizon._threshold(scan, nu_k)
-    [bound] = horizon._cutoffs(scan.task, [identity], k_strict, S)
-    stop, value, arg_k, vertex = horizon._walk(
-        scan, bound.K, envelope, scan.task.objective.constant
-    )
-    return k_strict, S, bound.K, stop, value, arg_k, task.init.vertices[vertex()].tolist()
-
-
 def scan_blocks(scan: horizon._StepScan, k_max: int):
     """The blocks of an engine scan covering k = 0..k_max, the recorded ones first."""
     if k_max < 0:

@@ -446,6 +446,31 @@ class TestBoundStaging:
         assert (identity["K"], identity["strategy"]) == (bound["K"], bound["strategy"])
 
 
+    @staticmethod
+    def _count_fixed_points(monkeypatch):
+        calls, original = [], quadinv.model.fixed_point
+        monkeypatch.setattr(quadinv.model, "fixed_point", lambda s: calls.append(s) or original(s))
+        return calls
+
+    def test_affine_task_solves_for_its_fixed_point_once(self, tmp_path, monkeypatch):
+        path = write_json(tmp_path / "rotation.json", rotation_doc(np.eye(2)))
+        calls = self._count_fixed_points(monkeypatch)
+        assert main(["bound", path, "--report", "json"]) == 0
+        assert len(calls) == 1
+
+    def test_unstable_before_singular_shift(self, tmp_path, capsys, monkeypatch):
+        # A has the eigenvalue 1, so Id - A is singular too; the certificate
+        # of A comes first, and no fixed point is solved for
+        doc = {"A": [[1.0, 0.0], [0.0, 0.5]], "b": [1.0, 0.0],
+               "initial_set": {"box": {"lower": [-1, -1], "upper": [1, 1]}},
+               "property": {"Q": [[1.0, 0.0], [0.0, 1.0]]}}
+        path = write_json(tmp_path / "unstable.json", doc)
+        calls = self._count_fixed_points(monkeypatch)
+        assert main(["bound", path, "--report", "json"]) == 4
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "Unstable"
+        assert len(calls) <= 1
+
+
 class TestBoundCommand:
     def test_candidate_table(self, tmp_path, capsys):
         path = write_json(tmp_path / "b.json", harmonic_doc(np.diag([1.0, 0.0])))
