@@ -18,7 +18,6 @@ from .errors import (
     MatrixError,
     ModelError,
     NotSymmetric,
-    NumeratorOutOfRange,
     ParseError,
     QuadinvError,
     SingularShift,

@@ -227,8 +227,8 @@ def _verdict_dict(verdict: Verdict) -> dict:
 
 
 def _candidate_dict(bound: HorizonBound, hom: VerificationTask) -> dict:
-    cert, entry = bound.certificate, _bound_dict(bound)
-    scores = objective_scores(cert.P, hom.objective.Q, hom.init, cert.lmax_P)
+    entry = _bound_dict(bound)
+    scores = objective_scores(bound.certificate.P, hom.objective.Q, hom.init)
     entry["scores"] = {f"F{i}": score for i, score in enumerate(scores)}
     return entry
 
@@ -244,10 +244,11 @@ def _run_bound(task: VerificationTask, args) -> tuple[int, dict]:
     user_P, staged = load_user_matrix(args.user_p), _stage(task)
     bounds = _candidates(staged, user_P, args.epsilon, args.kstrict_cap)
     hom = staged.scan.task  # the scores are taken at the homogenized vertices
+    candidates = [_candidate_dict(bound, hom) for bound in bounds]
     return 0, {
         "command": "bound",
-        "best": _candidate_dict(min(bounds, key=lambda bound: bound.K), hom),
-        "candidates": [_candidate_dict(bound, hom) for bound in bounds],
+        "best": min(candidates, key=lambda entry: entry["K"]),
+        "candidates": candidates,
     }
 
 

@@ -12,6 +12,5 @@ PSD_SLACK_REL = 1e-8        # feasibility slack for t*P - Q vs |Q|_F
 PSD_EIG_FLOOR = 1e-10       # lambda_min(Q) >= -floor counts as PSD
 NORM_MARGIN = 1e-12         # require |A|_P <= 1 - margin
 STRICT_POS = 1e-12          # step values above this count as positive
-LOG_ARG_SLACK = 1e-12       # allowed overshoot of the log argument past 1
 ALPHA_SLACK = 1e-9          # decision slack against the level alpha
 VERTEX_SIG_DIGITS = 12      # rounding used to drop duplicate vertices

@@ -63,15 +63,8 @@ class AssumptionViolated(QuadinvError):
 
 
 class InfeasiblePair(QuadinvError):
-    """A scaling/shape pair (t, P) violates t*P - Q >= 0 or P's certificate."""
-
-
-class NumeratorOutOfRange(QuadinvError):
-    """The horizon formula's log argument landed outside (0, 1].
-
-    This signals a violated precondition (bad S or infeasible pair), not
-    floating-point rounding.
-    """
+    """A scaling/shape pair (t, P) violates t*P - Q >= 0 or P's certificate, or
+    the scalars of its envelope are not finite."""
 
 
 class InvalidUserP(QuadinvError):

@@ -3,13 +3,17 @@
 This module certifies stability through a discrete Lyapunov solve, locates
 the first strictly positive step value of the homogenized task (b = 0), and
 turns a feasible scaling/shape pair (t, P) into an integer cutoff K beyond
-which the running maximum can no longer be improved:
+which the running maximum can no longer be improved: the first step past
+k_strict at which the pair's decreasing envelope
 
-    K(t, P) = floor( ln g / ln |A|_P ) + 1,
-    g = (sqrt(S + V^2) - V) / (sqrt(t) * mu(P)),
+    U(k) = (sqrt(t) mu(P) |A|_P^k + V)^2 - V^2,
 
-with V = |q|_2 / (2 sqrt(t lmin(P))), mu(P) the largest P-norm over initial
-vertices, and S the positive threshold min(sup x^T Q x, nu_{k_strict}).
+with V = |q|_2 / (2 sqrt(t lmin(P))) and mu(P) the largest P-norm over
+initial vertices, falls below the positive threshold S = min(sup x^T Q x,
+nu_{k_strict}).  U bounds every later constant-free step value, and S <=
+nu_{k_strict}, so no step past K can raise the running maximum.  The paper's
+closed form floor(ln g / ln |A|_P) + 1, g = (sqrt(S + V^2) - V) / (sqrt(t)
+mu(P)), is where the search for that step starts (:func:`_envelope_horizon`).
 
 Every cutoff (verify, optimize, the bound command, evaluate_candidates) is
 staged by :func:`_stage`: certify A, homogenize, open the scan.  A was
@@ -22,9 +26,10 @@ The public :func:`stability_certificate` checks A first.  verify and
 optimize cut off with the identity shape P0 alone: any certified pair gives
 the same supremum.  :func:`evaluate_candidates` is the one place where
 shapes are compared: every built-in shape, plus a user P, checked before any
-step is scanned.  Each shape carries the t, V and mu of its envelope U at
-its smallest t, taken once on the homogenized task (:func:`_shape`); a
-cutoff adds S and k_strict, always computed here, never supplied.
+step is scanned.  Each shape carries its envelope U: the t, V and mu at
+its smallest t, taken once on the homogenized task, and |A|_P
+(:func:`_shape`); a cutoff adds S and k_strict, always computed here, never
+supplied.
 
 Step values nu_k here are always the *constant-free* part of the objective,
 max over vertices of (A^k v)^T Q (A^k v) + q^T (A^k v), the sequence that
@@ -112,7 +117,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import (
-    LOG_ARG_SLACK,
     NORM_MARGIN,
     PD_REL,
     PSD_EIG_FLOOR,
@@ -124,7 +128,6 @@ from .errors import (
     InfeasiblePair,
     InvalidUserP,
     NotSymmetric,
-    NumeratorOutOfRange,
     SingularSystem,
     Unstable,
 )
@@ -179,7 +182,7 @@ class StabilityCertificate:
 
 @dataclass(frozen=True)
 class BoundScalars:
-    """The scalar ingredients of one evaluated cutoff K(t, P)."""
+    """The scalars behind one reported cutoff K(t, P)."""
 
     t: float
     S: float
@@ -447,13 +450,13 @@ class _StepScan:
 
 
 def _walk(
-    scan: _StepScan, k_max: int, envelope: tuple[BoundScalars, float] | None = None,
+    scan: _StepScan, k_max: int, envelope: _Envelope | None = None,
     shift: float = 0.0, level: float = math.inf, floor: float = -math.inf,
 ) -> tuple[int, float, int, Callable[[], int]]:
     """Walk a scan from step 0: ``(m, value, arg_k, vertex)``.
 
     The walk ends at the first m with U(m + 1) <= max(nu_0..nu_m, floor),
-    where U is the envelope of ``envelope = (scalars, |A|_P)`` tested on the
+    where U is the shape's ``envelope`` (:func:`tail_bound`) tested on the
     constant-free values, as no later step exceeds that; at the first value
     above ``level``; or at k_max.  Values are compared with the level and
     maximized with ``shift`` added: ``value`` is the largest over steps
@@ -470,7 +473,7 @@ def _walk(
         if envelope is not None:
             running = np.maximum.accumulate(np.maximum(block, peak))
             steps = np.arange(k0 + 1, k0 + len(block) + 1)
-            done |= tail_bound(steps, *envelope) <= running
+            done |= tail_bound(steps, envelope) <= running
             peak = running[-1]
         ended = done.any()
         n = int(done.argmax()) + 1 if ended else len(block)
@@ -502,99 +505,82 @@ def mu(p_matrix, init: InitialSet) -> float:
     return math.sqrt(max(float(quad_forms(init.vertices, p).max()), 0.0))
 
 
-def _v_term(task: VerificationTask, t: float, lmin_P: float) -> float:
-    """V = |q|_2 / (2 sqrt(t lmin(P))) of the cutoff formula."""
-    return float(np.linalg.norm(task.objective.q)) / (2.0 * math.sqrt(t * lmin_P))
+class _Envelope(NamedTuple):
+    """The scalars of one shape's envelope U (:func:`tail_bound`)."""
+
+    t: float
+    V: float
+    mu: float
+    norm: float  # |A|_P
 
 
-def _log_arg(S: float, t: float, v_term: float, mu_val: float) -> float:
-    """g = (sqrt(S + V^2) - V) / (sqrt(t) mu(P)), the argument of ln in K."""
-    # sqrt(S + V^2) - V evaluated as S / (sqrt(S + V^2) + V) to avoid
-    # cancellation when V dominates S
-    return S / ((math.sqrt(S + v_term * v_term) + v_term) * math.sqrt(t) * mu_val)
-
-
-def _k_formula(cert: StabilityCertificate, task: VerificationTask, scalars: BoundScalars) -> int:
-    """Evaluate the cutoff formula for a certified P and its scalars (t > 0)."""
-    q_mat = task.objective.Q
-    feas = float(np.linalg.eigvalsh(scalars.t * cert.P - q_mat)[0])
-    if feas < -PSD_SLACK_REL * frobenius(q_mat):
-        raise InfeasiblePair(
-            f"t*P - Q has negative eigenvalue {feas:.3e}; pair is infeasible"
-        )
-    if scalars.mu <= 0.0:
-        raise AssumptionViolated("initial set is reduced to the origin")
-    g = _log_arg(scalars.S, scalars.t, scalars.V, scalars.mu)
-    if not 0.0 < g <= 1.0 + LOG_ARG_SLACK:
-        raise NumeratorOutOfRange(
-            f"log argument {g:.15g} outside (0, 1]: S or (t, P) violates a precondition"
-        )
-    ratio = math.log(min(g, 1.0)) / math.log(cert.norm_A_P)
-    return int(math.floor(ratio + LOG_ARG_SLACK)) + 1
-
-
-def tail_bound(k: int | np.ndarray, scalars: BoundScalars, norm_A_P: float):
+def tail_bound(k: int | np.ndarray, envelope: _Envelope):
     """Decreasing upper envelope U(k) = (sqrt(t) mu |A|_P^k + V)^2 - V^2.
 
-    Bounds every constant-free step value from above for the pair that
-    produced ``scalars``; tends to zero geometrically, and ``k`` may be an
+    Bounds every constant-free step value from above for the shape whose
+    ``envelope`` it is; tends to zero geometrically, and ``k`` may be an
     array of steps.  Evaluated as a^2 + 2 a V, free of cancellation.
     """
-    a = math.sqrt(scalars.t) * scalars.mu * norm_A_P**k
-    return a * a + 2.0 * a * scalars.V
+    a = math.sqrt(envelope.t) * envelope.mu * envelope.norm**k
+    return a * a + 2.0 * a * envelope.V
 
 
-def _envelope_horizon(scalars: BoundScalars, norm_A_P: float, level: float, cap: int) -> int:
-    """First k <= cap with U(k) < level, from the closed form ln g / ln |A|_P.
+def _envelope_horizon(envelope: _Envelope, level: float, cap: float = math.inf) -> int:
+    """First k <= cap with U(k) < level; the one inversion of U.
 
     Gives cap when U does not fall below the level by then, and 0 when mu = 0.
-    The closed form, which rounds either way on a tie U(k) = level, only
-    starts a search on both sides; at 0 where g >= 1 or g underflows to 0.
+    The search starts at the closed form ceil(ln g / ln |A|_P), g =
+    (sqrt(level + V^2) - V) / (sqrt(t) mu), and steps to the first k below
+    the level from either side: the closed form rounds either way on a tie
+    U(k) = level.  ln g is a difference of logarithms, finite for finite
+    positive scalars even where g would underflow, so the start is within a
+    step or so of the answer wherever U's terms stay in range, and the
+    cutoff's search needs no cap.
     """
-    if scalars.mu == 0.0:
+    if envelope.mu == 0.0:
         return 0
     if level <= 0.0:
         return cap
-    g = _log_arg(level, scalars.t, scalars.V, scalars.mu)
-    k = min(math.ceil(math.log(g) / math.log(norm_A_P)), cap) if 0.0 < g < 1.0 else 0
-    while k > 0 and tail_bound(k - 1, scalars, norm_A_P) < level:
+    root = math.hypot(math.sqrt(level), envelope.V)  # sqrt(level + V^2), without overflow
+    log_g = (math.log(level) - math.log(root) - math.log1p(envelope.V / root)
+             - 0.5 * math.log(envelope.t) - math.log(envelope.mu))
+    k = math.ceil(min(log_g / math.log(envelope.norm), cap)) if log_g < 0.0 else 0
+    while k > 0 and tail_bound(k - 1, envelope) < level:
         k -= 1
-    while not tail_bound(k, scalars, norm_A_P) < level and k < cap:
+    while not tail_bound(k, envelope) < level and k < cap:
         k += 1
     return k
 
 
 def objective_scores(
-    p_matrix, q_matrix, init: InitialSet, lmax_P: float | None = None
+    p_matrix, q_matrix, init: InitialSet
 ) -> tuple[float, float, float, float, float]:
     """Ranking functionals (F0..F4) used to compare candidate shape matrices.
 
     F0/F2 are the max/sum of vertex P-energies, F1/F3 the same on P - Q, and
-    F4 lmax(P), read from ``lmax_P`` when given.  Scores only rank and
-    report candidates; they never affect soundness.  P and Q must be
-    symmetric (:class:`NotSymmetric`) either way.
+    F4 lmax(P).  Scores only rank and report candidates; they never affect
+    soundness.  P and Q must be symmetric (:class:`NotSymmetric`).
     """
     p = _check_symmetric(as_matrix(p_matrix, "P"), "P")
     q = _check_symmetric(as_matrix(q_matrix, "Q"), "Q")
     verts = init.vertices
     energies_p = quad_forms(verts, p)
     energies_pq = quad_forms(verts, p - q)
-    f4 = np.linalg.eigh(p)[0][-1] if lmax_P is None else lmax_P
     return (
         float(energies_p.max()),
         float(energies_pq.max()),
         float(energies_p.sum()),
         float(energies_pq.sum()),
-        float(f4),
+        float(np.linalg.eigh(p)[0][-1]),
     )
 
 
 class _Shape(NamedTuple):
-    """One certified shape: its id, its certificate and the scalars of its envelope U."""
+    """One certified shape: its id, its certificate and its envelope U."""
 
     id: str
     certificate: StabilityCertificate
-    envelope: BoundScalars  # t, V and mu at the smallest t; S and k_strict are 0
+    envelope: _Envelope  # at the smallest t
 
 
 class _Staged(NamedTuple):
@@ -605,7 +591,7 @@ class _Staged(NamedTuple):
 
 
 def _shape(sid: str, cert: StabilityCertificate, hom: VerificationTask) -> _Shape:
-    """A certified shape with the scalars of its envelope U at its smallest t.
+    """A certified shape with its envelope U at its smallest t.
 
     Any t >= lmax(P^-1/2 Q P^-1/2) is feasible, and U and K improve as t
     shrinks; where that bound is not positive, t = STRICT_POS keeps V = |q| /
@@ -614,8 +600,8 @@ def _shape(sid: str, cert: StabilityCertificate, hom: VerificationTask) -> _Shap
     """
     t = congruence_lmax(hom.objective.Q, cert.P_inv_sqrt)
     t = t if t > 0.0 else STRICT_POS
-    V, mu_val = _v_term(hom, t, cert.lmin_P), mu(cert.P, hom.init)
-    return _Shape(sid, cert, BoundScalars(t=t, S=0.0, V=V, mu=mu_val, k_strict=0))
+    V = float(np.linalg.norm(hom.objective.q)) / (2.0 * math.sqrt(t * cert.lmin_P))
+    return _Shape(sid, cert, _Envelope(t, V, mu(cert.P, hom.init), cert.norm_A_P))
 
 
 def _stage(task: VerificationTask) -> _Staged:
@@ -689,8 +675,7 @@ def _search(staged: _Staged, kstrict_cap: int) -> tuple[int, float]:
     """
     scan, identity = staged.scan, staged.identity
     _warn_if_indefinite(scan.task)
-    envelope = (identity.envelope, identity.certificate.norm_A_P)
-    last = max(_envelope_horizon(*envelope, STRICT_POS, kstrict_cap + 1) - 1, 0)
+    last = max(_envelope_horizon(identity.envelope, STRICT_POS, kstrict_cap + 1) - 1, 0)
     _, nu_k, k_strict, _ = _walk(scan, last, level=STRICT_POS)
     if not nu_k > STRICT_POS:
         after = f"; the envelope rules one out after step {last}" if last < kstrict_cap else ""
@@ -705,19 +690,31 @@ def _cutoffs(
 ) -> list[HorizonBound]:
     """The cutoff of each shape at its smallest t, in order.
 
-    Infeasible pairs are left out; :class:`InfeasiblePair` when none is left.
+    A shape's cutoff K is the first step past k_strict at which its U falls
+    below S (:func:`_envelope_horizon`).  A shape is left out when S or one
+    of its envelope's scalars is not finite, or when t P - Q has an
+    eigenvalue below -PSD_SLACK_REL |Q|_F; :class:`InfeasiblePair`, naming
+    each left-out shape and why, when none is left.
     """
-    bounds = []
+    bounds, left_out = [], []
+    q_mat = task.objective.Q
     for shape in shapes:
-        t, V, mu_val = shape.envelope.t, shape.envelope.V, shape.envelope.mu
-        scalars = BoundScalars(t=t, S=S, V=V, mu=mu_val, k_strict=int(k_strict))
-        try:
-            k_val = _k_formula(shape.certificate, task, scalars)
-        except (InfeasiblePair, NumeratorOutOfRange):
+        env = shape.envelope
+        if not all(map(math.isfinite, (S, env.t, env.V, env.mu))):
+            left_out.append(f"{shape.id}: a scalar is not finite "
+                            f"(S {S:.3g}, t {env.t:.3g}, V {env.V:.3g}, mu {env.mu:.3g})")
             continue
-        bounds.append(HorizonBound(k_val, scalars, shape.certificate, shape.id))
+        feas = float(np.linalg.eigvalsh(env.t * shape.certificate.P - q_mat)[0])
+        if feas < -PSD_SLACK_REL * frobenius(q_mat):
+            left_out.append(f"{shape.id}: t*P - Q has negative eigenvalue {feas:.3e}")
+            continue
+        K = max(_envelope_horizon(env, S), k_strict + 1)
+        scalars = BoundScalars(t=env.t, S=S, V=env.V, mu=env.mu, k_strict=int(k_strict))
+        bounds.append(HorizonBound(K, scalars, shape.certificate, shape.id))
     if not bounds:
-        raise InfeasiblePair("no candidate pair produced a feasible cutoff")
+        raise InfeasiblePair(
+            "no candidate pair produced a feasible cutoff: " + "; ".join(left_out)
+        )
     return bounds
 
 

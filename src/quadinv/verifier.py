@@ -138,8 +138,9 @@ def _optimum(task: VerificationTask, staged: _Staged, kstrict_cap: int) -> Optim
     the enumeration from step 0 under that shape's envelope, bounded by K."""
     scan, identity = staged.scan, staged.identity
     [bound] = _cutoffs(scan.task, [identity], *_search(staged, kstrict_cap))
-    envelope = (identity.envelope, identity.certificate.norm_A_P)
-    stop, value, arg_k, vertex = _walk(scan, bound.K, envelope, scan.task.objective.constant)
+    stop, value, arg_k, vertex = _walk(
+        scan, bound.K, identity.envelope, scan.task.objective.constant
+    )
     return Optimum(value, arg_k, task.init.vertices[vertex()], bound, stop)
 
 
@@ -217,25 +218,23 @@ def _tail_verdict(task: VerificationTask, staged: _Staged, alpha: float, cap: in
     plus the slack (the witness), at that horizon, or where U rules out a
     change to the verdict.
     """
-    scan, scalars = staged.scan, staged.identity.envelope
-    norm = staged.identity.certificate.norm_A_P
+    scan, envelope = staged.scan, staged.identity.envelope
     const = scan.task.objective.constant
     target = alpha - const
-    horizon = _envelope_horizon(scalars, norm, target, cap)
-    envelope = tail_bound(horizon, scalars, norm)
+    horizon = _envelope_horizon(envelope, target, cap)
+    bound = tail_bound(horizon, envelope)
     # capped: the envelope never certified the tail within the cap, so the
     # verdict is Disproved or Inconclusive, and no sample past the step where
     # U falls to the level plus the slack can violate it.  U certifies below
     # the target, and at a target of 0 where every homogenized vertex is 0 (an
     # initial set at the fixed point), as every constant-free value is then 0
     at_rest = target >= 0.0 and not scan.task.init.vertices.any()
-    capped = not (envelope < target or at_rest)
+    capped = not (bound < target or at_rest)
     level = alpha + ALPHA_SLACK
     stop, peak, first, vertex = _walk(
-        scan, horizon, (scalars, norm), const, level,
-        level - const if capped else -math.inf,
+        scan, horizon, envelope, const, level, level - const if capped else -math.inf,
     )
-    tail = TailInfo(horizon=horizon, bound=envelope, stop=stop)
+    tail = TailInfo(horizon=horizon, bound=bound, stop=stop)
     if peak > level:
         return Verdict(
             status=VerdictStatus.DISPROVED,

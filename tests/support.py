@@ -1,11 +1,12 @@
 """Shared builders for paper systems and random task generation, independent
-references for the engine's step values and linear algebra, and the step-level
-pipeline (nu_sequence, find_k_strict, s_value, K_of) built on the engine's own
-scan and cutoff formula."""
+references for the engine's step values, linear algebra and cutoff (K_of, the
+paper's closed form), and the step-level pipeline (nu_sequence, find_k_strict,
+s_value) built on the engine's own scan."""
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -19,8 +20,8 @@ from quadinv import (
     box_to_vertices,
 )
 from quadinv import horizon
-from quadinv.config import PD_REL, STRICT_POS, SYMMETRY_REL
-from quadinv.errors import InfeasiblePair, MatrixError
+from quadinv.config import PD_REL, PSD_SLACK_REL, STRICT_POS, SYMMETRY_REL
+from quadinv.errors import InfeasiblePair, MatrixError, QuadinvError
 from quadinv.matcore import (
     SymEig,
     _check_symmetric,
@@ -308,19 +309,47 @@ def s_value(task: VerificationTask, k_strict: int) -> float:
     return horizon._threshold(scan, float(values[-1]))
 
 
-def K_of(t: float, p_matrix, task: VerificationTask, S: float) -> int:
-    """The engine's certified cutoff K(t, P) of a homogenized task.
+class NumeratorOutOfRange(QuadinvError):
+    """The closed form's log argument landed outside (0, 1]: a violated
+    precondition (a bad S or an infeasible pair), not floating-point rounding."""
 
-    A P that fails the certificate, or a t that is not finite and positive,
-    raises :class:`InfeasiblePair`, such an S :class:`AssumptionViolated`.
+
+LOG_ARG_SLACK = 1e-12  # allowed overshoot of the log argument past 1, and of the ratio
+
+
+def K_of(t: float, p_matrix, task: VerificationTask, S: float) -> int:
+    """The paper's cutoff K(t, P) = floor(ln g / ln |A|_P) + 1 of a homogenized
+    task, g = (sqrt(S + V^2) - V) / (sqrt(t) mu), V = |q|_2 / (2 sqrt(t
+    lmin(P))), mu = max |v|_P over the vertices, in plain numpy; a reference
+    for the engine's cutoffs.
+
+    A t that is not finite and positive, a P that is not a strict Lyapunov
+    shape for A, or t P - Q below -PSD_SLACK_REL |Q|_F raises
+    :class:`InfeasiblePair`; such an S :class:`AssumptionViolated`, and a g
+    outside (0, 1] by more than LOG_ARG_SLACK :class:`NumeratorOutOfRange`.
     """
     _require_linear(task)
     p = _check_symmetric(as_matrix(p_matrix, "P"), "P")
-    cert, t, S = horizon._certificate_for(task.system.A, p), float(t), float(S)
+    t, S = float(t), float(S)
     if not (math.isfinite(t) and t > 0.0):
         raise InfeasiblePair(f"scaling t = {t} must be finite and positive")
     if not (math.isfinite(S) and S > 0.0):
         raise AssumptionViolated(f"threshold S = {S} must be finite and positive")
-    V = horizon._v_term(task, t, cert.lmin_P)
-    scalars = horizon.BoundScalars(t, S, V, horizon.mu(cert.P, task.init), 0)
-    return horizon._k_formula(cert, task, scalars)
+    eig = sym_eig(p)
+    if eig.lmin <= PD_REL * max(1.0, eig.values[-1]):
+        raise InfeasiblePair(f"P is not positive definite (lmin {eig.lmin:.3e})")
+    norm = weighted_opnorm(task.system.A, p)
+    if not norm < 1.0:
+        raise InfeasiblePair(f"|A|_P = {norm:.12f} is not below one")
+    q_mat, q = task.objective.Q, task.objective.q
+    feas = float(np.linalg.eigvalsh(t * p - q_mat)[0])
+    if feas < -PSD_SLACK_REL * float(np.linalg.norm(q_mat)):
+        raise InfeasiblePair(f"t*P - Q has negative eigenvalue {feas:.3e}")
+    V = float(np.linalg.norm(q)) / (2.0 * math.sqrt(t * eig.lmin))
+    mu = math.sqrt(max(float(quad_form_rows(task.init.vertices, p).max()), 0.0))
+    # sqrt(S + V^2) - V as S / (sqrt(S + V^2) + V), free of cancellation
+    g = S / ((math.sqrt(S + V * V) + V) * math.sqrt(t) * mu)
+    if not 0.0 < g <= 1.0 + LOG_ARG_SLACK:
+        raise NumeratorOutOfRange(f"log argument {g:.15g} outside (0, 1]")
+    ratio = math.log(min(g, 1.0)) / math.log(max(norm, sys.float_info.min))
+    return int(math.floor(ratio + LOG_ARG_SLACK)) + 1

@@ -494,9 +494,17 @@ class TestBoundCommand:
             scores = objective_scores(shapes[cand["strategy"]], hom.objective.Q, hom.init)
             assert [cand["scores"][f"F{i}"] for i in range(5)] == list(scores)
 
-    def test_scores_reuse_certificate_eigenvalues(self, tmp_path, monkeypatch):
-        # F4 = lmax(P) comes from each shape's certificate, not from a sixth
-        # decomposition per shape: 25 eigh/eigvalsh calls instead of 30,
+    def test_lmax_score_is_the_certificate_eigenvalue(self, tmp_path, capsys):
+        # F4 = lmax(P) decomposes each exactly symmetric P by the same eigh as
+        # its certificate, so the report keeps the certificate's bits
+        path = write_json(tmp_path / "b.json", harmonic_doc(np.diag([1.0, 0.0])))
+        assert main(["bound", path, "--report", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        lmax = [b.certificate.lmax_P for b in evaluate_candidates(homogenize(parse_input(path)))]
+        assert [cand["scores"]["F4"] for cand in report["candidates"]] == lmax
+
+    def test_decompositions_per_shape(self, tmp_path, monkeypatch):
+        # six eigh/eigvalsh calls per shape, the scores' lmax(P) among them,
         # besides the objective's one eigh(Q)
         q, calls = np.diag([1.0, 0.0]), []
         for name in ("eigh", "eigvalsh"):
@@ -510,7 +518,7 @@ class TestBoundCommand:
             monkeypatch.setattr(np.linalg, name, counting)
         path = write_json(tmp_path / "b.json", harmonic_doc(q))
         assert main(["bound", path]) == 0
-        assert len(calls) == 25
+        assert len(calls) == 30
 
     @pytest.mark.parametrize("command", ["verify", "bound"])
     def test_unstable_reported_before_singular_shift(self, tmp_path, capsys, command):
@@ -599,6 +607,20 @@ class TestBoundCommand:
         }
         path = write_json(tmp_path / "c.json", doc)
         assert main(["bound", path, "--kstrict-cap", "100"]) == 5
+
+    @pytest.mark.parametrize("command", ["verify", "bound"])
+    def test_empty_cutoff_list_names_each_reason(self, tmp_path, capsys, command):
+        # the vertex's squares overflow: S and mu are infinite for every shape
+        doc = {
+            "A": [[0.5, 0.1], [0.0, 0.3]],
+            "initial_set": {"vertices": [[1e155, 0.0]]},
+            "property": {"Q": [[1.0, 0.0], [0.0, 1.0]], "alpha": 1.0},
+        }
+        path = write_json(tmp_path / "big.json", doc)
+        assert main([command, path, "--report", "json"]) == 5
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "InfeasiblePair"
+        assert "identity: a scalar is not finite (S inf" in error["message"]
 
     def test_no_positive_step_names_the_cap(self, tmp_path, capsys):
         # with Q = 0 the identity shape's envelope rules out a positive step

@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 import warnings
 import weakref
 
@@ -15,12 +16,10 @@ from quadinv.errors import (
     InfeasiblePair,
     InvalidUserP,
     NotSymmetric,
-    NumeratorOutOfRange,
     Unstable,
 )
 from quadinv.horizon import (
     DEFAULT_KSTRICT_CAP,
-    BoundScalars,
     evaluate_candidates,
     mu,
     objective_scores,
@@ -40,6 +39,7 @@ from quadinv.model import (
 from quadinv.verifier import VerdictStatus, brute_force_oracle, optimize, verify
 from support import (
     K_of,
+    NumeratorOutOfRange,
     counterexample_task,
     find_k_strict,
     generalized_lmax,
@@ -570,9 +570,7 @@ class TestEnvelopeStops:
         # the k_strict search capped where the identity shape's U falls below STRICT_POS
         cert = stability_certificate(task.system.A)
         envelope = horizon._shape("identity", cert, task).envelope
-        last = horizon._envelope_horizon(
-            envelope, cert.norm_A_P, STRICT_POS, DEFAULT_KSTRICT_CAP + 1
-        )
+        last = horizon._envelope_horizon(envelope, STRICT_POS, DEFAULT_KSTRICT_CAP + 1)
         cap = max(last - 1, 0)
         free, _ = nu_sequence(task, DEFAULT_KSTRICT_CAP, include_constant=False)
         assert np.all(free[cap + 1 :] <= STRICT_POS)
@@ -589,7 +587,8 @@ class TestEnvelopeStops:
         # the enumeration stopped where the winning pair's U meets the running maximum
         values, argmax = nu_sequence(task, bound.K)
         first = int(values.argmax())
-        envelope = (bound.scalars, bound.certificate.norm_A_P)
+        s = bound.scalars
+        envelope = horizon._Envelope(s.t, s.V, s.mu, bound.certificate.norm_A_P)
         stop, value, arg_k, index = horizon._walk(
             horizon._StepScan(task, [task.system.A.T]), bound.K, envelope, task.objective.constant
         )
@@ -716,18 +715,16 @@ class TestKOf:
 
 class TestTailBound:
     def test_zero_linear_part_closed_form(self):
-        scalars = BoundScalars(t=2.0, S=1.0, V=0.0, mu=3.0, k_strict=0)
+        envelope = horizon._Envelope(t=2.0, V=0.0, mu=3.0, norm=0.5)
         for k in range(5):
-            assert tail_bound(k, scalars, 0.5) == pytest.approx(
+            assert tail_bound(k, envelope) == pytest.approx(
                 2.0 * 9.0 * 0.5 ** (2 * k)
             )
 
     def test_scalar_demo_tight_at_zero(self):
         task = scalar_demo_task()
-        scalars = BoundScalars(
-            t=0.75, S=0.25, V=0.0, mu=mu([[4.0 / 3.0]], task.init), k_strict=0
-        )
-        assert tail_bound(0, scalars, 0.5) == pytest.approx(0.25, abs=1e-12)
+        envelope = horizon._Envelope(t=0.75, V=0.0, mu=mu([[4.0 / 3.0]], task.init), norm=0.5)
+        assert tail_bound(0, envelope) == pytest.approx(0.25, abs=1e-12)
 
     def test_dominates_step_values(self):
         rng = np.random.default_rng(41)
@@ -748,13 +745,9 @@ class TestTailBound:
             v_term = float(np.linalg.norm(task.objective.q)) / (
                 2.0 * math.sqrt(t * cert.lmin_P)
             )
-            scalars = BoundScalars(
-                t=t, S=s, V=v_term, mu=mu(cert.P, task.init), k_strict=k_strict
-            )
+            scalars = horizon._Envelope(t, v_term, mu(cert.P, task.init), cert.norm_A_P)
             values, _ = nu_sequence(task, 500, include_constant=False)
-            envelope = np.array(
-                [tail_bound(k, scalars, cert.norm_A_P) for k in range(501)]
-            )
+            envelope = np.array([tail_bound(k, scalars) for k in range(501)])
             assert np.all(values <= envelope + 1e-9)
             assert np.all(np.diff(envelope) <= 1e-12)
             checked += 1
@@ -770,7 +763,7 @@ class TestTailBound:
             2.0 * math.sqrt(t * cert.lmin_P)
         )
         mu_val = mu(cert.P, task.init)
-        scalars = BoundScalars(t=t, S=1.0, V=v_term, mu=mu_val, k_strict=0)
+        envelope = horizon._Envelope(t, v_term, mu_val, cert.norm_A_P)
         values, _ = nu_sequence(task, 300, include_constant=False)
         for k in range(301):
             linear_decay = (
@@ -779,12 +772,12 @@ class TestTailBound:
                 * cert.norm_A_P**k
                 / math.sqrt(cert.lmin_P)
             )
-            assert abs(values[k]) <= tail_bound(k, scalars, cert.norm_A_P) + linear_decay + 1e-9
+            assert abs(values[k]) <= tail_bound(k, envelope) + linear_decay + 1e-9
 
 
-def _first_below(scalars: BoundScalars, norm: float, level: float, cap: int) -> int:
+def _first_below(envelope, level: float, cap: int) -> int:
     """The first k <= cap with U(k) < level by a linear search, cap when none."""
-    return next((k for k in range(cap + 1) if tail_bound(k, scalars, norm) < level), cap)
+    return next((k for k in range(cap + 1) if tail_bound(k, envelope) < level), cap)
 
 
 class TestEnvelopeHorizon:
@@ -804,24 +797,24 @@ class TestEnvelopeHorizon:
         cap=st.integers(0, 2_000),
     )
     def test_first_step_below_the_level(self, t, V, mu_val, norm, level, cap):
-        scalars = BoundScalars(t=t, S=0.0, V=V, mu=mu_val, k_strict=0)
+        envelope = horizon._Envelope(t, V, mu_val, norm)
         if isinstance(level, tuple):
             m, side = level
-            level = float(tail_bound(m, scalars, norm))
+            level = float(tail_bound(m, envelope))
             level = float(np.nextafter(level, side)) if side else level
-        expected = _first_below(scalars, norm, level, cap)
-        assert horizon._envelope_horizon(scalars, norm, level, cap) == expected
+        expected = _first_below(envelope, level, cap)
+        assert horizon._envelope_horizon(envelope, level, cap) == expected
 
     def test_exact_tie_takes_the_next_step(self):
         # U(j) = 4^-j, so U(k) ties the level and k + 1 is the first step below it
-        scalars = BoundScalars(t=1.0, S=0.0, V=0.0, mu=1.0, k_strict=0)
-        found = [horizon._envelope_horizon(scalars, 0.5, 4.0**-k, 100) for k in range(60)]
+        envelope = horizon._Envelope(t=1.0, V=0.0, mu=1.0, norm=0.5)
+        found = [horizon._envelope_horizon(envelope, 4.0**-k, 100) for k in range(60)]
         assert found == list(range(1, 61))
 
     def test_level_whose_log_argument_underflows(self):
         # g = 5e-324 / 2 rounds to 0; U(k) = 4^-k + 2^(1-k) is 0 from k = 1075 on
-        scalars = BoundScalars(t=1.0, S=0.0, V=1.0, mu=1.0, k_strict=0)
-        assert horizon._envelope_horizon(scalars, 0.5, 5e-324, 2_000) == 1_075
+        envelope = horizon._Envelope(t=1.0, V=1.0, mu=1.0, norm=0.5)
+        assert horizon._envelope_horizon(envelope, 5e-324, 2_000) == 1_075
 
 
 class TestMinimalScalingIsTight:
@@ -981,11 +974,10 @@ class TestObjectiveScores:
             4
         ] == pytest.approx(3.0)
 
-    @pytest.mark.parametrize("lmax_P", [None, 1.0])
-    def test_asymmetric_P_rejected(self, lmax_P):
+    def test_asymmetric_P_rejected(self):
         init = box_to_vertices([-1, -1], [1, 1])
         with pytest.raises(NotSymmetric):
-            objective_scores([[1.0, 0.5], [0.0, 1.0]], np.eye(2), init, lmax_P)
+            objective_scores([[1.0, 0.5], [0.0, 1.0]], np.eye(2), init)
 
     def test_asymmetric_Q_rejected(self):
         init = box_to_vertices([-1, -1], [1, 1])
@@ -998,6 +990,98 @@ class TestObjectiveScores:
         scores = objective_scores(q, q, init)
         assert scores[1] == pytest.approx(0.0, abs=1e-12)
         assert scores[3] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestCutoffs:
+    """K is the first step past k_strict where U falls below S, the paper's
+    closed form; a shape without a finite, feasible cutoff is left out with
+    its reason."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        radius=st.one_of(st.floats(0.3, 0.9), st.sampled_from([0.99, 0.999, 0.9999])),
+        affine=st.booleans(),
+        box=st.booleans(),
+        kind=st.sampled_from(["rank-1", "full", "identity"]),
+        linear_term=st.booleans(),
+    )
+    def test_every_row_is_the_closed_form(
+        self, seed, d, radius, affine, box, kind, linear_term
+    ):
+        # every shape of the candidate table, and a user P, on random or
+        # near-radius rotated A, boxes and vertex lists, rank-1, full and
+        # identity Q, with and without q
+        rng = np.random.default_rng(seed)
+        if radius <= 0.9:
+            A = random_stable_matrix(rng, d, radius)
+        else:  # a scaled orthogonal matrix: every eigenvalue at that radius
+            A = radius * np.linalg.qr(rng.standard_normal((d, d)))[0]
+        if kind == "rank-1":
+            c = rng.standard_normal(d)
+            Q = np.outer(c, c)
+        else:
+            Q = random_psd(rng, d) if kind == "full" else np.eye(d)
+        if box:
+            init = box_to_vertices(*random_box(rng, d, straddle=bool(seed % 2)))
+        else:
+            init = InitialSet.from_vertices(rng.uniform(-1.0, 1.0, (d + 3, d)))
+        task = homogenize(VerificationTask(
+            system=AffineSystem(A=A, b=rng.normal(0.0, 0.5, d) if affine else np.zeros(d)),
+            init=init,
+            objective=QuadraticObjective(
+                Q=Q, q=rng.normal(0.0, 0.5, d) if linear_term else np.zeros(d)
+            ),
+        ))
+        g = rng.standard_normal((d, d))
+        user_P = lyapunov_solve(task.system.A, np.eye(d) + task.objective.Q + g @ g.T)
+        try:
+            bounds = evaluate_candidates(task, user_P=user_P)
+        except AssumptionViolated:
+            return
+        assert bounds[-1].strategy_id == "user-min-scale"
+        for bound in bounds:
+            s, cert = bound.scalars, bound.certificate
+            assert bound.K == K_of(s.t, cert.P, task, s.S)
+            assert bound.K > s.k_strict
+            assert tail_bound(bound.K, horizon._Envelope(s.t, s.V, s.mu, cert.norm_A_P)) < s.S
+
+    def test_scalar_demo_past_k_strict(self):
+        # at the paper's pair (t, P) = (0.75, 4/3), U(0) rounds one ulp below
+        # S = 0.25, so the first step below S is 0; the cutoff is the first
+        # step past k_strict = 0
+        task = scalar_demo_task()
+        identity = horizon._stage(task).identity
+        envelope = horizon._Envelope(t=0.75, V=0.0, mu=mu([[4.0 / 3.0]], task.init), norm=0.5)
+        assert horizon._envelope_horizon(envelope, 0.25) == 0
+        [bound] = horizon._cutoffs(task, [identity._replace(envelope=envelope)], 0, 0.25)
+        assert bound.K == 1
+
+    def test_non_finite_scalars_name_each_shape(self):
+        # the vertex's squares overflow, so S and every shape's mu are infinite;
+        # a search for K from them would not end
+        task = VerificationTask(
+            system=AffineSystem(A=[[0.5, 0.1], [0.0, 0.3]], b=np.zeros(2)),
+            init=InitialSet.from_vertices([[1e155, 0.0]]),
+            objective=QuadraticObjective(Q=np.eye(2), q=np.zeros(2), alpha=1.0),
+        )
+        start = time.perf_counter()
+        with pytest.raises(InfeasiblePair, match="identity: a scalar is not finite"):
+            verify(task)
+        with pytest.raises(InfeasiblePair) as exc:
+            evaluate_candidates(task)
+        assert time.perf_counter() - start < 1.0
+        reasons = str(exc.value).split(": ", 1)[1].split("; ")
+        assert [r.split(":")[0] for r in reasons] == list(horizon.SHAPES)
+        assert all("S inf" in r for r in reasons)
+
+    def test_infeasible_scaling_names_the_eigenvalue(self):
+        task = scalar_demo_task()
+        identity = horizon._stage(task).identity
+        low = identity._replace(envelope=identity.envelope._replace(t=0.5))
+        with pytest.raises(InfeasiblePair, match="identity: t\\*P - Q has negative eigenvalue"):
+            horizon._cutoffs(task, [low], 0, 0.25)
 
 
 class TestBestK:

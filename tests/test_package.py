@@ -28,6 +28,10 @@ TEST_ONLY = (
     "find_k_strict",
     "s_value",
     "nu_sequence",
+    # the closed form of K lives only in support.K_of; the engine searches U
+    "NumeratorOutOfRange",
+    "_k_formula",
+    "LOG_ARG_SLACK",
 )
 
 

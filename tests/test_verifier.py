@@ -582,7 +582,7 @@ class TestSharedWork:
         cert = stability_certificate(task.system.A)
         envelope = horizon._shape("identity", cert, task).envelope
         steps = np.arange(DEFAULT_KSTRICT_CAP + 2)
-        below = np.flatnonzero(tail_bound(steps, envelope, cert.norm_A_P) < STRICT_POS)
+        below = np.flatnonzero(tail_bound(steps, envelope) < STRICT_POS)
         ranges = self._record_blocks(monkeypatch)
         with pytest.raises(AssumptionViolated):
             optimize(task)
@@ -787,7 +787,8 @@ class TestIdentityDefault:
         assert opt.bound.strategy_id == "identity"
         assert opt.stop <= opt.bound.K
         for bound in evaluate_candidates(hom):
-            envelope = (bound.scalars, bound.certificate.norm_A_P)
+            s = bound.scalars
+            envelope = horizon._Envelope(s.t, s.V, s.mu, bound.certificate.norm_A_P)
             _, value, arg_k, index = horizon._walk(
                 horizon._StepScan(hom, [hom.system.A.T]), bound.K, envelope,
                 hom.objective.constant,
