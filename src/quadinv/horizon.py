@@ -35,18 +35,19 @@ Step values nu_k here are always the *constant-free* part of the objective,
 max over vertices of (A^k v)^T Q (A^k v) + q^T (A^k v), the sequence that
 decays to zero; readers that report values add the constant back.
 
-Every reader walks one replayable scan of this sequence from step 0: steps
-already computed are replayed from its record, and later ones are computed
-in blocks of consecutive steps and recorded.  One verify walks one scan
-twice: the k_strict search, which gives S and K, then the enumeration or the
-tail fallback, which replays the steps the search computed, so each step is
-computed once.  :func:`_walk` holds the one stopping rule: a walk ends at
-the first m with U(m + 1) at most the larger of the running maximum and a
-floor, where U is the decreasing envelope of :func:`tail_bound` (no later
-step can exceed that), at the first value above a level, or at the reader's
-bound k_max.  The k_strict search ends at the first value above STRICT_POS,
-bounded where the identity shape's U falls below it; the enumeration is
-bounded by K, the tail fallback by the step where U certifies the level.
+One object, :class:`_StepScan`, computes this sequence from step 0 in
+recorded blocks of consecutive steps: its reader ``blocks(k_max)`` replays
+the recorded blocks, then draws new ones as it reaches them, and
+``vertex(k)`` derives a drawn step's arg-max vertex.  One verify walks one
+scan twice, the k_strict search (which gives S and K), then the enumeration
+or the tail fallback, so each step is computed once.  :func:`_walk` holds
+the one stopping rule: a walk ends at the first m with U(m + 1) at most the
+larger of the running maximum and a floor, where U is the decreasing
+envelope of :func:`tail_bound` (no later step can exceed that), at the
+first value above a level, or at its bound k_max.  The k_strict search ends
+at the first value above STRICT_POS, bounded where the identity shape's U
+falls below it; the enumeration is bounded by K, the tail fallback by the
+step where U certifies the level.
 
 The scan never forms the states A^k v.  Of Q = W diag(lam) W^T it keeps the
 r eigenpairs with |lam_j| > d eps max|lam|; a dropped term moves x^T Q x by
@@ -81,18 +82,18 @@ of |y+|^2 - |y-|^2 over the corners, or lam max((s0 + r)^2, (s0 - r)^2) for
 a box's support.  mu(P) stays a pass over the vertices, one product and one
 row-dot (:func:`matcore.quad_forms`).
 
-Block lengths double from the smallest block up to the SCAN_BLOCK_ELEMENTS
-cap, and no block runs past the current reader's bound k_max, so a walk
-that stops early does little work.  SCAN_BLOCK_ELEMENTS counts entries of a
-block's (rows, steps * c) projection array, so the box support's blocks run
-longer than the corners'; it caps a block's entries and, as the table holds
-fewer than twice the longest block's steps, the scan's memory.  The
-smallest block (at least one step) holds SCAN_MIN_ELEMENTS entries of what
-a step costs: its rows x c projections and its d x c column of the table,
-which the table's doubling forms; a smaller block costs about its fixed
-overhead of some twenty array operations.  So a walk of a few hundred steps
-over few rows and columns is one or two blocks; the support scan of a d = 2
-box, 3 rows on 1 column, starts with 819 steps.
+Each block drawn doubles the last one's length up to the SCAN_BLOCK_ELEMENTS
+cap, and ends by the k_max of the reader that draws it, so a walk that stops
+early does little work; the start rows advance past a block only when the
+next is drawn.  SCAN_BLOCK_ELEMENTS counts entries of a block's (rows, steps * c)
+projections, so the box support's blocks run longer than the corners'; it
+caps a block's entries and, as the table holds fewer than twice the longest
+block's steps, the scan's memory.  The smallest block (at least one step)
+holds SCAN_MIN_ELEMENTS entries of what a step costs: its rows x c
+projections and its d x c column of the table; a smaller block costs about
+its fixed overhead of some twenty array operations.  So a walk of a few
+hundred steps over few rows and columns is one or two blocks; the support
+scan of a d = 2 box, 3 rows on 1 column, starts with 819 steps.
 
 At each block start, coordinates below SCAN_FLOOR times the largest start
 row coordinate are set to zero.  The states of a contracting system otherwise
@@ -107,11 +108,14 @@ set's scale, times the transient growth of A^k.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -199,6 +203,13 @@ class HorizonBound:
     scalars: BoundScalars
     certificate: StabilityCertificate
     strategy_id: str
+
+
+def _as_count(value, name: str, least: int) -> int:
+    """``value``, an integer (numpy's too, never a bool) of at least ``least``, or ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def _certificate_for(
@@ -305,12 +316,10 @@ def _support_slope(lam: np.ndarray, basis: np.ndarray, q: np.ndarray) -> float |
     return beta if miss @ miss <= (q.size * np.finfo(float).eps) ** 2 * (q @ q) else None
 
 
-def _corner_values(
-    positive: int, rank: int, x: np.ndarray, table: np.ndarray, length: int, first: bool
-):
+def _corner_values(positive: int, rank: int, x: np.ndarray, table: np.ndarray, length: int):
     """Step values of a block as the max over vertices, a function giving the
-    arg-max vertex of the steps at the offsets it is asked for, and, for the
-    ``first`` block, sup x^T Q x over the vertices (None for the others).
+    arg-max vertex of the steps at the offsets it is asked for, and the max of
+    x^T Q x over the vertices at the block's first step.
 
     ``table`` holds (A^(k0 + j))^T [W_r sqrt|lam_r| | q] in its columns j * c
     to j * c + c - 1, of which the first ``positive`` of the r = ``rank``
@@ -327,7 +336,7 @@ def _corner_values(
     vals = np.einsum("jcn,jcn->jn", plus, plus)
     if rank > positive:
         vals -= np.einsum("jcn,jcn->jn", minus, minus)
-    quad = float(vals[0].max()) if first else None
+    quad = float(vals[0].max())
     if c > rank:
         vals += y[:, rank]
     # each step's max read at its arg-max: numpy reduces a short row by max
@@ -336,14 +345,11 @@ def _corner_values(
     return vals[np.arange(length), arg], arg.__getitem__, quad
 
 
-def _support_values(
-    lam: float, beta: float, x: np.ndarray, table: np.ndarray, length: int, first: bool
-):
+def _support_values(lam: float, beta: float, x: np.ndarray, table: np.ndarray, length: int):
     """Step values of a box block as max(g(s0 + r), g(s0 - r)), g(s) = lam s^2 + beta s,
     a function giving the arg-max vertex of the steps at the offsets it is
-    asked for (:func:`_support_vertex`), and, for the ``first`` block, sup
-    x^T Q x = lam max((s0 + r)^2, (s0 - r)^2) over the corners (None for the
-    others).
+    asked for (:func:`_support_vertex`), and the max of x^T Q x = lam
+    max((s0 + r)^2, (s0 - r)^2) over the corners at the block's first step.
 
     ``table`` holds (A^(k0 + j))^T w in its column j; projected on it, the
     center row gives s0 and the half-width rows the terms of r.
@@ -352,7 +358,7 @@ def _support_values(
     s0, r = y[0], np.abs(y[1:]).sum(axis=0)
     up, down = s0 + r, s0 - r
     g_up, g_down = lam * up**2, lam * down**2
-    quad = float(max(g_up[0], g_down[0])) if first else None
+    quad = float(max(g_up[0], g_down[0]))
     if beta:
         g_up += beta * up
         g_down += beta * down
@@ -376,117 +382,100 @@ def _support_vertex(sides: np.ndarray, g_up: np.ndarray, g_down: np.ndarray, j):
     return np.minimum(up + past * down_wins, down + past * up_wins)
 
 
-def _step_value_blocks(task: VerificationTask, bound: list[int], powers: list[np.ndarray]):
-    """Constant-free step values from step 0 on, one block at a time.
-
-    Yields ``(k0, values, vertex, quad)``: the max over vertices of
-    (A^k v)^T Q (A^k v) + q^T (A^k v) for k = k0 .. k0 + len(values) - 1, a
-    function taking offsets j into the block (an integer or an array) to the
-    arg-max vertex index of step k0 + j, and, for the block at step 0, sup
-    x^T Q x over the vertices, read off its projections (None for the
-    others).  ``bound[0]`` is the k_max of the reader asking for the next
-    block, which ends by it.  ``powers[i]`` is (A^(2^i))^T from i = 0 on;
-    the source appends the squarings it needs past the last one.
-    """
-    x, basis, reduce = _scan_rows(task)
-    d, c = basis.shape[0], max(basis.shape[1], 1)
-    width = len(x) * c  # entries of a block's projections per step
-    floor = SCAN_FLOOR * float(max(x.max(), -x.min()))
-    cap = max(1, SCAN_BLOCK_ELEMENTS // width)
-    size = min(max(1, SCAN_MIN_ELEMENTS // (width + d * c)), cap)  # and its table column
-    # column block j of the table is (A^j)^T basis, j < 2^n
-    table, n, k0 = basis, 0, 0
-    while True:
-        length = min(size, bound[0] + 1 - k0)
-        # ndarray.dot: the product of @ at about half its per-call cost (matcore)
-        while 1 << n < length:
-            table = np.concatenate((table, powers[n].dot(table)), axis=1)
-            n += 1
-            if n == len(powers):
-                powers.append(powers[-1].dot(powers[-1]))
-        # one product for the block, in the reduction
-        yield (k0, *reduce(x, table[:, : length * c], length, k0 == 0))
-        k0 += length
-        for i in range(length.bit_length()):  # x (A^length)^T, by the bits of length
-            if length >> i & 1:
-                x = x.dot(powers[i])
-        x[(x < floor) & (x > -floor)] = 0.0  # |x| < floor, without a float temporary
-        size = min(2 * size, cap)
-
-
 class _StepScan:
-    """The step values of one homogenized task, each computed once.
-
-    :meth:`block` replays the recorded blocks of :func:`_step_value_blocks`
-    and records the new ones it draws; ``sup_q``, sup x^T Q x over the
-    vertices, comes with the first.  ``powers``, (A^(2^i))^T from i = 0 on,
-    seeds the source's table: the squarings of the Lyapunov solve that
-    certified A (:func:`_stage`).
-    """
+    """The constant-free step values of one homogenized task, each computed once,
+    in blocks (module docstring); ``computed`` counts the steps drawn, and
+    ``sup_q``, sup x^T Q x over the vertices, comes with the first block.
+    ``powers``, (A^(2^i))^T from i = 0 on, seeds the table: the squarings of
+    the Lyapunov solve that certified A (:func:`_stage`), which the scan
+    extends past the last one as it needs."""
 
     def __init__(self, task: VerificationTask, powers: list[np.ndarray]):
-        self.task = task
-        self.sup_q = math.nan
-        # read by the source as each new block starts; the source holds no
-        # reference to the scan, so no cycle keeps its arrays past the last reader
-        self._bound = [0]
-        self._next = 0  # the first step not yet computed
-        self._record: list[tuple[int, np.ndarray, Callable]] = []
-        self._source = _step_value_blocks(task, self._bound, powers)
+        self.task, self.sup_q, self.computed = task, math.nan, 0
+        self._rows, basis, self._reduce = _scan_rows(task)  # the next block's start rows
+        d, self._c = basis.shape[0], max(basis.shape[1], 1)
+        width = len(self._rows) * self._c  # entries of a block's projections per step
+        self._floor = SCAN_FLOOR * float(max(self._rows.max(), -self._rows.min()))
+        self._cap = max(1, SCAN_BLOCK_ELEMENTS // width)
+        self._size = min(max(1, SCAN_MIN_ELEMENTS // (width + d * self._c)), self._cap)
+        # column block j of the table is (A^j)^T basis, j < 2^n
+        self._table, self._n, self._powers = basis, 0, powers
+        self._record: list[tuple[int, np.ndarray, Callable]] = []  # (k0, values, vertex)
 
-    def block(self, i: int, k_max: int):
-        """Block i cut at k_max, drawn when it is new, or None when it starts past k_max."""
-        if i == len(self._record):
-            if self._next > k_max:
-                return None
-            self._bound[0] = k_max
-            k0, values, vertex, quad = next(self._source)
-            if quad is not None:
-                self.sup_q = quad
-            self._record.append((k0, values, vertex))
-            self._next += len(values)
-        k0, values, vertex = self._record[i]
-        return None if k0 > k_max else (k0, values[: k_max + 1 - k0], vertex)
+    def blocks(self, k_max: int):
+        """``(k0, values)`` of each block covering steps 0..k_max, cut at k_max: the
+        recorded blocks, then new ones, drawn as the reader reaches them."""
+        i = 0
+        while i < len(self._record) or self.computed <= k_max:
+            if i == len(self._record):
+                self._draw(k_max)
+            k0, values, _ = self._record[i]
+            if k0 > k_max:
+                return
+            yield k0, values[: k_max + 1 - k0]
+            i += 1
+
+    def vertex(self, k: int) -> int:
+        """The arg-max vertex index of step k, a step drawn, derived when asked."""
+        k0, _, vertex = self._record[bisect.bisect(self._record, k, key=itemgetter(0)) - 1]
+        return int(vertex(k - k0))
+
+    def _draw(self, k_max: int) -> None:
+        """Draw and record the block from step ``computed``, ending by k_max."""
+        k0, powers = self.computed, self._powers
+        if k0:  # the start rows past the last block, formed only once a block needs them
+            last = len(self._record[-1][1])
+            for i in range(last.bit_length()):  # x (A^last)^T, by the bits of last
+                if last >> i & 1:
+                    self._rows = self._rows.dot(powers[i])
+            x, floor = self._rows, self._floor
+            x[(x < floor) & (x > -floor)] = 0.0  # |x| < floor, without a float temporary
+            self._size = min(2 * self._size, self._cap)
+        length = min(self._size, k_max + 1 - k0)
+        # ndarray.dot: the product of @ at about half its per-call cost (matcore)
+        while 1 << self._n < length:
+            self._table = np.concatenate((self._table, powers[self._n].dot(self._table)), axis=1)
+            self._n += 1
+            if self._n == len(powers):
+                powers.append(powers[-1].dot(powers[-1]))
+        # one product for the block, in the reduction
+        values, vertex, quad = self._reduce(self._rows, self._table[:, : length * self._c], length)
+        self.sup_q = self.sup_q if k0 else quad
+        self._record.append((k0, values, vertex))
+        self.computed += length
 
 
 def _walk(
     scan: _StepScan, k_max: int, envelope: _Envelope | None = None,
     shift: float = 0.0, level: float = math.inf, floor: float = -math.inf,
-) -> tuple[int, float, int, Callable[[], int]]:
-    """Walk a scan from step 0: ``(m, value, arg_k, vertex)``.
+) -> tuple[int, float, int]:
+    """Walk a scan from step 0: ``(m, value, arg_k)``.
 
     The walk ends at the first m with U(m + 1) <= max(nu_0..nu_m, floor),
     where U is the shape's ``envelope`` (:func:`tail_bound`) tested on the
     constant-free values, as no later step exceeds that; at the first value
     above ``level``; or at k_max.  Values are compared with the level and
     maximized with ``shift`` added: ``value`` is the largest over steps
-    0..m, at its first step ``arg_k``, and ``vertex()`` gives the arg-max
-    vertex index of that step alone, derived when called.
+    0..m, at its first step ``arg_k``, whose vertex the scan derives
+    (:meth:`_StepScan.vertex`).
     """
-    # the best value, its step, and the block's vertex function with its offset
-    best, peak, i = (-math.inf, 0, lambda j: 0, 0), floor, 0
-    while (found := scan.block(i, k_max)) is not None:
-        k0, block, vertex = found
-        i += 1
+    best, arg_k, peak, stop = -math.inf, 0, floor, k_max
+    for k0, block in scan.blocks(k_max):
         vals = block + shift if shift else block
         done = vals > level
         if envelope is not None:
             running = np.maximum.accumulate(np.maximum(block, peak))
-            steps = np.arange(k0 + 1, k0 + len(block) + 1)
-            done |= tail_bound(steps, envelope) <= running
+            done |= tail_bound(np.arange(k0 + 1, k0 + len(block) + 1), envelope) <= running
             peak = running[-1]
         ended = done.any()
         n = int(done.argmax()) + 1 if ended else len(block)
         j = int(vals[:n].argmax())
-        if vals[j] > best[0]:
-            best = (float(vals[j]), k0 + j, vertex, j)
+        if vals[j] > best:
+            best, arg_k = float(vals[j]), k0 + j
         if ended:
             stop = k0 + n - 1
             break
-    else:
-        stop = k_max
-    value, arg_k, vertex, j = best
-    return stop, value, arg_k, lambda: int(vertex(j))
+    return stop, best, arg_k
 
 
 def _threshold(scan: _StepScan, nu_k: float) -> float:
@@ -676,7 +665,7 @@ def _search(staged: _Staged, kstrict_cap: int) -> tuple[int, float]:
     scan, identity = staged.scan, staged.identity
     _warn_if_indefinite(scan.task)
     last = max(_envelope_horizon(identity.envelope, STRICT_POS, kstrict_cap + 1) - 1, 0)
-    _, nu_k, k_strict, _ = _walk(scan, last, level=STRICT_POS)
+    _, nu_k, k_strict = _walk(scan, last, level=STRICT_POS)
     if not nu_k > STRICT_POS:
         after = f"; the envelope rules one out after step {last}" if last < kstrict_cap else ""
         raise AssumptionViolated(
@@ -730,8 +719,10 @@ def evaluate_candidates(
     homogenized first and an unstable A raises :class:`Unstable`; a supplied
     ``user_P`` is then checked before any step is scanned.  k_strict and S
     are those of the homogenized task.  Raises :class:`AssumptionViolated`
-    when no strictly positive step value exists within the scan cap.
+    when no strictly positive step value exists within the scan cap, and
+    ValueError for a cap that is not an integer of at least 1.
     """
+    kstrict_cap = _as_count(kstrict_cap, "kstrict_cap", 1)
     return _candidates(_stage(task), user_P, epsilon, kstrict_cap)
 
 

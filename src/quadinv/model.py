@@ -88,7 +88,9 @@ class InitialSet:
 
     ``vertices`` is an (n, d) array, one vertex per row.  ``box`` holds the
     (lower, upper) bounds of a set built by :func:`box_to_vertices`, whose
-    vertices are then the box's corners in that function's order.
+    vertices must be the box's corners in that function's order
+    (:class:`DimensionMismatch`); a lower bound above its upper one raises
+    :class:`EmptyBox`.
 
     Construct via :meth:`from_vertices` to drop duplicate vertices (exact
     comparison after rounding to 12 significant digits); the raw constructor
@@ -112,8 +114,13 @@ class InitialSet:
             upper = _freeze(as_vector(self.box[1], "upper"))
             if lower.shape != upper.shape or lower.shape[0] != v.shape[1]:
                 raise DimensionMismatch("box bounds do not match vertex dimension")
-            if v.shape[0] != 2 ** int(np.count_nonzero(lower != upper)):
-                raise DimensionMismatch("vertices are not the corners of the box")
+            if np.any(lower > upper):
+                bad = int(np.argmax(lower > upper))
+                raise EmptyBox(f"lower[{bad}] = {lower[bad]} exceeds upper[{bad}] = {upper[bad]}")
+            # the count first, so no corners are built for a count that cannot match
+            free = int(np.count_nonzero(lower != upper))
+            if v.shape[0] != 2**free or not np.array_equal(v, _corners(lower, upper)):
+                raise DimensionMismatch("vertices are not the corners of the box in order")
             object.__setattr__(self, "box", (lower, upper))
 
     @classmethod
@@ -174,14 +181,15 @@ def box_to_vertices(lower, upper) -> InitialSet:
     hi = as_vector(upper, "upper")
     if lo.shape != hi.shape:
         raise DimensionMismatch("lower and upper bounds differ in length")
-    d = lo.shape[0]
-    if d > MAX_BOX_DIM:
-        raise DimensionTooLarge(f"box dimension {d} exceeds limit {MAX_BOX_DIM}")
-    if np.any(lo > hi):
-        bad = int(np.argmax(lo > hi))
-        raise EmptyBox(f"lower[{bad}] = {lo[bad]} exceeds upper[{bad}] = {hi[bad]}")
+    if lo.shape[0] > MAX_BOX_DIM:
+        raise DimensionTooLarge(f"box dimension {lo.shape[0]} exceeds limit {MAX_BOX_DIM}")
+    return InitialSet(vertices=_corners(lo, hi), box=(lo, hi))  # EmptyBox when lo > hi
+
+
+def _corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The corners of a box in :func:`box_to_vertices` order."""
     free = np.flatnonzero(lo != hi)
-    corners = np.empty((2**free.size, d))
+    corners = np.empty((2**free.size, lo.shape[0]))
     corners[0], n = lo, 1
     # the corners so far, then their copy at the upper bound of the next axis,
     # from the last non-degenerate axis (least significant) to the first
@@ -189,7 +197,7 @@ def box_to_vertices(lower, upper) -> InitialSet:
         corners[n : 2 * n] = corners[:n]
         corners[n : 2 * n, j] = hi[j]
         n *= 2
-    return InitialSet(vertices=corners, box=(lo, hi))
+    return corners
 
 
 @dataclass(frozen=True)

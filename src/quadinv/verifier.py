@@ -24,6 +24,7 @@ from .errors import AssumptionViolated
 from .horizon import (
     DEFAULT_KSTRICT_CAP,
     HorizonBound,
+    _as_count,
     _cutoffs,
     _envelope_horizon,
     _search,
@@ -109,8 +110,7 @@ class OracleReport:
 def trajectory(system: AffineSystem, x0, k: int) -> np.ndarray:
     """States x_0..x_k of the iterated map, as rows of a (k+1, d) array, in
     O(log k) products: x_{j+m} = A^m x_j + c_m for j < m, c_m = sum_{i<m} A^i b."""
-    if k < 0:
-        raise ValueError("trajectory length must be nonnegative")
+    k = _as_count(k, "trajectory length", 0)
     out = np.empty((k + 1, system.dim))
     out[0] = x0
     power, shift, m = system.A.T, system.b, 1  # (A^m)^T and c_m
@@ -127,8 +127,10 @@ def optimize(task: VerificationTask, kstrict_cap: int = DEFAULT_KSTRICT_CAP) -> 
 
     The cutoff comes from the identity shape (see :func:`verify`).  The
     maximizer is reported in original coordinates.  Propagates
-    :class:`Unstable` and :class:`AssumptionViolated` from the pipeline.
+    :class:`Unstable` and :class:`AssumptionViolated` from the pipeline;
+    ValueError for a cap that is not an integer of at least 1.
     """
+    kstrict_cap = _as_count(kstrict_cap, "kstrict_cap", 1)
     return _optimum(task, _stage(task), kstrict_cap)
 
 
@@ -138,10 +140,8 @@ def _optimum(task: VerificationTask, staged: _Staged, kstrict_cap: int) -> Optim
     the enumeration from step 0 under that shape's envelope, bounded by K."""
     scan, identity = staged.scan, staged.identity
     [bound] = _cutoffs(scan.task, [identity], *_search(staged, kstrict_cap))
-    stop, value, arg_k, vertex = _walk(
-        scan, bound.K, identity.envelope, scan.task.objective.constant
-    )
-    return Optimum(value, arg_k, task.init.vertices[vertex()], bound, stop)
+    stop, value, arg_k = _walk(scan, bound.K, identity.envelope, scan.task.objective.constant)
+    return Optimum(value, arg_k, task.init.vertices[scan.vertex(arg_k)], bound, stop)
 
 
 def verify(
@@ -156,24 +156,25 @@ def verify(
     a witness trajectory whose endpoint exceeds alpha by more than the
     decision slack.  Values inside the slack band are reported Inconclusive
     with both numbers.  When the horizon bound is unavailable the tail-bound
-    fallback samples at most ``tail_cap`` steps.
+    fallback samples at most ``tail_cap`` steps; each cap must be an integer
+    of at least 1 (ValueError).
 
     The cutoff comes from one shape, the identity shape P0 that certifies A:
     any certified cutoff gives the same supremum, and the stop below, not K,
     sets the scan's length.  The bound command
     (:func:`horizon.evaluate_candidates`) compares the other shapes.
 
-    The homogenized task's step values are walked twice, from step 0, on one
-    scan that computes each step once: the k_strict search (to the first
-    value above ``STRICT_POS``, bounded where the identity shape's envelope
-    U falls below it), which gives S, and then either the enumeration
-    (stopped where the identity shape's U meets the running maximum, or at
-    its cutoff K) or the tail fallback, each replaying the steps the search
-    computed.
+    Two walks read one scan of the homogenized task's step values, which
+    computes each step once (``horizon._StepScan``): the k_strict search,
+    which gives S, then the enumeration (stopped where the identity shape's U
+    meets the running maximum, or at its cutoff K) or the tail fallback,
+    each replaying the blocks the search drew.
     """
     alpha = task.objective.alpha if alpha is None else float(alpha)
     if alpha is None or not math.isfinite(alpha):
         raise ValueError(f"verify requires a finite level alpha, got {alpha}")
+    kstrict_cap = _as_count(kstrict_cap, "kstrict_cap", 1)
+    tail_cap = _as_count(tail_cap, "tail_cap", 1)
     staged = _stage(task)
     try:
         optimum = _optimum(task, staged, kstrict_cap)
@@ -231,7 +232,7 @@ def _tail_verdict(task: VerificationTask, staged: _Staged, alpha: float, cap: in
     at_rest = target >= 0.0 and not scan.task.init.vertices.any()
     capped = not (bound < target or at_rest)
     level = alpha + ALPHA_SLACK
-    stop, peak, first, vertex = _walk(
+    stop, peak, first = _walk(
         scan, horizon, envelope, const, level, level - const if capped else -math.inf,
     )
     tail = TailInfo(horizon=horizon, bound=bound, stop=stop)
@@ -239,7 +240,7 @@ def _tail_verdict(task: VerificationTask, staged: _Staged, alpha: float, cap: in
         return Verdict(
             status=VerdictStatus.DISPROVED,
             alpha=alpha,
-            witness=trajectory(task.system, task.init.vertices[vertex()], first),
+            witness=trajectory(task.system, task.init.vertices[scan.vertex(first)], first),
             tail_info=tail,
             message=f"sampled objective {peak:.12g} > {alpha:.12g} at step {first}",
         )
@@ -277,8 +278,7 @@ def brute_force_oracle(task: VerificationTask, horizon: int) -> OracleReport:
     k holds the maximum objective value over all length-k trajectories from
     initial vertices.
     """
-    if horizon < 1:
-        raise ValueError("oracle horizon must be at least 1")
+    horizon = _as_count(horizon, "oracle horizon", 1)
     _warn_if_indefinite(task)
     x = task.init.vertices.copy()
     values = np.empty(horizon + 1)

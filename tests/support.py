@@ -5,6 +5,7 @@ s_value) built on the engine's own scan."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from typing import NamedTuple
@@ -261,14 +262,22 @@ def weighted_opnorm(a_matrix, p_matrix) -> float:
     return math.sqrt(max(generalized_lmax(0.5 * (image + image.T), p), 0.0))
 
 
-def scan_blocks(scan: horizon._StepScan, k_max: int):
-    """The blocks of an engine scan covering k = 0..k_max, the recorded ones first."""
-    if k_max < 0:
-        raise ValueError(f"step bound {k_max} must be nonnegative")
-    i = 0
-    while (block := scan.block(i, k_max)) is not None:
-        yield block
-        i += 1
+@contextlib.contextmanager
+def scans_built():
+    """Every engine scan built inside the ``with`` block, in order of construction:
+    a list the block fills, to be read through the scans' ``blocks``,
+    ``vertex`` and ``computed``."""
+    scans, init = [], horizon._StepScan.__init__
+
+    def collecting(scan, *args):
+        init(scan, *args)
+        scans.append(scan)
+
+    horizon._StepScan.__init__ = collecting
+    try:
+        yield scans
+    finally:
+        horizon._StepScan.__init__ = init
 
 
 def _scan(task: VerificationTask) -> horizon._StepScan:
@@ -283,11 +292,12 @@ def nu_sequence(
     """The engine's step values for k = 0..k_max plus per-step arg-max vertex
     indices; with the objective's constant included, the values are the
     original objective's."""
-    values = np.empty(k_max + 1)
-    argmax = np.empty(k_max + 1, dtype=int)
-    for k0, block, vertex in scan_blocks(_scan(task), k_max):
+    if k_max < 0:
+        raise ValueError(f"step bound {k_max} must be nonnegative")
+    scan, values = _scan(task), np.empty(k_max + 1)
+    for k0, block in scan.blocks(k_max):
         values[k0 : k0 + len(block)] = block
-        argmax[k0 : k0 + len(block)] = vertex(np.arange(len(block)))
+    argmax = np.array([scan.vertex(k) for k in range(k_max + 1)])
     if include_constant and task.objective.constant:
         values = values + task.objective.constant
     return values, argmax
@@ -296,7 +306,7 @@ def nu_sequence(
 def find_k_strict(task: VerificationTask, cap: int = horizon.DEFAULT_KSTRICT_CAP) -> int | None:
     """First k <= cap with a constant-free step value above STRICT_POS, or None,
     from one engine walk to that level."""
-    _, value, k, _ = horizon._walk(_scan(task), cap, level=STRICT_POS)
+    _, value, k = horizon._walk(_scan(task), cap, level=STRICT_POS)
     return k if value > STRICT_POS else None
 
 
@@ -304,7 +314,7 @@ def s_value(task: VerificationTask, k_strict: int) -> float:
     """S = min(sup x^T Q x, nu_{k_strict}) over vertices, from the engine's scan;
     :class:`AssumptionViolated` when it is not strictly positive."""
     scan = _scan(task)
-    for _, values, _ in scan_blocks(scan, k_strict):
+    for _, values in scan.blocks(k_strict):
         pass
     return horizon._threshold(scan, float(values[-1]))
 

@@ -20,7 +20,7 @@ from quadinv.cli import build_parser, main, parse_input, render_text
 from quadinv.errors import DimensionMismatch, ParseError
 from quadinv.horizon import evaluate_candidates, objective_scores
 from quadinv.model import homogenize, linear_range_property
-from support import HARMONIC_A, ROTATION_A, ROTATION_B, tail_style_task
+from support import HARMONIC_A, ROTATION_A, ROTATION_B, scans_built, tail_style_task
 
 
 COMMANDS = ("verify", "bound", "simulate", "export")
@@ -410,20 +410,13 @@ def task_doc(task):
 class TestBoundStaging:
     """bound stages its cutoff as verify does: certificate, scan and envelope."""
 
-    def test_tail_task_scans_no_more_than_verify(self, tmp_path, monkeypatch):
+    def test_tail_task_scans_no_more_than_verify(self, tmp_path):
         path = write_json(tmp_path / "tail.json", task_doc(tail_style_task(3, 0.05)))
         steps = []
-        original = horizon._step_value_blocks
-
-        def counting(*args):
-            for block in original(*args):
-                steps[-1] += len(block[1])
-                yield block
-
-        monkeypatch.setattr(horizon, "_step_value_blocks", counting)
         for command, code in (("verify", 0), ("bound", 5)):
-            steps.append(0)
-            assert main([command, path]) == code
+            with scans_built() as scans:
+                assert main([command, path]) == code
+            steps.append(sum(scan.computed for scan in scans))
         assert 0 < steps[1] <= steps[0]
 
     @pytest.mark.parametrize(

@@ -46,13 +46,13 @@ from support import (
     harmonic_task,
     nu,
     nu_sequence,
+    quad_form_rows,
     random_box,
     random_linear_task,
     random_psd,
     random_stable_matrix,
     rotation_task,
     s_value,
-    scan_blocks,
     vertex_values,
     weighted_opnorm,
 )
@@ -300,7 +300,7 @@ class TestScanMatchesStepLoop:
         # a scan's arrays go with its last reader, not at the next collection
         task = scalar_demo_task()
         scan = horizon._StepScan(task, [task.system.A.T])
-        assert len(list(scan_blocks(scan, 5_000))) > 1
+        assert len(list(scan.blocks(5_000))) > 1
         gc.disable()
         try:
             ref = weakref.ref(scan)
@@ -308,6 +308,70 @@ class TestScanMatchesStepLoop:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def _reader_task(seed: int, support: bool) -> VerificationTask:
+    """A linear task at radius 0.99 to 0.999, A a scaled orthogonal matrix, whose
+    scan spans several blocks: 20 to 30 vertices on d + 1 columns (corners),
+    whose smallest block holds some 40 steps, or a box with a rank-1 objective
+    (the box's support), some 500."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(3, 5))
+    A = rng.uniform(0.99, 0.999) * np.linalg.qr(rng.standard_normal((d, d)))[0]
+    if support:
+        # lam w w^T + beta w^T x on an axis w, which the eigensolver returns
+        # exactly, so q lies in span(w) exactly
+        w = np.eye(d)[rng.integers(0, d)]
+        init = box_to_vertices(*random_box(rng, d, straddle=bool(rng.integers(0, 2))))
+        objective = QuadraticObjective(Q=rng.uniform(0.5, 2.0) * np.outer(w, w), q=rng.normal() * w)
+    else:
+        init = InitialSet(vertices=rng.uniform(-1.0, 1.0, (int(rng.integers(20, 31)), d)))
+        objective = QuadraticObjective(Q=random_psd(rng, d), q=rng.normal(0.0, 0.5, d))
+    return VerificationTask(AffineSystem(A=A, b=np.zeros(d)), init, objective)
+
+
+class TestScanReader:
+    """The scan's one reader, blocks(k_max), its vertex(k) and its count of steps
+    drawn, across walks whose k_max falls and then rises."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), support=st.booleans(),
+           first=st.integers(0, 1000), fall=st.integers(0, 1000), rise=st.integers(0, 1000))
+    def test_reads_and_vertices(self, seed, support, first, fall, rise):
+        task = _reader_task(seed, support)
+        rows = task.init.support_rows if support else task.init.vertices
+        assert horizon._scan_rows(task)[0] is rows
+        top = 800 if support else 200
+        k1 = 1 + first * top // 1000
+        walks = (k1, fall * k1 // 1001, k1 + 1 + rise * top // 1000)  # falls, then rises
+        obj, radius = task.objective, abs(np.linalg.eigvals(task.system.A)[0])
+        r = radius ** np.arange(walks[-1] + 1) * np.linalg.norm(task.init.vertices, axis=1).max()
+        scale = np.linalg.norm(obj.Q, 2) * r * r + np.linalg.norm(obj.q) * r  # as _step_scale
+        scan, drawn, asked = horizon._StepScan(task, [task.system.A.T]), np.empty(0), 0
+        for k_max in walks:
+            values = np.concatenate([block for _, block in scan.blocks(k_max)])
+            asked = max(asked, k_max)
+            assert len(values) == k_max + 1 and scan.computed <= asked + 1
+            # steps drawn by an earlier walk are replayed bit for bit
+            n = min(len(values), len(drawn))
+            np.testing.assert_array_equal(values[:n], drawn[:n])
+            drawn = values if len(values) > n else drawn
+            fresh = horizon._StepScan(task, [task.system.A.T])
+            fresh = np.concatenate([block for _, block in fresh.blocks(k_max)])
+            assert np.all(np.abs(values - fresh) <= 1e-12 * scale[: k_max + 1])
+        assert len(list(scan.blocks(walks[-1]))) >= 2
+        for k in range(walks[-1] + 1):
+            # the first arg-max of the reference values (support.nu), where unique
+            ref = vertex_values(task, k)
+            top2 = np.sort(ref)[-2:]
+            if top2[1] - top2[0] > 1e-9 * scale[k]:
+                assert scan.vertex(k) == int(ref.argmax())
+            else:
+                assert ref[scan.vertex(k)] >= ref.max() - 1e-9 * scale[k]
+        assert scan.computed <= asked + 1
+        # sup x^T Q x is step 0's, however many blocks followed
+        quad = quad_form_rows(task.init.vertices, obj.Q).max()
+        assert abs(scan.sup_q - quad) <= 1e-12 * scale[0]
 
 
 def _corner_task(seed: int, d: int, kind: str, box: bool) -> VerificationTask:
@@ -589,10 +653,9 @@ class TestEnvelopeStops:
         first = int(values.argmax())
         s = bound.scalars
         envelope = horizon._Envelope(s.t, s.V, s.mu, bound.certificate.norm_A_P)
-        stop, value, arg_k, index = horizon._walk(
-            horizon._StepScan(task, [task.system.A.T]), bound.K, envelope, task.objective.constant
-        )
-        assert (value, arg_k, index()) == (values[first], first, argmax[first])
+        scan = horizon._StepScan(task, [task.system.A.T])
+        stop, value, arg_k = horizon._walk(scan, bound.K, envelope, task.objective.constant)
+        assert (value, arg_k, scan.vertex(arg_k)) == (values[first], first, argmax[first])
         assert stop <= bound.K
 
 

@@ -189,6 +189,34 @@ class TestInitialSet:
         with pytest.raises(DimensionMismatch):
             InitialSet(vertices=np.zeros((4, 2)), box=(np.zeros(3), np.ones(3)))
 
+    def test_box_wider_than_its_vertices_rejected(self):
+        # a box wider than its vertices once let the support scan read [-5, 5]^2
+        # while the optimum and the witness read [0, 1]^2: optimize reported
+        # 25.0 at vertex (0, 0), where x^T diag(1, 0) x is 0
+        square = box_to_vertices([0.0, 0.0], [1.0, 1.0]).vertices
+        with pytest.raises(DimensionMismatch, match="corners of the box"):
+            InitialSet(vertices=square, box=([-5.0, -5.0], [5.0, 5.0]))
+
+    def test_inverted_box_rejected(self):
+        # a box with lower above upper once gave an optimum of 1.0 at vertex (0, 0)
+        square = box_to_vertices([0.0, 0.0], [1.0, 1.0]).vertices
+        with pytest.raises(EmptyBox, match="exceeds"):
+            InitialSet(vertices=square, box=([1.0, 1.0], [0.0, 0.0]))
+
+    def test_corners_out_of_order_rejected(self):
+        init = box_to_vertices([0.0, 0.0], [1.0, 2.0])
+        with pytest.raises(DimensionMismatch, match="in order"):
+            InitialSet(vertices=init.vertices[::-1], box=init.box)
+        assert InitialSet(vertices=init.vertices, box=init.box).box is not None
+
+    def test_shifted_corners_stay_the_box_corners(self):
+        init = box_to_vertices([-1.0, 0.1, 3.0], [1.0, 0.7, 3.0])
+        offset = np.array([0.3, -1.0 / 3.0, np.pi])
+        moved = init.shifted(offset)
+        np.testing.assert_array_equal(
+            moved.vertices, box_to_vertices(init.box[0] - offset, init.box[1] - offset).vertices
+        )
+
 
 class TestQuadraticObjective:
     def test_rejects_asymmetric_q(self):

@@ -2,7 +2,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from quadinv import verifier
+from support import counterexample_task, harmonic_task, scans_built
 
 _spec = importlib.util.spec_from_file_location(
     "parity", Path(__file__).resolve().parents[1] / "tools" / "parity.py"
@@ -54,3 +58,18 @@ class TestDiff:
         b["task"].update(steps_computed=819, stop=3)
         assert diff(tmp_path, a, b) == 0
         assert "task: steps computed 1365 -> 819, read 4 -> 4" in capsys.readouterr().out
+
+
+class TestRecord:
+    @pytest.mark.parametrize(
+        "task, read",
+        [(harmonic_task(np.diag([1.0, 0.0]), alpha=1.0), "stop"),
+         (counterexample_task(alpha=0.1), "tail_stop")],
+        ids=["cutoff", "tail-path"],
+    )
+    def test_work_covers_the_steps_read(self, task, read):
+        # the work column counts what the verify's scan drew: at least every
+        # step up to the last one it read
+        record = parity._record(verifier, scans_built, task)
+        assert record["error"] is None and record[read] is not None
+        assert record[parity.WORK] >= record[read] + 1

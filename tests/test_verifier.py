@@ -41,6 +41,7 @@ from support import (
     random_stable_matrix,
     rotation_task,
     rotation_near_one_task,
+    scans_built,
     tail_style_task,
 )
 
@@ -339,14 +340,11 @@ class TestBruteForceOracle:
         [harmonic_task(np.diag([1.0, 0.0])), rotation_task(np.diag([0.0, 1.0]))],
         ids=["linear", "affine"],
     )
-    def test_independent_of_the_scan(self, monkeypatch, task):
+    def test_independent_of_the_scan(self, task):
         expected, _ = nu_sequence(homogenize(task), 300)
-
-        def broken(*args):
-            raise AssertionError("the oracle must not read the engine's scan")
-
-        monkeypatch.setattr(horizon, "_step_value_blocks", broken)
-        report = brute_force_oracle(task, 300)
+        with scans_built() as scans:
+            report = brute_force_oracle(task, 300)
+        assert scans == [], "the oracle must not read the engine's scan"
         np.testing.assert_allclose(report.nu_samples, expected, rtol=1e-12, atol=1e-12)
 
     def test_orderings_hold(self):
@@ -371,6 +369,48 @@ class TestBruteForceOracle:
     def test_horizon_must_be_positive(self):
         with pytest.raises(ValueError):
             brute_force_oracle(harmonic_task(np.eye(2)), 0)
+
+
+class TestCaps:
+    """A step cap is an integer of at least 1 (0 for a trajectory's length), the
+    CLI's rule: numpy integers pass, a bool or a float does not."""
+
+    @pytest.mark.parametrize("cap", [-5, 0, 2.5, 3.0, True, np.float64(4.0), "7"])
+    @pytest.mark.parametrize("call", ["verify-tail", "verify-kstrict", "optimize", "candidates"])
+    def test_bad_cap_rejected(self, call, cap):
+        # tail_cap=-5 once gave TailInfo(horizon=-5, stop=-5), and 2.5 a
+        # horizon of 3, past the cap
+        task = counterexample_task(alpha=0.1)
+        run = {
+            "verify-tail": lambda: verify(task, tail_cap=cap),
+            "verify-kstrict": lambda: verify(task, kstrict_cap=cap),
+            "optimize": lambda: optimize(task, kstrict_cap=cap),
+            "candidates": lambda: evaluate_candidates(task, kstrict_cap=cap),
+        }[call]
+        with scans_built() as scans, pytest.raises(ValueError, match="integer of at least 1"):
+            run()
+        assert scans == []  # rejected before any work
+
+    def test_numpy_integer_caps_accepted(self):
+        task = counterexample_task(alpha=0.1)
+        assert verify(task, kstrict_cap=np.int64(100), tail_cap=np.int32(50)) == verify(
+            task, kstrict_cap=100, tail_cap=50
+        )
+        harmonic = harmonic_task(np.eye(2))
+        assert optimize(harmonic, np.int64(100)).value == optimize(harmonic, 100).value
+
+    @pytest.mark.parametrize("k", [-1, 2.5, True, np.float64(2.0)])
+    def test_trajectory_length(self, k):
+        with pytest.raises(ValueError, match="trajectory length"):
+            trajectory(AffineSystem(A=[[0.5]], b=[0.0]), [1.0], k)
+        assert trajectory(AffineSystem(A=[[0.5]], b=[0.0]), [1.0], np.int64(2)).shape == (3, 1)
+
+    @pytest.mark.parametrize("horizon", [0, 2.5, True, np.float64(10.0)])
+    def test_oracle_horizon(self, horizon):
+        task = harmonic_task(np.eye(2))
+        with pytest.raises(ValueError, match="oracle horizon"):
+            brute_force_oracle(task, horizon)
+        assert brute_force_oracle(task, np.int64(10)).horizon == 10
 
 
 class TestExactness:
@@ -507,26 +547,20 @@ class TestSharedWork:
         assert calls == ["congruence_lmax"]
 
     @staticmethod
-    def _record_blocks(monkeypatch):
-        ranges = []
-        original = horizon._step_value_blocks
-
-        def recording(*args):
-            for block in original(*args):
-                ranges.append(range(block[0], block[0] + len(block[1])))
-                yield block
-
-        monkeypatch.setattr(horizon, "_step_value_blocks", recording)
-        return ranges
+    def _drawn(scans) -> list[range]:
+        """The steps of each block the scans drew, in order."""
+        return [range(k0, k0 + len(values))
+                for scan in scans for k0, values in scan.blocks(scan.computed - 1)]
 
     @pytest.mark.parametrize(
         "task",
         [harmonic_task(np.diag([1.0, 0.0]), alpha=1.0), counterexample_task(alpha=0.1)],
         ids=["cutoff", "tail-path"],
     )
-    def test_each_step_computed_once(self, monkeypatch, task):
-        ranges = self._record_blocks(monkeypatch)
-        verdict = verify(task)
+    def test_each_step_computed_once(self, task):
+        with scans_built() as scans:
+            verdict = verify(task)
+        ranges = self._drawn(scans)
         steps = [k for block in ranges for k in block]
         assert steps == list(range(len(steps)))
         last = verdict.optimum.stop if verdict.tail_info is None else verdict.tail_info.stop
@@ -535,78 +569,75 @@ class TestSharedWork:
             assert (verdict.optimum.bound.K, verdict.optimum.stop) == (188, 96)
 
     @pytest.mark.parametrize("run", [evaluate_candidates], ids=lambda run: run.__name__)
-    def test_invalid_user_p_rejected_before_any_scan(self, monkeypatch, run):
+    def test_invalid_user_p_rejected_before_any_scan(self, run):
         # the counterexample has no positive step value, so the cutoff is never reached
-        ranges = self._record_blocks(monkeypatch)
-        with pytest.raises(InvalidUserP):
+        with scans_built() as scans, pytest.raises(InvalidUserP):
             run(counterexample_task(alpha=0.1), user_P=[[1.0, 0.5], [0.0, 1.0]])
+        ranges = self._drawn(scans)
         assert ranges == []
 
     @pytest.mark.parametrize("run", [evaluate_candidates], ids=lambda run: run.__name__)
-    def test_candidates_scan_no_more_than_verify(self, monkeypatch, run):
+    def test_candidates_scan_no_more_than_verify(self, run):
         # the bound functions stage as verify does: the identity shape's
         # envelope ends their k_strict search too
         task = counterexample_task(alpha=0.1)
-        ranges = self._record_blocks(monkeypatch)
-        verify(task)
-        verified = sum(map(len, ranges))
-        ranges.clear()
-        with pytest.raises(AssumptionViolated):
+        with scans_built() as scans:
+            verify(task)
+        verified = sum(map(len, self._drawn(scans)))
+        with scans_built() as scans, pytest.raises(AssumptionViolated):
             run(task)
+        ranges = self._drawn(scans)
         assert sum(map(len, ranges)) <= verified == 39
 
     @pytest.mark.parametrize("run", [verify, optimize, evaluate_candidates],
                              ids=lambda run: run.__name__)
-    def test_unstable_rejected_before_any_scan(self, monkeypatch, run):
+    def test_unstable_rejected_before_any_scan(self, run):
         task = VerificationTask(
             system=AffineSystem(A=np.diag([1.1, 0.5]), b=np.zeros(2)),
             init=box_to_vertices([-1.0, -1.0], [1.0, 1.0]),
             objective=QuadraticObjective(Q=np.eye(2), q=np.zeros(2), alpha=1.0),
         )
-        ranges = self._record_blocks(monkeypatch)
-        with pytest.raises(Unstable):
+        with scans_built() as scans, pytest.raises(Unstable):
             run(task)
+        ranges = self._drawn(scans)
         assert ranges == []
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("alpha", [0.05, 0.0, -1e-3])
-    def test_small_task_scanned_in_few_blocks(self, monkeypatch, d, alpha):
+    def test_small_task_scanned_in_few_blocks(self, d, alpha):
         # a few vertices in low dimension: every walk of one verify fits in
         # one or two blocks, so its time barely depends on where it stops
-        ranges = self._record_blocks(monkeypatch)
-        verify(tail_style_task(d, alpha))
+        with scans_built() as scans:
+            verify(tail_style_task(d, alpha))
+        ranges = self._drawn(scans)
         assert 1 <= len(ranges) <= 2
 
-    def test_optimize_stops_at_envelope_cap(self, monkeypatch):
+    def test_optimize_stops_at_envelope_cap(self):
         task = tail_style_task(3, 0.0)
         cert = stability_certificate(task.system.A)
         envelope = horizon._shape("identity", cert, task).envelope
         steps = np.arange(DEFAULT_KSTRICT_CAP + 2)
         below = np.flatnonzero(tail_bound(steps, envelope) < STRICT_POS)
-        ranges = self._record_blocks(monkeypatch)
-        with pytest.raises(AssumptionViolated):
+        with scans_built() as scans, pytest.raises(AssumptionViolated):
             optimize(task)
+        ranges = self._drawn(scans)
         assert sum(len(block) for block in ranges) <= int(below[0])
 
     def test_scan_squares_only_powers_the_solve_did_not_form(self, monkeypatch):
         # at radius 0.8 the doubling contracts after 7 squarings, so the table
         # of a 3 000-step walk needs powers past the last one it formed
-        solves, handed = [], []
-        doubling, source = horizon._lyapunov_doubling, horizon._step_value_blocks
+        solves, doubling = [], horizon._lyapunov_doubling
 
         def solving(*args):
             result = doubling(*args)
             solves.append(result[2])
             return result
 
-        def sourcing(task, bound, powers):
-            handed.append(powers)
-            return source(task, bound, powers)
-
         monkeypatch.setattr(horizon, "_lyapunov_doubling", solving)
-        monkeypatch.setattr(horizon, "_step_value_blocks", sourcing)
-        staged = horizon._stage(rotation_task(np.diag([1.0, 0.0])))
+        with scans_built() as scans:
+            staged = horizon._stage(rotation_task(np.diag([1.0, 0.0])))
         horizon._walk(staged.scan, 3_000)
+        handed = [scan._powers for scan in scans]  # the list the scan extends
         [formed], [powers] = solves, handed
         assert len(formed) < len(powers)
         for power, solved in zip(powers, formed):
@@ -614,7 +645,7 @@ class TestSharedWork:
         for i in range(len(formed), len(powers)):
             np.testing.assert_array_equal(powers[i], powers[i - 1] @ powers[i - 1])
 
-    def test_support_rotation_computes_one_smallest_block(self, monkeypatch):
+    def test_support_rotation_computes_one_smallest_block(self):
         # a d = 2 box scanned by its support function: a step adds 3 x 1
         # projection entries and a 2 x 1 table column, so the smallest block
         # holds 4096 // 5 = 819 steps, and a walk that stops at step 3
@@ -626,8 +657,9 @@ class TestSharedWork:
             init=box_to_vertices([-1.0, -0.1], [1.0, 0.1]),
             objective=QuadraticObjective(Q=np.diag([0.0, 1.0]), q=np.zeros(2), alpha=2.0),
         )
-        ranges = self._record_blocks(monkeypatch)
-        verdict = verify(task)
+        with scans_built() as scans:
+            verdict = verify(task)
+        ranges = self._drawn(scans)
         assert verdict.status is VerdictStatus.PROVED
         assert (verdict.optimum.bound.scalars.k_strict, verdict.optimum.stop) == (0, 3)
         assert ranges == [range(0, 819)]
@@ -789,12 +821,10 @@ class TestIdentityDefault:
         for bound in evaluate_candidates(hom):
             s = bound.scalars
             envelope = horizon._Envelope(s.t, s.V, s.mu, bound.certificate.norm_A_P)
-            _, value, arg_k, index = horizon._walk(
-                horizon._StepScan(hom, [hom.system.A.T]), bound.K, envelope,
-                hom.objective.constant,
-            )
+            scan = horizon._StepScan(hom, [hom.system.A.T])
+            _, value, arg_k = horizon._walk(scan, bound.K, envelope, hom.objective.constant)
             assert (value, arg_k) == (opt.value, opt.arg_k)
-            np.testing.assert_array_equal(task.init.vertices[index()], opt.arg_vertex)
+            np.testing.assert_array_equal(task.init.vertices[scan.vertex(arg_k)], opt.arg_vertex)
             if default.witness is not None:
-                witness = trajectory(task.system, task.init.vertices[index()], arg_k)
+                witness = trajectory(task.system, task.init.vertices[scan.vertex(arg_k)], arg_k)
                 np.testing.assert_array_equal(witness, default.witness)

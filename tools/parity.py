@@ -12,8 +12,9 @@ record per task: status, optimum value, its step and vertex, K, the
 enumeration's stopping step, strategy, the winning pair's t, S, mu,
 |A|_P and lmax(P), tail horizon, the tail fallback's last sampled step,
 witness length and, when verify raises, the error type.  It also records
-the work of that verify: the steps its scan computed, the sum of the lengths
-of the blocks ``horizon._step_value_blocks`` yielded.
+the work of that verify: the steps its scan computed, the ``computed``
+count of every scan it built (collected by ``scans_built`` from the
+checkout's ``tests/support.py``).
 For each task on the cutoff path it also records the candidate table of the
 bound command: ``horizon.evaluate_candidates`` on the homogenized task, as
 (strategy, K, t, V, mu) rows in order, or the error type; and the row of a
@@ -23,10 +24,11 @@ task's document is also written to a temporary directory and run through
 ``quadinv.cli.main`` in-process as ``verify --report json``, text ``verify``,
 ``bound --report json``, ``simulate --report json`` and ``export --report
 json`` (:data:`COMMANDS`), so every subcommand is covered; each run records
-its exit code, stdout (parsed when it is JSON) and stderr.  quadinv and the
-workload generators are imported from the checkout at ``--repo`` (default:
-the one holding this script), so one copy of the script can record an older
-checkout.  The generators are only read.
+its exit code, stdout (parsed when it is JSON) and stderr.  quadinv, the
+workload generators and ``tests/support.py`` are imported from the checkout
+at ``--repo`` (default: the one holding this script); a checkout older than
+the scan's ``computed`` count is recorded with its own copy of this script.
+The generators are only read.
 
 ``diff`` compares two records field by field.  It prints every differing
 exact field (status, the optimum's step and vertex, K, stop, strategy, tail
@@ -156,24 +158,18 @@ def _float_group(field: str, x, y) -> str | None:
     return None
 
 
-def _record(verifier, horizon, task) -> dict:
-    steps, original = [0], horizon._step_value_blocks
-
-    def counting(*args):  # the block source, adding up the lengths of its blocks
-        for block in original(*args):
-            steps[0] += len(block[1])
-            yield block
-
-    horizon._step_value_blocks = counting
-    try:
-        verdict = verifier.verify(task)
-    except Exception as exc:  # every failure is recorded by its type
-        return {"error": type(exc).__name__, WORK: steps[0]}
-    finally:
-        horizon._step_value_blocks = original
+def _record(verifier, scans_built, task) -> dict:
+    with scans_built() as scans:
+        try:
+            verdict = verifier.verify(task)
+        except Exception as exc:  # every failure is recorded by its type
+            verdict = exc
+    steps = sum(scan.computed for scan in scans)
+    if isinstance(verdict, Exception):
+        return {"error": type(verdict).__name__, WORK: steps}
     opt, tail = verdict.optimum, verdict.tail_info
     return {
-        WORK: steps[0],
+        WORK: steps,
         "status": verdict.status.value,
         "value": None if opt is None else opt.value,
         "arg_k": None if opt is None else opt.arg_k,
@@ -194,9 +190,10 @@ def _record(verifier, horizon, task) -> dict:
 
 
 def dump(out: str, repo: Path) -> None:
-    sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
+    sys.path[:0] = [str(repo / "src"), str(repo / "bench"), str(repo / "tests")]
     import workloads
     from quadinv import cli, horizon, model, verifier
+    from support import scans_built
 
     if repo / "src" not in Path(verifier.__file__).resolve().parents:
         raise RuntimeError(f"quadinv was imported from {verifier.__file__}, not from {repo}")
@@ -213,7 +210,7 @@ def dump(out: str, repo: Path) -> None:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
                         task = _task(model, spec)
-                        record = _record(verifier, horizon, task)
+                        record = _record(verifier, scans_built, task)
                         if record.get("K") is not None:
                             record["bound"] = _candidates(horizon, model, task)
                             record["user"] = _candidates(horizon, model, task, user=True)
